@@ -57,7 +57,7 @@ def main() -> None:
     batch: dict[int, list[tuple[int, int]]] = {}
     for u, i, t in tail:
         batch.setdefault(u, []).append((i, t))
-    inc.apply_batch(batch)
+    inc.observe(batch)
     same = all(inc.similarity(u, v) == model.similarity(u, v)
                for u in store.profiles for v in store.profiles if u < v)
     print("    all pair similarities equal after applying the tail batch:",

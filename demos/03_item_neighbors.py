@@ -47,7 +47,7 @@ def main() -> None:
         batch: dict[int, list[tuple[int, int]]] = {}
         for u, i, t in events[lo:lo + 250]:
             batch.setdefault(u, []).append((i, t))
-        streamed.apply_events(batch)
+        streamed.observe(batch)
     worst = max(abs(streamed.score[i][j] - trained.score[i][j])
                 for i in trained.score for j in trained.score[i])
     print("    same pairs scored:",

@@ -38,7 +38,7 @@ def buffered_replay(model, batch: int = 50):
         buffer.setdefault(u, []).append((i, t))
         seen[0] += 1
         if seen[0] % batch == 0:
-            model.apply_events(dict(buffer))
+            model.observe(buffer)
             buffer.clear()
 
     return hook

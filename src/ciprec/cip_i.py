@@ -38,8 +38,6 @@ class CipIModel:
         self.score: dict[int, dict[int, float]] = {}
         self.card: dict[int, int] = {}
         self.profiles = ProfileStore(0, 0)
-        self._tail: dict[int, list[int]] = {}
-        self._popular: list[int] | None = None
 
     @classmethod
     def train(cls, store: ProfileStore, delta: int, k: int) -> "CipIModel":
@@ -47,11 +45,8 @@ class CipIModel:
         model = cls(delta, k)
         model.profiles = store
         for u in sorted(store.profiles):
-            packs = store.profiles[u].partition(delta)
-            for pack in packs:
+            for pack in store.profiles[u].partition(delta):
                 model.update_scores(pack.items)
-            if packs:
-                model._tail[u] = list(packs[-1].items)
         return model
 
     def update_scores(self, items: Sequence[int]) -> None:
@@ -63,36 +58,35 @@ class CipIModel:
             raise ValueError("pack repeats an item")
         for i in items:
             self.card[i] = self.card.get(i, 0) + 1
-        self._popular = None
         for p in range(len(items) - 1):
             row = self.score.setdefault(items[p], {})
             for q in range(p + 1, len(items)):
                 j = items[q]
                 row[j] = row.get(j, 0.0) + 1.0 + 1.0 / (q - p)
 
-    def apply_events(self, batches: dict[int, list[tuple[int, int]]]) -> None:
-        """Extend per-user open packs with new events, scoring each new
-        item against the pack members it joins. Produces exactly the
-        same stores as retraining on the final profiles."""
-        for u in sorted(batches):
-            prof = self.profiles.profile(u)
-            tail = self._tail.get(u, [])
-            last_ts = prof.ts[-1] if prof.ts else None
-            for item, t in batches[u]:
-                if not self.profiles.add_event(u, item, t):
-                    continue
-                self._popular = None
-                if last_ts is not None and t <= last_ts + self.delta:
-                    dist = len(tail)
-                    for p, j in enumerate(tail):
-                        row = self.score.setdefault(j, {})
-                        row[item] = row.get(item, 0.0) + 1.0 + 1.0 / (dist - p)
-                    tail.append(item)
-                else:
-                    tail = [item]
+    def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
+        """Fold new events into the profiles (see
+        :meth:`ProfileStore.extend`), scoring each new item against the
+        members of the pack it joins. Produces exactly the same stores as
+        retraining on the final profiles."""
+        delta = self.delta
+        for u, start in self.profiles.extend(batches).items():
+            prof = self.profiles.profiles[u]
+            items, ts = prof.items, prof.ts
+            if start == len(items):
+                continue
+            # the pack the first new item joins: walk back while gaps <= delta
+            lo = start
+            while lo > 0 and ts[lo] <= ts[lo - 1] + delta:
+                lo -= 1
+            for q in range(start, len(items)):
+                if q > start and ts[q] > ts[q - 1] + delta:
+                    lo = q
+                item = items[q]
+                for p in range(lo, q):
+                    row = self.score.setdefault(items[p], {})
+                    row[item] = row.get(item, 0.0) + 1.0 + 1.0 / (q - p)
                 self.card[item] = self.card.get(item, 0) + 1
-                last_ts = t
-            self._tail[u] = tail
 
     def similarity(self, i: int, j: int) -> float:
         """Directed similarity of j following i; 0 without co-consumption."""
@@ -113,11 +107,6 @@ class CipIModel:
         scored.sort(key=lambda t: (-t[1], t[0]))
         return scored[:k]
 
-    def _fallback(self, exclude) -> list[int]:
-        if self._popular is None:
-            self._popular = self.profiles.popular_ranking()
-        return [i for i in self._popular if i not in exclude]
-
     def recommend_for_profile(self, items: Sequence[int], n: int) -> list[int]:
         """Top-n items tallied over each profile item's neighbor list,
         never containing profile items. Empty tallies (and empty
@@ -126,14 +115,14 @@ class CipIModel:
             raise ValueError(f"n must be positive, got {n}")
         owned = set(items)
         if not owned:
-            return self._fallback(owned)[:n]
+            return self.profiles.popular(n)
         counts: dict[int, int] = {}
         for i in items:
             for j, _ in self.top_k(i):
                 if j not in owned:
                     counts[j] = counts.get(j, 0) + 1
         if not counts:
-            return self._fallback(owned)[:n]
+            return self.profiles.popular(n, owned)
         ranked = sorted(counts.items(), key=lambda t: (-t[1], t[0]))
         return [j for j, _ in ranked[:n]]
 

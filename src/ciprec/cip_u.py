@@ -93,14 +93,13 @@ class CipUModel:
         self._cap = max(1, num_items)
         self._pos: dict[int, np.ndarray] = {}
         self._hp: dict[int, dict[int, int]] = {}
-        self._popular: list[int] | None = None
 
     @classmethod
     def train(cls, store: ProfileStore, delta_h: int, k: int) -> "CipUModel":
         """Build the pair store from existing profiles in one batch."""
         model = cls(delta_h, k, store.num_items)
         batches = {u: list(zip(p.items, p.ts)) for u, p in store.profiles.items()}
-        model.apply_batch(batches)
+        model.observe(batches)
         model.profiles.user_ids = list(store.user_ids)
         model.profiles.item_ids = list(store.item_ids)
         model.profiles.num_users = max(model.profiles.num_users, store.num_users)
@@ -121,36 +120,24 @@ class CipUModel:
         arr = self._pos.get(u)
         if arr is None:
             arr = self._pos[u] = np.full(self._cap, -1, dtype=np.int32)
-        elif len(arr) < self._cap:
-            fresh = np.full(self._cap, -1, dtype=np.int32)
-            fresh[: len(arr)] = arr
-            self._pos[u] = arr = fresh
         return arr
 
-    def apply_batch(self, batches: dict[int, list[tuple[int, int]]]) -> None:
+    def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
         """Apply one batch of new events, given as per-user time-ordered
-        ``(item, ts)`` lists. Unknown users are created; items already in
-        a profile (or repeated within the batch) are dropped. The result
+        ``(item, ts)`` lists (see :meth:`ProfileStore.extend`). The result
         is identical to rebuilding the store from the final profiles."""
+        old_len = self.profiles.extend(batches)
+        self._grow(self.profiles.num_items)
         added: dict[int, list[int]] = {}
-        old_len: dict[int, int] = {}
-        for u in sorted(batches):
-            prof = self.profiles.profile(u)
-            old_len[u] = len(prof)
-            new_items = []
-            for item, t in batches[u]:
-                if self.profiles.add_event(u, item, t):
-                    new_items.append(item)
+        for u, base in old_len.items():
+            new_items = self.profiles.profiles[u].items[base:]
             if new_items:
-                self._grow(self.profiles.num_items)
                 pos_u = self._pos_of(u)
-                base = old_len[u]
                 for off, item in enumerate(new_items):
                     pos_u[item] = base + off
                 added[u] = new_items
         if not added:
             return
-        self._popular = None
 
         batch_users = sorted(added)
         rows = []
@@ -247,11 +234,6 @@ class CipUModel:
         order = np.lexsort((vs, -sims))[:k]
         return [(int(vs[o]), float(sims[o])) for o in order]
 
-    def _fallback(self, exclude: dict | set) -> list[int]:
-        if self._popular is None:
-            self._popular = self.profiles.popular_ranking()
-        return [i for i in self._popular if i not in exclude]
-
     def recommend(self, u: int, n: int) -> list[int]:
         """Top-n items tallied over the k nearest neighbors' profiles,
         never containing items ``u`` already consumed. Unknown users and
@@ -260,17 +242,17 @@ class CipUModel:
             raise ValueError(f"n must be positive, got {n}")
         prof = self.profiles.get(u)
         if prof is None or len(prof) == 0:
-            return self._fallback(prof.pos if prof else set())[:n]
+            return self.profiles.popular(n)
         neighbors = self.top_k_users(u)
         if not neighbors:
-            return self._fallback(prof.pos)[:n]
+            return self.profiles.popular(n, prof.pos)
         counts: dict[int, int] = {}
         for v, _ in neighbors:
             for item in self.profiles.profiles[v].items:
                 if item not in prof.pos:
                     counts[item] = counts.get(item, 0) + 1
         if not counts:
-            return self._fallback(prof.pos)[:n]
+            return self.profiles.popular(n, prof.pos)
         ranked = sorted(counts.items(), key=lambda t: (-t[1], t[0]))
         return [i for i, _ in ranked[:n]]
 

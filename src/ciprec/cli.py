@@ -165,14 +165,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _batches_from_log(log: EventLog) -> dict[int, list[tuple[int, int]]]:
-    out: dict[int, list[tuple[int, int]]] = {}
-    for k in range(len(log)):
-        out.setdefault(int(log.users[k]), []).append(
-            (int(log.items[k]), int(log.ts[k])))
-    return out
-
-
 def _remap_batches(log: EventLog, store) -> dict[int, list[tuple[int, int]]]:
     """Convert a new-events log's dense ids into the store's id space,
     extending the store's dictionaries for unseen raw ids."""
@@ -200,19 +192,7 @@ def cmd_update(args) -> int:
     model = persistence.load_model(args.model_file)
     new_log = _load_log(args, _resolve(args))
     store = model.profiles
-    batches = _remap_batches(new_log, store)
-    if isinstance(model, CipUModel):
-        model.apply_batch(batches)
-    elif isinstance(model, CipIModel):
-        model.apply_events(batches)
-    elif isinstance(model, DeepCipRecommender):
-        model.observe(batches)
-    else:
-        for u in sorted(batches):
-            for item, t in batches[u]:
-                store.add_event(u, item, t)
-        if isinstance(model, PopularityModel):
-            model.refresh()
+    model.observe(_remap_batches(new_log, store))
     events_path = args.model_file + ".events"
     persistence.dump_events(_events_from_profiles(store), events_path)
     persistence.save_model(model, args.model_file, events_path)
@@ -237,18 +217,7 @@ def _replay_hook(model, cfg: config.RunConfig):
     def flush():
         if not buffer:
             return
-        if isinstance(model, CipUModel):
-            model.apply_batch(dict(buffer))
-        elif isinstance(model, CipIModel):
-            model.apply_events(dict(buffer))
-        elif isinstance(model, DeepCipRecommender):
-            model.observe(dict(buffer))
-        else:
-            for u in sorted(buffer):
-                for item, t in buffer[u]:
-                    model.profiles.add_event(u, item, t)
-            if isinstance(model, PopularityModel):
-                model.refresh()
+        model.observe(buffer)
         buffer.clear()
 
     def hook(u: int, i: int, t: int) -> None:

@@ -351,55 +351,37 @@ class DeepCipRecommender:
         self.model = model
         self.profiles = store
         self.delta = delta
-        self._popular: list[int] | None = None
-
-    def _fallback(self, exclude) -> list[int]:
-        if self._popular is None:
-            self._popular = self.profiles.popular_ranking()
-        return [i for i in self._popular if i not in exclude]
 
     def recommend(self, u: int, n: int) -> list[int]:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         prof = self.profiles.get(u)
         if prof is None or not prof.items:
-            return self._fallback(set())[:n]
+            return self.profiles.popular(n)
         packs = prof.partition(self.delta)
         last = packs[-1].items
         try:
             ranked = most_similar(self.model, last, n, exclude=prof.pos)
         except ValueError:
-            return self._fallback(prof.pos)[:n]
+            return self.profiles.popular(n, prof.pos)
         out = [i for i, _ in ranked]
         if len(out) < n:
             # items outside the co-consumption vocabulary can never rank;
             # pad with popular unconsumed items
-            out.extend(self._fallback(set(out) | set(prof.pos))[: n - len(out)])
+            out.extend(self.profiles.popular(n - len(out), set(out) | set(prof.pos)))
         return out
 
-    def observe(self, batches: dict[int, list[tuple[int, int]]],
-                epochs: int = 1) -> None:
-        """Fold new events into profiles and warm-start the embeddings
-        on every pack those events touched."""
+    def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
+        """Fold new events into profiles (see
+        :meth:`ProfileStore.extend`) and warm-start the embeddings for one
+        epoch on every pack those events touched."""
         touched: list[list[int]] = []
-        for u in sorted(batches):
-            prof = self.profiles.profile(u)
-            first_new = None
-            for item, t in batches[u]:
-                if self.profiles.add_event(u, item, t) and first_new is None:
-                    first_new = len(prof.items) - 1
-            if first_new is not None:
-                start = 0
-                for pack_start in prof.cip_boundaries(self.delta):
-                    if pack_start <= first_new:
-                        start = pack_start
-                for pack in prof.partition(self.delta):
-                    if prof.pos[pack.items[0]] >= start:
-                        touched.append(pack.items)
+        for u, first_new in self.profiles.extend(batches).items():
+            prof = self.profiles.profiles[u]
+            touched.extend(pack.items for pack in prof.partition(self.delta)
+                           if prof.pos[pack.items[-1]] >= first_new)
         if touched:
-            cfg = replace(self.model.config, epochs=epochs)
-            train(touched, cfg, model=self.model)
-            self._popular = None
+            train(touched, replace(self.model.config, epochs=1), model=self.model)
 
     @property
     def params(self) -> dict:

@@ -114,11 +114,14 @@ class FismModel:
         if self.profiles is None:
             raise ValueError("model has no profiles attached")
         if not (0 <= u < self.num_users):
-            ranked = self.profiles.popular_ranking()
-            return ranked[:n]
+            return self.profiles.popular(n)
         prof = self.profiles.get(u)
         cips = prof.partition(self.delta) if prof else []
         return self.recommend_for_cips(cips, u, n)
+
+    def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
+        """Fold new events into the profiles; the factors stay fixed."""
+        self.profiles.extend(batches)
 
     def fit_sgd(self, store: ProfileStore, epochs: int = 5, lr: float = 0.01,
                 reg: float = 0.01, neg_ratio: int = 3, seed: int = 1,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -259,7 +260,9 @@ def partition_cips(profile: UserProfile, delta: int) -> list[Cip]:
 
 
 class ProfileStore:
-    """All user profiles plus catalog sizes and popularity counts."""
+    """All user profiles plus catalog sizes and popularity counts. Every
+    model folds events in through :meth:`extend` and falls back to
+    :meth:`popular`."""
 
     def __init__(self, num_users: int, num_items: int,
                  user_ids: Sequence | None = None,
@@ -270,6 +273,7 @@ class ProfileStore:
         self.item_ids = list(item_ids) if item_ids is not None else list(range(num_items))
         self.profiles: dict[int, UserProfile] = {}
         self._counts: np.ndarray | None = None
+        self._ranking: list[int] | None = None
 
     def profile(self, user: int) -> UserProfile:
         p = self.profiles.get(user)
@@ -288,7 +292,38 @@ class ProfileStore:
         added = self.profile(user).append(item, t)
         if added:
             self._counts = None
+            self._ranking = None
         return added
+
+    def extend(self, batches: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
+        """Append per-user time-ordered ``(item, ts)`` events, users in
+        ascending order; items already in a profile (or earlier in the
+        batch) are dropped. Returns each batch user's profile length
+        before the batch.
+
+        All or nothing: raises ValueError, before appending anything, if
+        a new item is older than its profile's last event (earlier
+        events of the batch included).
+        """
+        for u, events in batches.items():
+            prof = self.profiles.get(u) or UserProfile(u)
+            last = prof.ts[-1] if prof.ts else -math.inf
+            fresh = set()
+            for item, t in events:
+                if item in prof.pos or item in fresh:
+                    continue
+                if t < last:
+                    raise ValueError(
+                        f"late event for user {u}: item {item} at {t} is older "
+                        f"than the event before it at {last}")
+                fresh.add(item)
+                last = t
+        before = {}
+        for u in sorted(batches):
+            before[u] = len(self.profile(u))
+            for item, t in batches[u]:
+                self.add_event(u, item, t)
+        return before
 
     def item_counts(self) -> np.ndarray:
         """Number of profiles containing each item."""
@@ -301,11 +336,19 @@ class ProfileStore:
 
     def popular_ranking(self) -> list[int]:
         """Items by descending consumption count, ties by ascending id.
-        Items nobody consumed are excluded."""
-        counts = self.item_counts()
-        ids = np.nonzero(counts)[0]
-        order = np.lexsort((ids, -counts[ids]))
-        return [int(i) for i in ids[order]]
+        Items nobody consumed are excluded. The list is cached and shared
+        until an event is added; callers must not mutate it."""
+        if self._ranking is None:
+            counts = self.item_counts()
+            ids = np.nonzero(counts)[0]
+            order = np.lexsort((ids, -counts[ids]))
+            self._ranking = [int(i) for i in ids[order]]
+        return self._ranking
+
+    def popular(self, n: int, exclude=()) -> list[int]:
+        """The ``n`` most popular items not in ``exclude``: every
+        model's cold-start and empty-neighbourhood fallback."""
+        return list(islice((i for i in self.popular_ranking() if i not in exclude), n))
 
     def __iter__(self) -> Iterator[UserProfile]:
         return iter(self.profiles.values())

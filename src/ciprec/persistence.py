@@ -264,10 +264,6 @@ def _load_cip_i(path) -> CipIModel:
             i = log.item_index[int(parts[0])]
             j = log.item_index[int(parts[1])]
             model.score.setdefault(i, {})[j] = float(parts[2])
-    for u, prof in store.profiles.items():
-        packs = prof.partition(delta)
-        if packs:
-            model._tail[u] = list(packs[-1].items)
     return model
 
 
@@ -405,26 +401,41 @@ def _load_fism(path) -> FismModel:
     return model
 
 
-def _save_popularity(model: PopularityModel, path, ref: str) -> None:
-    store = model.profiles
+def _count_rows(store: ProfileStore) -> list[tuple[int, int]]:
+    """Sorted ``(raw item, count)`` rows of every consumed item."""
     counts = store.item_counts()
+    return sorted((store.item_ids[i], int(c)) for i, c in enumerate(counts) if c > 0)
+
+
+def _save_popularity(model: PopularityModel, path, ref: str) -> None:
+    rows = _count_rows(model.profiles)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MAGIC} popularity\n")
         fh.write(f"events {ref}\n")
-        rows = [(store.item_ids[i], int(c)) for i, c in enumerate(counts) if c > 0]
         fh.write(f"counts {len(rows)}\n")
-        for raw, c in sorted(rows):
+        for raw, c in rows:
             fh.write(f"{raw} {c}\n")
 
 
 def _load_popularity(path) -> PopularityModel:
+    """Load a popularity model; its counts must match the ones rebuilt
+    from the events file."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         _check_header(fh.readline(), "popularity", path)
         ref = _read_kv(fh, "events", path)
         n_rows = int(_read_kv(fh, "counts", path))
         for _ in range(n_rows):
-            fh.readline()
+            parts = fh.readline().split()
+            if len(parts) != 2:
+                raise FormatError(f"{path}: truncated counts section")
+            try:
+                rows.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise FormatError(f"{path}: non-integer count row") from None
     _, store = _load_ref_profiles(path, ref)
+    if rows != _count_rows(store):
+        raise FormatError(f"{path}: counts do not match its events file")
     return PopularityModel(store)
 
 

@@ -7,35 +7,26 @@ from ciprec.ingest import ProfileStore
 
 class PopularityModel:
     """Recommends the globally most-consumed items, ties by ascending
-    item id, excluding what the user already consumed. Also serves as
-    the cold-start fallback everywhere else."""
+    item id, excluding what the user already consumed. The ranking is
+    :meth:`ProfileStore.popular`, every other model's fallback."""
 
     kind = "popularity"
 
     def __init__(self, store: ProfileStore):
         self.profiles = store
-        self._ranking: list[int] | None = None
 
     @classmethod
     def train(cls, store: ProfileStore) -> "PopularityModel":
         return cls(store)
 
-    @property
-    def ranking(self) -> list[int]:
-        if self._ranking is None:
-            self._ranking = self.profiles.popular_ranking()
-        return self._ranking
-
-    def refresh(self) -> None:
-        self._ranking = None
+    def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
+        self.profiles.extend(batches)
 
     def recommend(self, u: int, n: int) -> list[int]:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         prof = self.profiles.get(u)
-        if prof is None or not prof.items:
-            return self.ranking[:n]
-        return [i for i in self.ranking if i not in prof.pos][:n]
+        return self.profiles.popular(n, prof.pos if prof else ())
 
     @property
     def params(self) -> dict:

@@ -73,7 +73,7 @@ def test_acceptance_01_user_store_incremental_equals_batch():
         batch = CipUModel.train(store, dh, 10)
         inc = CipUModel(dh, 10)
         for chunk in chunked_batches(rng, events, int(rng.integers(2, 30))):
-            inc.apply_batch(chunk)
+            inc.observe(chunk)
         users = sorted(store.profiles)
         for a in range(len(users)):
             for b in range(a + 1, len(users)):
@@ -104,7 +104,7 @@ def test_acceptance_02_item_store_streaming_equals_one_shot():
         one = CipIModel.train(store, 60, 5)
         streamed = CipIModel(60, 5)
         for chunk in chunked_batches(rng, events, 6):
-            streamed.apply_events(chunk)
+            streamed.observe(chunk)
         assert streamed.card == one.card
         assert set(streamed.score) == set(one.score)
         for i, row in one.score.items():

@@ -73,7 +73,7 @@ def test_streaming_equals_one_shot():
         batch = CipIModel.train(store, 40, 5)
         stream = CipIModel(40, 5)
         for u, i, t in events:
-            stream.apply_events({u: [(i, t)]})
+            stream.observe({u: [(i, t)]})
         assert batch.card == stream.card
         keys = {(a, b) for a, r in batch.score.items() for b in r}
         keys |= {(a, b) for a, r in stream.score.items() for b in r}
@@ -87,9 +87,20 @@ def test_streaming_equals_one_shot():
 
 def test_apply_events_spanning_the_gap_starts_a_new_pack():
     m = CipIModel(60, 5)
-    m.apply_events({0: [(1, 100), (2, 150)]})
-    m.apply_events({0: [(3, 5000)]})        # far beyond delta: new pack
-    m.apply_events({0: [(4, 5010)]})        # extends the second pack
+    m.observe({0: [(1, 100), (2, 150)]})
+    m.observe({0: [(3, 5000)]})        # far beyond delta: new pack
+    m.observe({0: [(4, 5010)]})        # extends the second pack
+    want = CipIModel.train(m.profiles, 60, 5)
+    assert m.score == want.score and m.card == want.card
+
+
+def test_late_event_rejects_the_whole_batch():
+    m = CipIModel(60, 5)
+    m.observe({0: [(1, 100)]})
+    with pytest.raises(ValueError):
+        m.observe({0: [(2, 5000), (3, 10)]})   # 3 is older than 2
+    assert m.profiles.get(0).items == [1]
+    m.observe({0: [(4, 5010)]})
     want = CipIModel.train(m.profiles, 60, 5)
     assert m.score == want.score and m.card == want.card
 

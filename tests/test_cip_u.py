@@ -92,7 +92,7 @@ def test_incremental_chunks_equal_batch():
         batch = CipUModel.train(store, 3, 5)
         inc = CipUModel(3, 5)
         for chunk in chunked_batches(rng, events, 15):
-            inc.apply_batch(chunk)
+            inc.observe(chunk)
         for u in store.profiles:
             for v in store.profiles:
                 if u >= v:
@@ -106,10 +106,21 @@ def test_incremental_chunks_equal_batch():
 def test_reapplying_same_events_is_a_no_op():
     events = [(0, 1, 10), (0, 2, 20), (1, 1, 15), (1, 2, 30)]
     m = CipUModel(2, 5)
-    m.apply_batch(batches_from(events))
+    m.observe(batches_from(events))
     before = {u: dict(r) for u, r in m._hp.items()}
-    m.apply_batch(batches_from(events))
+    m.observe(batches_from(events))
     assert {u: dict(r) for u, r in m._hp.items()} == before
+
+
+def test_late_event_rejects_the_whole_batch():
+    m = CipUModel(2, 5)
+    m.observe({0: [(1, 100)], 1: [(1, 100), (2, 110), (4, 120)]})
+    with pytest.raises(ValueError):
+        m.observe({0: [(2, 5000), (3, 10)]})   # 3 is older than 2
+    assert m.profiles.get(0).items == [1]
+    m.observe({0: [(4, 5010)]})
+    p0, p1 = m.profiles.get(0), m.profiles.get(1)
+    assert m.pair_state(0, 1).hp_count == len(hammock_pairs(p0, p1, 2)) == 1
 
 
 def test_pair_state_and_equality_flag():

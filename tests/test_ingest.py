@@ -167,6 +167,40 @@ def test_popular_ranking_orders_and_excludes_unseen():
     assert store.popular_ranking() == [5, 2, 3]
 
 
+def test_extend_appends_in_user_order_and_reports_old_lengths():
+    store = ProfileStore(0, 0)
+    store.add_event(0, 5, 10)
+    ranking = store.popular_ranking()
+    # item 5 is already in user 0's profile; 7 repeats within the batch
+    before = store.extend({2: [(7, 20), (7, 25)], 0: [(5, 1), (6, 30)]})
+    assert before == {0: 1, 2: 0} and list(before) == [0, 2]
+    assert store.get(0).items == [5, 6] and store.get(2).items == [7]
+    assert store.num_users == 3 and store.num_items == 8
+    assert ranking == [5] and store.popular_ranking() == [5, 6, 7]
+
+
+def test_extend_rejects_a_late_batch_before_appending():
+    store = ProfileStore(0, 0)
+    store.add_event(1, 5, 100)
+    for late in ({0: [(1, 50)], 1: [(2, 90)]},             # older than the profile
+                 {0: [(1, 50)], 1: [(2, 200), (3, 150)]}):  # older than the batch
+        with pytest.raises(ValueError):
+            store.extend(late)
+        assert store.get(0) is None and store.get(1).items == [5]
+    # an already-held item never counts as late
+    store.extend({1: [(5, 1), (4, 100)]})
+    assert store.get(1).items == [5, 4]
+
+
+def test_popular_excludes_and_truncates():
+    store = ProfileStore(0, 0)
+    store.extend({0: [(1, 1), (2, 2), (3, 3)], 1: [(2, 1), (3, 2)], 2: [(3, 1)]})
+    assert store.popular_ranking() == [3, 2, 1]
+    assert store.popular(2) == [3, 2]
+    assert store.popular(2, exclude={3}) == [2, 1]
+    assert store.popular(5, exclude=(2, 3)) == [1]
+
+
 def test_all_cips_sorted_by_user():
     store = ProfileStore(0, 0)
     store.add_event(3, 1, 10)

@@ -173,6 +173,25 @@ def test_popularity_round_trip(corpus):
     assert _recommendations(loaded) == _recommendations(model)
 
 
+def test_popularity_counts_must_match_the_events(tmp_path, corpus):
+    log, store, events_path, tmp = corpus
+    path = tmp_path / "m.pop"
+    save_model(PopularityModel.train(store), path, events_path)
+    load_model(path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[2].startswith("counts ")
+    raw, count = lines[3].split()
+    # copies sit next to the original, so the events reference resolves
+    tampered = tmp_path / "tampered.pop"
+    tampered.write_text("".join(lines[:3] + [f"{raw} {int(count) + 997}\n"]
+                                + lines[4:]))
+    truncated = tmp_path / "truncated.pop"
+    truncated.write_text("".join(lines[:-1]))
+    for bad in (tampered, truncated):
+        with pytest.raises(FormatError):
+            load_model(bad)
+
+
 def test_model_file_errors(tmp_path, corpus):
     log, store, events_path, tmp = corpus
     model = CipIModel.train(store, 60, 10)
