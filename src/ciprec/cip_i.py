@@ -9,11 +9,19 @@ The pair is counted once per pack, so
 
 stays in [0, 1] and hits 1 exactly when every pack containing i or j has
 i immediately followed by j.
+
+``recommend`` tallies the ids of each profile item's top-k successors.
+Those id lists are cached per item and the whole cache is cleared on
+every score or card change (:meth:`CipIModel.update_scores`,
+:meth:`CipIModel.observe`), so frozen serving ranks each row once.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Sequence
+
+import numpy as np
 
 from ciprec.ingest import ProfileStore
 
@@ -23,7 +31,9 @@ class CipIModel:
 
     ``delta`` is the pack gap threshold in seconds (used when updating
     from raw event batches), ``k`` the per-item neighbor list size used
-    by :meth:`recommend`.
+    by :meth:`recommend`. ``_top`` caches the successor ids each
+    recommendation tallies; it is emptied whenever a score or a card
+    changes, since a card bump reorders every row holding that column.
     """
 
     kind = "cip-i"
@@ -38,6 +48,7 @@ class CipIModel:
         self.score: dict[int, dict[int, float]] = {}
         self.card: dict[int, int] = {}
         self.profiles = ProfileStore(0, 0)
+        self._top: dict[int, np.ndarray] = {}
 
     @classmethod
     def train(cls, store: ProfileStore, delta: int, k: int) -> "CipIModel":
@@ -56,6 +67,7 @@ class CipIModel:
         """
         if len(set(items)) != len(items):
             raise ValueError("pack repeats an item")
+        self._top.clear()
         for i in items:
             self.card[i] = self.card.get(i, 0) + 1
         for p in range(len(items) - 1):
@@ -69,6 +81,7 @@ class CipIModel:
         :meth:`ProfileStore.extend`), scoring each new item against the
         members of the pack it joins. Produces exactly the same stores as
         retraining on the final profiles."""
+        self._top.clear()
         delta = self.delta
         for u, start in self.profiles.extend(batches).items():
             prof = self.profiles.profiles[u]
@@ -97,34 +110,43 @@ class CipIModel:
 
     def top_k(self, i: int, k: int | None = None) -> list[tuple[int, float]]:
         """Top-k successors of item i by similarity, ties by ascending
-        item id; items never scored give []."""
-        k = self.k if k is None else k
+        item id; items never scored give []. A fresh list each call."""
         row = self.score.get(i)
         if not row:
             return []
-        scored = [(j, self.similarity(i, j)) for j in row]
-        scored = [(j, s) for j, s in scored if s > 0.0]
-        scored.sort(key=lambda t: (-t[1], t[0]))
-        return scored[:k]
+        card = self.card
+        ci = card.get(i, 0)
+        # similarity(i, j) inlined; must stay bit-identical to it
+        scored = [(j, s / (2.0 * max(ci, card.get(j, 0))))
+                  for j, s in row.items() if s > 0.0]
+        return heapq.nsmallest(self.k if k is None else k, scored,
+                               key=lambda t: (-t[1], t[0]))
 
     def recommend_for_profile(self, items: Sequence[int], n: int) -> list[int]:
         """Top-n items tallied over each profile item's neighbor list,
-        never containing profile items. Empty tallies (and empty
-        profiles) fall back to global popularity."""
+        never containing profile items; ties by ascending id. Empty
+        tallies (and empty profiles) fall back to global popularity."""
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        owned = set(items)
-        if not owned:
+        if len(items) == 0:
             return self.profiles.popular(n)
-        counts: dict[int, int] = {}
+        top = self._top
+        lists = []
         for i in items:
-            for j, _ in self.top_k(i):
-                if j not in owned:
-                    counts[j] = counts.get(j, 0) + 1
-        if not counts:
-            return self.profiles.popular(n, owned)
-        ranked = sorted(counts.items(), key=lambda t: (-t[1], t[0]))
-        return [j for j, _ in ranked[:n]]
+            succ = top.get(i)
+            if succ is None:
+                succ = top[i] = np.array([j for j, _ in self.top_k(i)],
+                                         dtype=np.int64)
+            lists.append(succ)
+        tally = np.concatenate(lists)
+        owned = np.asarray(items, dtype=np.int64)
+        counts = np.bincount(tally, minlength=int(owned.max()) + 1)
+        counts[owned] = 0
+        ids = np.flatnonzero(counts)
+        if not len(ids):
+            return self.profiles.popular(n, set(items))
+        ranked = ids[np.lexsort((ids, -counts[ids]))]
+        return ranked[:n].tolist()
 
     def recommend(self, u: int, n: int) -> list[int]:
         prof = self.profiles.get(u)

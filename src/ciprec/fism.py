@@ -99,28 +99,36 @@ class FismModel:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         packs = _pack_items(cips)
-        consumed = sorted({i for pack in packs for i in pack})
+        consumed = {i for pack in packs for i in pack}
+        # items folded in after training have no factor row: they add
+        # nothing to the sum and are never scored
+        rows = sorted(i for i in consumed if i < self.num_items)
         scores = self.b_user[u] + self.b_item.copy()
         if consumed:
-            profile_vec = self.p[consumed].sum(axis=0)
+            profile_vec = self.p[rows].sum(axis=0)
             scores += len(consumed) ** (-self.alpha) * (self.q @ profile_vec)
         keep = np.ones(self.num_items, dtype=bool)
-        keep[consumed] = False
+        keep[rows] = False
         idx = np.nonzero(keep)[0]
         order = np.lexsort((idx, -scores[idx]))[:n]
         return [int(i) for i in idx[order]]
 
     def recommend(self, u: int, n: int) -> list[int]:
+        """Top-n unconsumed items for user u. A user without a bias row
+        (first seen after training) gets the popularity fallback
+        without their own items."""
         if self.profiles is None:
             raise ValueError("model has no profiles attached")
-        if not (0 <= u < self.num_users):
-            return self.profiles.popular(n)
         prof = self.profiles.get(u)
+        if not (0 <= u < self.num_users):
+            return self.profiles.popular(n, prof.pos if prof else ())
         cips = prof.partition(self.delta) if prof else []
         return self.recommend_for_cips(cips, u, n)
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
-        """Fold new events into the profiles; the factors stay fixed."""
+        """Fold new events into the profiles; the factors keep their
+        trained shapes, so users and items first seen here have none
+        (see :meth:`recommend`)."""
         self.profiles.extend(batches)
 
     def fit_sgd(self, store: ProfileStore, epochs: int = 5, lr: float = 0.01,

@@ -291,7 +291,9 @@ class ProfileStore:
             self.num_users = user + 1
         added = self.profile(user).append(item, t)
         if added:
-            self._counts = None
+            if self._counts is not None:
+                self._grow_counts()
+                self._counts[item] += 1
             self._ranking = None
         return added
 
@@ -325,13 +327,22 @@ class ProfileStore:
                 self.add_event(u, item, t)
         return before
 
+    def _grow_counts(self) -> None:
+        short = self.num_items - len(self._counts)
+        if short > 0:
+            self._counts = np.concatenate(
+                [self._counts, np.zeros(short, dtype=np.int64)])
+
     def item_counts(self) -> np.ndarray:
-        """Number of profiles containing each item."""
-        if self._counts is None or len(self._counts) < self.num_items:
+        """Number of profiles containing each item. Counted once, then
+        kept up to date by :meth:`add_event`; callers must not
+        mutate the array."""
+        if self._counts is None:
             counts = np.zeros(self.num_items, dtype=np.int64)
             for p in self.profiles.values():
                 counts[p.items] += 1
             self._counts = counts
+        self._grow_counts()
         return self._counts
 
     def popular_ranking(self) -> list[int]:

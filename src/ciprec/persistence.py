@@ -344,8 +344,8 @@ def _save_fism(model: FismModel, path, ref: str) -> None:
         f"m {model.num_users} n {model.num_items} k {model.k} "
         f"alpha {_fmt_float(model.alpha)}\n"
         f"delta {model.delta}\n"
-        f"users {' '.join(str(r) for r in store.user_ids)}\n"
-        f"items {' '.join(str(r) for r in store.item_ids)}\n"
+        f"users {' '.join(str(r) for r in store.user_ids[:model.num_users])}\n"
+        f"items {' '.join(str(r) for r in store.item_ids[:model.num_items])}\n"
         "binary\n"
     )
     with open(path, "wb") as fh:

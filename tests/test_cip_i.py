@@ -135,3 +135,61 @@ def test_constructor_validation_and_params():
     with pytest.raises(ValueError):
         CipIModel(60, 0)
     assert CipIModel(60, 30).params == {"delta": 60, "k": 30}
+
+
+# packs of users 0-4; user 4's profile is [0]. Row 0 has successors 1
+# and 2, both at similarity 2 / 6 with card(0) = card(1) = 3, so with
+# k = 1 the tie goes to 1.
+_FLIP_PACKS = [[0, 1], [0, 2], [1], [1], [0]]
+
+
+def test_card_bump_from_another_user_reorders_a_cached_row():
+    m = CipIModel.train(_store_of_packs(_FLIP_PACKS), 60, 1)
+    assert m.recommend(4, 3) == [1]        # row 0 is now cached
+    # user 5 consumes only item 1: no score changes, card(1) becomes 4,
+    # which drops similarity(0, 1) to 2 / 8 below similarity(0, 2)
+    m.observe({5: [(1, 10_000_000)]})
+    assert m.score == CipIModel.train(_store_of_packs(_FLIP_PACKS), 60, 1).score
+    want = CipIModel.train(m.profiles, 60, 1)
+    assert m.recommend(4, 3) == want.recommend(4, 3) == [2]
+
+
+def test_update_scores_after_recommend_is_served():
+    m = CipIModel.train(_store_of_packs(_FLIP_PACKS), 60, 1)
+    assert m.recommend(4, 3) == [1]
+    m.update_scores([0, 2])
+    want = CipIModel.train(_store_of_packs(_FLIP_PACKS + [[0, 2]]), 60, 1)
+    assert m.recommend(4, 3) == want.recommend(4, 3) == [2]
+
+
+def test_top_k_reports_exact_similarities_in_a_fresh_list():
+    events = random_stream(np.random.default_rng(3), 6, 15, 120, max_gap=40,
+                           unique_per_user=True)
+    m = CipIModel.train(store_from(events), 60, 4)
+    for u in m.profiles.profiles:
+        m.recommend(u, 5)                  # warm the cache
+    for i in m.score:
+        top = m.top_k(i)
+        assert top and all(s == m.similarity(i, j) for j, s in top)
+        kept = list(top)
+        top.clear()
+        assert m.top_k(i) == kept
+
+
+def test_recommend_equals_a_dict_tally_of_top_k():
+    from ciprec.synthetic import generate_events
+
+    rows = generate_events(seed=5, n_users=60, n_items=150, n_events=4000,
+                           n_genres=6)
+    store = store_from((u, i, t) for u, i, _, t in rows)
+    m = CipIModel.train(store, 60, 10)
+    for u in sorted(store.profiles):
+        items = store.profiles[u].items
+        counts: dict[int, int] = {}
+        for i in items:
+            for j, _ in m.top_k(i):
+                if j not in store.profiles[u].pos:
+                    counts[j] = counts.get(j, 0) + 1
+        ranked = sorted(counts.items(), key=lambda t: (-t[1], t[0]))
+        want = [j for j, _ in ranked[:10]] or store.popular(10, items)
+        assert m.recommend(u, 10) == want

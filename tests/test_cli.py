@@ -155,6 +155,34 @@ def test_deepcip_and_fism_and_cipu_train_paths(events_file, tmp_path, capsys):
         assert len(capsys.readouterr().out.split()) == 5
 
 
+def test_update_brings_a_new_user_and_item_to_a_fism_model(raw_log, events_file,
+                                                          tmp_path, capsys):
+    _, raw = raw_log
+    out = tmp_path / "m.fism"
+    assert main(["train", "--model", "fism", "--events", str(events_file),
+                 *SPLIT, "--dim", "8", "--out", str(out)]) == 0
+    last = max(int(line.split("\t")[3]) for line in open(raw))
+    new_raw = tmp_path / "new.tsv"
+    new_raw.write_text(f"1\t99999\t5\t{last + 10}\n"      # known user, new item
+                       f"77777\t1\t5\t{last + 20}\n"      # new user
+                       f"77777\t99999\t5\t{last + 30}\n")
+    new_events = tmp_path / "new.ciprec"
+    assert main(["ingest", "--path", str(new_raw), "--format", "ml-tab",
+                 "--out", str(new_events)]) == 0
+    assert main(["update", "--model-file", str(out),
+                 "--events", str(new_events)]) == 0
+    store = load_model(out).profiles
+    for user in (1, 77777):
+        prof = store.get(store.user_ids.index(user))
+        owned = {store.item_ids[i] for i in prof.items}
+        assert 99999 in owned
+        capsys.readouterr()
+        assert main(["recommend", "--model-file", str(out), "--user", str(user),
+                     "--top", "5"]) == 0
+        printed = [int(x) for x in capsys.readouterr().out.split()]
+        assert len(printed) == 5 and not owned & set(printed)
+
+
 def test_thread_cap_env(events_file, tmp_path, monkeypatch):
     from ciprec import cli
 

@@ -123,6 +123,30 @@ def test_recommend_paths():
         m.recommend(0, 0)
 
 
+def test_recommend_after_observe_skips_items_without_factors():
+    # trained on 2 users x 3 items; the batch brings item 3 to user 0
+    store = store_from([(0, 0, 10), (1, 1, 20), (1, 2, 30)])
+    m = FismModel.train(store, 60, 4, alpha=0.5, seed=4)
+    m.b_item = np.array([0.0, 0.3, -0.2])
+    m.observe({0: [(3, 40)], 1: [(3, 50)]})
+    for u, owned in ((0, [0, 3]), (1, [1, 2, 3])):
+        # item 3 adds nothing to the sum but still counts in |C|
+        known = [i for i in owned if i < 3]
+        vec = m.p[known].sum(axis=0) * len(owned) ** -0.5
+        scores = m.b_user[u] + m.b_item + m.q @ vec
+        want = sorted((i for i in range(3) if i not in owned),
+                      key=lambda i: (-scores[i], i))
+        assert m.recommend(u, 5) == want
+    assert 3 not in m.recommend(0, 5)
+
+
+def test_recommend_for_a_user_first_seen_in_a_batch_excludes_their_items():
+    store = store_from([(0, 0, 10), (0, 1, 20), (1, 1, 30), (1, 2, 40)])
+    m = FismModel.train(store, 60, 4, seed=4)
+    m.observe({2: [(1, 50), (3, 60)]})
+    assert m.recommend(2, 5) == m.profiles.popular(5, exclude={1, 3}) == [0, 2]
+
+
 def test_fit_sgd_requires_explicit_opt_in():
     store = store_from([(0, 1, 10), (0, 2, 20), (1, 2, 15), (1, 3, 25)])
     m = FismModel.random_init(store.num_users, store.num_items, 4, seed=3)

@@ -201,6 +201,45 @@ def test_popular_excludes_and_truncates():
     assert store.popular(5, exclude=(2, 3)) == [1]
 
 
+class _CountingProfiles(dict):
+    """Profile dict that counts full passes over its values."""
+
+    passes = 0
+
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+
+def test_item_counts_follow_observed_batches_without_a_recount():
+    events = [(0, 1, 10), (1, 1, 20), (1, 2, 30), (2, 0, 40)]
+    store = ProfileStore(0, 0)
+    for u, i, t in events:
+        store.add_event(u, i, t)
+    store.profiles = _CountingProfiles(store.profiles)
+    assert list(store.item_counts()) == [1, 2, 1]
+    # a new user, a new item, an item already held (dropped) and a
+    # repeat inside the batch
+    batches = [{3: [(2, 50)], 0: [(5, 60)]},
+               {1: [(1, 70), (4, 80), (4, 90)]},
+               {0: [(2, 100)], 4: [(5, 110), (0, 120)]}]
+    for batch in batches:
+        store.extend(batch)
+        for u, items in batch.items():
+            events += [(u, i, t) for i, t in items]
+        full = ProfileStore(0, 0)
+        for u, i, t in events:
+            full.add_event(u, i, t)
+        recount = np.zeros(store.num_items, dtype=np.int64)
+        for p in full.profiles.values():
+            recount[p.items] += 1
+        assert np.array_equal(store.item_counts(), recount)
+        assert store.popular_ranking() == full.popular_ranking()
+    assert store.profiles.passes == 1     # counted once, then kept up to date
+    store.num_items = 9                   # a catalog grown without events
+    assert list(store.item_counts()) == [2, 2, 3, 0, 1, 2, 0, 0, 0]
+
+
 def test_all_cips_sorted_by_user():
     store = ProfileStore(0, 0)
     store.add_event(3, 1, 10)

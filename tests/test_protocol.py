@@ -58,3 +58,16 @@ def test_rejected_batch_leaves_profiles_unchanged(kind):
     with pytest.raises(ValueError):
         model.observe(batch)
     assert _snapshot(model.profiles) == before
+
+
+@pytest.mark.parametrize("kind", config.MODEL_KINDS)
+def test_batch_users_get_lists_without_their_own_items(kind):
+    # the tail brings a new user (12) and gives user 4 a new item (30)
+    head, tail = _events()
+    model = _build_model(kind, store_from(head), CFG)
+    model.observe(batches_from(tail))
+    for u in sorted({u for u, _, _ in tail}):
+        recs = model.recommend(u, 10)
+        owned = model.profiles.get(u).pos
+        assert len(set(recs)) == len(recs) <= 10
+        assert not any(i in owned for i in recs)
