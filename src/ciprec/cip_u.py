@@ -7,15 +7,26 @@ each other in their own profiles. The similarity is
     sim(u, v) = 1 - (1 - [P_u = P_v]) * exp(-|HP(u, v)|)
 
 where [P_u = P_v] is 1 iff the two profiles are identical item sequences.
-The pair store is incremental: each batch of new events only touches the
-pairs whose common-item set actually grew, and because profiles are
-append-only the positions of old items never move, so counting just the
-new hammock pairs reproduces the from-scratch count exactly.
+
+Call the item pairs at most ``delta_h`` positions apart in u's profile
+its tokens, T(u). Then HP(u, v) = T(u) ∩ T(v), and the whole pair store
+is one sparse product H = T·Tᵀ over a users × tokens matrix T. Profiles
+are append-only, so old tokens never move: a batch of new events only
+adds ΔT (each new item paired with the up to ``delta_h`` items before
+it), and
+
+    H += ΔT·T_oldᵀ + T_old·ΔTᵀ + ΔT·ΔTᵀ
+
+reproduces the from-scratch product exactly. Identical profiles that
+share no token (equal single-item profiles, or any two equal profiles
+when ``delta_h`` is 0) still score 1; they are found through a hash of
+each profile's item sequence, not stored as zero-count pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -74,10 +85,15 @@ class UserPairState:
 class CipUModel:
     """Incremental user-user pair store plus neighborhood recommender.
 
-    ``k`` is the neighborhood size used by :meth:`recommend`. Only user
-    pairs with at least one common item are materialized; per pair the
-    store keeps just the hammock-pair count (common items and the
-    equality flag are derived from the profiles on demand).
+    ``k`` is the neighborhood size used by :meth:`recommend`. The store
+    is H = T·Tᵀ, a symmetric users × users CSR of hammock-pair counts
+    with a zero diagonal that holds only non-zero counts. A token {i, j}
+    is the int64 key ``min(i, j) << 32 | max(i, j)``, so keys never
+    change when the catalog grows; T is kept in column order as two
+    arrays, the sorted keys and the user holding each. Users with
+    identical non-empty profiles are grouped by the hash of their item
+    sequence. Common items and the equality flag are derived from the
+    profiles on demand.
     """
 
     kind = "cip-u"
@@ -90,9 +106,11 @@ class CipUModel:
         self.delta_h = delta_h
         self.k = k
         self.profiles = ProfileStore(0, num_items)
-        self._cap = max(1, num_items)
-        self._pos: dict[int, np.ndarray] = {}
-        self._hp: dict[int, dict[int, int]] = {}
+        self._keys = np.empty(0, dtype=np.int64)     # token keys, sorted
+        self._users = np.empty(0, dtype=np.int32)    # user of each token
+        self._h = csr_matrix((0, 0), dtype=np.int32)
+        self._seq_hash: dict[int, int] = {}          # user -> sequence hash
+        self._same: dict[int, set[int]] = {}         # sequence hash -> users
 
     @classmethod
     def train(cls, store: ProfileStore, delta_h: int, k: int) -> "CipUModel":
@@ -106,96 +124,103 @@ class CipUModel:
         model.profiles.num_items = max(model.profiles.num_items, store.num_items)
         return model
 
-    def _grow(self, cap: int) -> None:
-        if cap <= self._cap:
-            return
-        cap = max(cap, 2 * self._cap)
-        for u, arr in self._pos.items():
-            fresh = np.full(cap, -1, dtype=np.int32)
-            fresh[: len(arr)] = arr
-            self._pos[u] = fresh
-        self._cap = cap
-
-    def _pos_of(self, u: int) -> np.ndarray:
-        arr = self._pos.get(u)
-        if arr is None:
-            arr = self._pos[u] = np.full(self._cap, -1, dtype=np.int32)
-        return arr
-
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
         """Apply one batch of new events, given as per-user time-ordered
         ``(item, ts)`` lists (see :meth:`ProfileStore.extend`). The result
         is identical to rebuilding the store from the final profiles."""
-        old_len = self.profiles.extend(batches)
-        self._grow(self.profiles.num_items)
-        added: dict[int, list[int]] = {}
-        for u, base in old_len.items():
-            new_items = self.profiles.profiles[u].items[base:]
-            if new_items:
-                pos_u = self._pos_of(u)
-                for off, item in enumerate(new_items):
-                    pos_u[item] = base + off
-                added[u] = new_items
-        if not added:
+        profs = self.profiles.profiles
+        grown = {u: base for u, base in self.profiles.extend(batches).items()
+                 if len(profs[u]) > base}
+        for u in grown:
+            self._rehash(u)
+        n = self.profiles.num_users
+        if self._h.shape[0] < n:
+            self._h.resize((n, n))
+        keys, users = self._new_tokens(grown)
+        if not len(keys):
             return
+        users = users[np.argsort(keys, kind="stable")]
+        keys.sort()
+        # ΔTᵀ (new keys x users): its rows are the sorted postings as they are
+        indptr = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+        d_tt = csr_matrix((np.ones(len(keys), dtype=np.int32), users, indptr),
+                          shape=(len(indptr) - 1, n))
+        d_t = d_tt.T.tocsr()
+        delta = d_t @ d_tt                   # ΔT·ΔTᵀ
+        if len(self._keys):
+            # T_oldᵀ restricted to the new keys: their postings among the
+            # old tokens
+            uniq = keys[indptr[:-1]]
+            lo = np.searchsorted(self._keys, uniq, side="left")
+            cnt = np.searchsorted(self._keys, uniq, side="right") - lo
+            ends = np.cumsum(cnt)
+            at = np.arange(ends[-1]) + np.repeat(lo - (ends - cnt), cnt)
+            o_tt = csr_matrix((np.ones(len(at), dtype=np.int32), self._users[at],
+                               np.append(0, ends)), shape=(len(uniq), n))
+            cross = d_t @ o_tt               # ΔT·T_oldᵀ
+            delta = delta + cross + cross.T
+            ins = np.searchsorted(self._keys, keys, side="right")
+            keys = np.insert(self._keys, ins, keys)
+            users = np.insert(self._users, ins, users)
+        self._keys, self._users = keys, users
+        delta.setdiag(0)
+        delta.eliminate_zeros()
+        self._h = delta if self._h.nnz == 0 else self._h + delta
 
-        batch_users = sorted(added)
-        rows = []
-        cols = []
-        for idx, u in enumerate(batch_users):
-            rows.extend([idx] * len(added[u]))
-            cols.extend(added[u])
-        all_users = sorted(self.profiles.profiles)
-        p_rows = []
-        p_cols = []
-        for ridx, u in enumerate(all_users):
-            items = self.profiles.profiles[u].items
-            p_rows.extend([ridx] * len(items))
-            p_cols.extend(items)
-        cap = self._cap
-        b_mat = csr_matrix(
-            (np.ones(len(rows), dtype=np.int32), (rows, cols)),
-            shape=(len(batch_users), cap))
-        p_mat = csr_matrix(
-            (np.ones(len(p_rows), dtype=np.int32), (p_rows, p_cols)),
-            shape=(len(all_users), cap))
-        hits = (b_mat @ p_mat.T).tocoo()
+    def _new_tokens(self, grown: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and users of ΔT: every item at a position >= the user's
+        length before the batch, paired with the up to ``delta_h`` items
+        before it."""
+        if not grown or self.delta_h == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
+        profs = self.profiles.profiles
+        us = np.fromiter(grown, dtype=np.int32, count=len(grown))
+        bases = np.fromiter(grown.values(), dtype=np.int64, count=len(grown))
+        lows = np.maximum(bases - self.delta_h, 0)
+        chunks = [profs[u].items[lo:] for u, lo in zip(us.tolist(), lows.tolist())]
+        sizes = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
+        items = np.fromiter(chain.from_iterable(chunks), dtype=np.int64,
+                            count=int(sizes.sum()))
+        seg = np.repeat(np.arange(len(chunks)), sizes)
+        pos = np.arange(len(items)) - (np.cumsum(sizes) - sizes)[seg] + lows[seg]
+        new = np.flatnonzero(pos >= bases[seg])
+        owner = us[seg[new]]
+        back = np.minimum(pos[new], self.delta_h)   # items before each new one
+        keys = np.empty(int(back.sum()), dtype=np.int64)
+        users = np.empty(len(keys), dtype=np.int32)
+        at = 0
+        for d in range(1, self.delta_h + 1):
+            ok = back >= d
+            i, j = items[new[ok]], items[new[ok] - d]
+            end = at + len(i)
+            keys[at:end] = (np.minimum(i, j) << 32) | np.maximum(i, j)
+            users[at:end] = owner[ok]
+            at = end
+        return keys, users
 
-        pairs = set()
-        for bi, vi in zip(hits.row, hits.col):
-            u = batch_users[bi]
-            v = all_users[vi]
-            if u != v:
-                pairs.add((u, v) if u < v else (v, u))
+    def _rehash(self, u: int) -> None:
+        """File ``u`` under the hash of its (grown) item sequence."""
+        old = self._seq_hash.get(u)
+        if old is not None:
+            peers = self._same[old]
+            peers.discard(u)
+            if not peers:
+                del self._same[old]
+        h = hash(tuple(self.profiles.profiles[u].items))
+        self._seq_hash[u] = h
+        self._same.setdefault(h, set()).add(u)
 
-        dh = self.delta_h
-        for u, v in sorted(pairs):
-            pu = self._pos_of(u)
-            pv = self._pos_of(v)
-            common = np.nonzero((pu >= 0) & (pv >= 0))[0]
-            if len(common) == 0:
-                continue
-            au = pu[common].astype(np.int64)
-            av = pv[common].astype(np.int64)
-            ou = old_len.get(u, len(self.profiles.profiles[u]))
-            ov = old_len.get(v, len(self.profiles.profiles[v]))
-            fresh = (au >= ou) | (av >= ov)
-            delta = 0
-            if fresh.any():
-                nu = au[fresh]
-                nv = av[fresh]
-                cu = au[~fresh]
-                cv = av[~fresh]
-                if len(cu):
-                    delta += int(((np.abs(cu[:, None] - nu) <= dh)
-                                  & (np.abs(cv[:, None] - nv) <= dh)).sum())
-                if len(nu) > 1:
-                    hit = ((np.abs(nu[:, None] - nu) <= dh)
-                           & (np.abs(nv[:, None] - nv) <= dh))
-                    delta += int((hit.sum() - len(nu)) // 2)
-            row_u = self._hp.setdefault(u, {})
-            row_v = self._hp.setdefault(v, {})
-            row_u[v] = row_v[u] = row_u.get(v, 0) + delta
+    def _equal_users(self, u: int, items: list[int]) -> list[int]:
+        """Other users whose profile is exactly ``items``."""
+        profs = self.profiles.profiles
+        return [v for v in self._same.get(self._seq_hash.get(u), ())
+                if v != u and profs[v].items == items]
+
+    def _row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """Users sharing a hammock pair with ``u``, and the counts."""
+        h = self._h
+        lo, hi = (h.indptr[u], h.indptr[u + 1]) if u < h.shape[0] else (0, 0)
+        return h.indices[lo:hi], h.data[lo:hi]
 
     def pair_state(self, u: int, v: int) -> UserPairState:
         """Current state of one pair (commons derived from profiles)."""
@@ -204,7 +229,9 @@ class CipUModel:
         if pu is None or pv is None:
             raise ValueError(f"unknown user in pair ({u}, {v})")
         common = tuple(sorted(set(pu.pos) & set(pv.pos)))
-        hp = self._hp.get(u, {}).get(v, 0)
+        vs, hps = self._row(u)
+        hit = hps[vs == v]
+        hp = int(hit[0]) if len(hit) else 0
         return UserPairState(min(u, v), max(u, v), common, hp,
                              pu.items == pv.items)
 
@@ -217,20 +244,16 @@ class CipUModel:
         id; zero-similarity pairs excluded; unknown user gives []."""
         k = self.k if k is None else k
         prof = self.profiles.get(u)
-        nb = self._hp.get(u)
-        if prof is None or not nb:
+        if prof is None or not prof.items:
             return []
-        vs = np.fromiter(nb.keys(), dtype=np.int64, count=len(nb))
-        hps = np.fromiter(nb.values(), dtype=np.float64, count=len(nb))
+        vs, hps = self._row(u)
         sims = 1.0 - np.exp(-hps)
-        items_u = prof.items
-        for idx, v in enumerate(vs):
-            other = self.profiles.profiles[int(v)].items
-            if len(other) == len(items_u) and other == items_u:
-                sims[idx] = 1.0
-        keep = sims > 0.0
-        vs = vs[keep]
-        sims = sims[keep]
+        same = self._equal_users(u, prof.items)
+        if same:
+            sims[np.isin(vs, same)] = 1.0
+            extra = np.setdiff1d(same, vs)
+            vs = np.concatenate([vs, extra])
+            sims = np.concatenate([sims, np.ones(len(extra))])
         order = np.lexsort((vs, -sims))[:k]
         return [(int(vs[o]), float(sims[o])) for o in order]
 
@@ -246,15 +269,15 @@ class CipUModel:
         neighbors = self.top_k_users(u)
         if not neighbors:
             return self.profiles.popular(n, prof.pos)
-        counts: dict[int, int] = {}
-        for v, _ in neighbors:
-            for item in self.profiles.profiles[v].items:
-                if item not in prof.pos:
-                    counts[item] = counts.get(item, 0) + 1
-        if not counts:
+        profs = self.profiles.profiles
+        counts = np.bincount(np.fromiter(
+            chain.from_iterable(profs[v].items for v, _ in neighbors), dtype=np.int64))
+        owned = np.asarray(prof.items)
+        counts[owned[owned < len(counts)]] = 0
+        ids = np.flatnonzero(counts)
+        if not len(ids):
             return self.profiles.popular(n, prof.pos)
-        ranked = sorted(counts.items(), key=lambda t: (-t[1], t[0]))
-        return [i for i, _ in ranked[:n]]
+        return ids[np.lexsort((ids, -counts[ids]))[:n]].tolist()
 
     @property
     def params(self) -> dict:

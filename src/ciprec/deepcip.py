@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
+from itertools import chain
 from queue import Empty, Queue
 
 import numpy as np
@@ -113,22 +114,23 @@ class EmbeddingModel:
         return out
 
 
-def gen_pairs(items, window: int) -> list[tuple[int, int]]:
-    """All ordered (target, context) pairs within ``window`` positions,
-    enumerated position by position, nearer-first offsets ascending."""
+def gen_pairs(seqs, window: int) -> np.ndarray:
+    """All ordered (target, context) pairs within ``window`` positions of
+    each sequence, as the rows of an (m, 2) array: sequence by sequence,
+    position by position, offsets ascending (-window .. -1, 1 .. window)."""
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
-    seq = list(items)
-    n = len(seq)
-    out = []
-    for t in range(n):
-        for off in range(-window, window + 1):
-            if off == 0:
-                continue
-            c = t + off
-            if 0 <= c < n:
-                out.append((seq[t], seq[c]))
-    return out
+    sizes = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64,
+                       count=int(sizes.sum()))
+    seg = np.repeat(np.arange(len(seqs)), sizes)
+    pos = np.arange(len(flat)) - (np.cumsum(sizes) - sizes)[seg]
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    ctx = pos[:, None] + offsets
+    ok = (ctx >= 0) & (ctx < sizes[seg, None])
+    at = np.arange(len(flat))[:, None] + offsets
+    return np.stack((np.broadcast_to(flat[:, None], ok.shape)[ok], flat[at[ok]]),
+                    axis=1)
 
 
 def pair_count(length: int, window: int) -> int:
@@ -165,12 +167,10 @@ def sgns_step(model: EmbeddingModel, target: int, context: int, lr: float,
     return loss
 
 
-def _count_corpus(seqs, row: dict[int, int], n: int) -> np.ndarray:
-    counts = np.zeros(n, dtype=np.float64)
-    for seq in seqs:
-        for i in seq:
-            counts[row[i]] += 1
-    return counts
+def _count_corpus(rows, n: int) -> np.ndarray:
+    """Occurrences of each vocabulary row in the corpus."""
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+    return np.bincount(flat, minlength=n).astype(np.float64)
 
 
 class _Shared:
@@ -278,24 +278,18 @@ def train(corpus, config: TrainConfig | None = None,
             model.row = {int(i): r for r, i in enumerate(model.item_ids)}
         cfg = replace(cfg, dim=model.dim)
     model.config = cfg
-    model.set_counts(_count_corpus(seqs, model.row, len(model)))
+    rows = [[model.row[i] for i in seq] for seq in seqs]
+    model.set_counts(_count_corpus(rows, len(model)))
 
-    pair_arrays = []
-    for seq in seqs:
-        if len(seq) < 2:
-            continue
-        rows = [model.row[i] for i in seq]
-        ps = gen_pairs(rows, cfg.window)
-        arr = np.asarray(ps, dtype=np.int64)
-        pair_arrays.append((arr[:, 0], arr[:, 1]))
-    total_pairs = cfg.epochs * sum(len(t) for t, _ in pair_arrays)
+    multi = [r for r in rows if len(r) >= 2]
+    shards = [gen_pairs(multi[i:i + cfg.shard_size], cfg.window)
+              for i in range(0, len(multi), cfg.shard_size)]
+    total_pairs = cfg.epochs * sum(len(s) for s in shards)
     shared = _Shared(model, total_pairs, cfg)
     model.epoch_losses = []
-    if not pair_arrays:
+    if not shards:
         return model
 
-    shards = [pair_arrays[i:i + cfg.shard_size]
-              for i in range(0, len(pair_arrays), cfg.shard_size)]
     for epoch in range(cfg.epochs):
         shared.loss_sum = 0.0
         shared.loss_pairs = 0
@@ -303,9 +297,7 @@ def train(corpus, config: TrainConfig | None = None,
             for s_idx, shard in enumerate(shards):
                 rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.seed, epoch, s_idx]))
-                _train_shard(shared,
-                             np.concatenate([t for t, _ in shard]),
-                             np.concatenate([c for _, c in shard]), rng)
+                _train_shard(shared, shard[:, 0], shard[:, 1], rng)
         else:
             q: Queue = Queue()
             for s_idx, shard in enumerate(shards):
@@ -319,9 +311,7 @@ def train(corpus, config: TrainConfig | None = None,
                         return
                     rng = np.random.default_rng(
                         np.random.SeedSequence([cfg.seed, epoch, s_idx]))
-                    _train_shard(shared,
-                                 np.concatenate([t for t, _ in shard]),
-                                 np.concatenate([c for _, c in shard]), rng)
+                    _train_shard(shared, shard[:, 0], shard[:, 1], rng)
 
             threads = [threading.Thread(target=pull) for _ in range(cfg.workers)]
             for th in threads:

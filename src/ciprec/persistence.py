@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import triu
 
 from ciprec.analysis import ItemGraph
 from ciprec.cip_i import CipIModel
@@ -169,47 +171,54 @@ def load_model(path):
     return loaders[kind](path)
 
 
+def _sorted_rows(a, b, c) -> np.ndarray:
+    """``(min(a, b), max(a, b), c)`` int64 rows in ascending order."""
+    rows = np.column_stack((np.minimum(a, b), np.maximum(a, b), c)).astype(np.int64)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _pair_rows(model: CipUModel) -> np.ndarray:
+    """H's upper triangle as sorted ``(raw user, raw user, count)`` rows,
+    the smaller raw id first."""
+    up = triu(model._h, k=1).tocoo()
+    ids = np.asarray(model.profiles.user_ids, dtype=np.int64)
+    return _sorted_rows(ids[up.row], ids[up.col], up.data)
+
+
 def _save_cip_u(model: CipUModel, path, ref: str) -> None:
-    store = model.profiles
-    pairs = []
-    for u, row in model._hp.items():
-        for v, hp in row.items():
-            if u < v:
-                pairs.append((store.user_ids[u], store.user_ids[v], hp))
-    pairs.sort()
+    pairs = _pair_rows(model)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MAGIC} cip-u\n")
         fh.write(f"events {ref}\n")
         fh.write(f"delta-h {model.delta_h}\n")
         fh.write(f"k {model.k}\n")
         fh.write(f"pairs {len(pairs)}\n")
-        for u_raw, v_raw, hp in pairs:
-            fh.write(f"{u_raw} {v_raw} {hp}\n")
+        np.savetxt(fh, pairs, fmt="%d")
 
 
 def _load_cip_u(path) -> CipUModel:
+    """Load a cip-u model: the pair store is rebuilt from the events
+    file, and the file's non-zero pair counts must match it."""
+    vals = array("q")
     with open(path, "r", encoding="utf-8") as fh:
         _check_header(fh.readline(), "cip-u", path)
         ref = _read_kv(fh, "events", path)
         delta_h = int(_read_kv(fh, "delta-h", path))
         k = int(_read_kv(fh, "k", path))
         n_pairs = int(_read_kv(fh, "pairs", path))
-        log, store = _load_ref_profiles(path, ref)
-        model = CipUModel(delta_h, k, store.num_items)
-        model.profiles = store
-        for u, prof in store.profiles.items():
-            arr = model._pos_of(u)
-            for p, item in enumerate(prof.items):
-                arr[item] = p
+        model = CipUModel.train(_load_ref_profiles(path, ref)[1], delta_h, k)
         for _ in range(n_pairs):
             parts = fh.readline().split()
             if len(parts) != 3:
                 raise FormatError(f"{path}: truncated pairs section")
-            u = log.user_index[int(parts[0])]
-            v = log.user_index[int(parts[1])]
-            hp = int(parts[2])
-            model._hp.setdefault(u, {})[v] = hp
-            model._hp.setdefault(v, {})[u] = hp
+            try:
+                vals.extend(map(int, parts))
+            except (ValueError, OverflowError):
+                raise FormatError(f"{path}: pair row is not three 64-bit integers") from None
+    rows = np.frombuffer(vals, dtype=np.int64).reshape(-1, 3)
+    rows = rows[rows[:, 2] != 0]          # older files also list zero counts
+    if not np.array_equal(_sorted_rows(*rows.T), _pair_rows(model)):
+        raise FormatError(f"{path}: pairs do not match its events file")
     return model
 
 

@@ -31,7 +31,16 @@ _T0 = 880_000_000                   # late-1997 epoch seconds
 _HORIZON = 720 * 86_400
 _CONTINUE_P = 0.9                   # resume the previous walk position
 _STEP_P = (0.74, 0.16, 0.10)        # forward step of 1, 2 or 3
+# the CDF rng.choice(3, p=_STEP_P) builds on every call; searching it
+# with one rng.random() draw gives the same steps from the same stream
+_STEP_CDF = np.cumsum(_STEP_P)
+_STEP_CDF /= _STEP_CDF[-1]
 _DRIFT_P = 0.18                     # per session: retire the oldest taste
+
+
+def _step(rng: np.random.Generator) -> int:
+    """A forward step offset 0, 1 or 2 with probabilities ``_STEP_P``."""
+    return int(_STEP_CDF.searchsorted(rng.random(), side="right"))
 
 
 def _genre_blocks(n_items: int, n_genres: int) -> list[np.ndarray]:
@@ -143,8 +152,7 @@ def generate_events(seed: int = 7, n_users: int = N_USERS, n_items: int = N_ITEM
             while placed < n and tries < 20 * n:
                 tries += 1
                 item = int(block[cursor % len(block)])
-                step = 1 + int(rng.choice(3, p=_STEP_P))
-                cursor += step
+                cursor += 1 + _step(rng)
                 if item in consumed[u]:
                     continue
                 consumed[u].add(item)
@@ -198,7 +206,7 @@ def generate_events(seed: int = 7, n_users: int = N_USERS, n_items: int = N_ITEM
             if placed >= min(_SESSION_MAX, n_events - len(events)):
                 break
             item = int(block[cursor % len(block)])
-            cursor += 1 + int(rng.choice(3, p=_STEP_P))
+            cursor += 1 + _step(rng)
             if item in consumed[u]:
                 continue
             consumed[u].add(item)

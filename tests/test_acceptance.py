@@ -78,8 +78,8 @@ def test_acceptance_01_user_store_incremental_equals_batch():
         for a in range(len(users)):
             for b in range(a + 1, len(users)):
                 u, v = users[a], users[b]
-                assert batch._hp.get(u, {}).get(v, 0) == \
-                    inc._hp.get(u, {}).get(v, 0)
+                assert batch.pair_state(u, v).hp_count == \
+                    inc.pair_state(u, v).hp_count
                 assert batch.similarity(u, v) == inc.similarity(u, v)
     elapsed = perf_counter() - t0
     _verdict(1, elapsed < 10.0,

@@ -97,8 +97,8 @@ def test_incremental_chunks_equal_batch():
             for v in store.profiles:
                 if u >= v:
                     continue
-                assert batch._hp.get(u, {}).get(v, 0) == \
-                    inc._hp.get(u, {}).get(v, 0)
+                assert batch.pair_state(u, v).hp_count == \
+                    inc.pair_state(u, v).hp_count
         for u in store.profiles:
             assert inc.profiles.get(u).items == store.get(u).items
 
@@ -107,9 +107,14 @@ def test_reapplying_same_events_is_a_no_op():
     events = [(0, 1, 10), (0, 2, 20), (1, 1, 15), (1, 2, 30)]
     m = CipUModel(2, 5)
     m.observe(batches_from(events))
-    before = {u: dict(r) for u, r in m._hp.items()}
+    users = sorted(m.profiles.profiles)
+
+    def counts():
+        return {(u, v): m.pair_state(u, v).hp_count for u in users for v in users}
+
+    before = counts()
     m.observe(batches_from(events))
-    assert {u: dict(r) for u, r in m._hp.items()} == before
+    assert counts() == before
 
 
 def test_late_event_rejects_the_whole_batch():
@@ -169,3 +174,45 @@ def test_constructor_validation():
 def test_params_reports_hyperparameters():
     m = CipUModel(3, 7)
     assert m.params == {"delta_h": 3, "k": 7}
+
+
+def _trained_and_streamed(events, dh):
+    """The same events built by ``train`` and by chunked ``observe``."""
+    streamed = CipUModel(dh, 5)
+    for chunk in chunked_batches(np.random.default_rng(dh), events, 4):
+        streamed.observe(chunk)
+    return CipUModel.train(store_from(events), dh, 5), streamed
+
+
+@pytest.mark.parametrize("dh, items", [(3, [4]), (0, [4, 2, 9]), (2, [4, 2])])
+def test_equal_profiles_score_one(dh, items):
+    # equal single-item profiles, and equal profiles at delta_h 0, share
+    # no hammock pair yet are identical
+    events = ([(0, i, 10 + k) for k, i in enumerate(items)]
+              + [(1, i, 100 + k) for k, i in enumerate(items)]
+              + [(2, 7, 200), (2, items[0], 210)])
+    for m in _trained_and_streamed(events, dh):
+        p0, p1 = m.profiles.get(0), m.profiles.get(1)
+        assert m.pair_state(0, 1).hp_count == len(hammock_pairs(p0, p1, dh))
+        assert m.similarity(0, 1) == 1.0
+        assert (1, 1.0) in m.top_k_users(0)
+        assert (0, 1.0) in m.top_k_users(1)
+        # once one profile grows, the two are no longer identical
+        m.observe({1: [(8, 1000)]})
+        want = pair_similarity(len(hammock_pairs(p0, p1, dh)), False)
+        assert m.similarity(0, 1) == want
+        assert dict(m.top_k_users(0)).get(1, 0.0) == want
+
+
+@pytest.mark.parametrize("dh", [0, 1, 5])
+def test_pair_counts_match_brute_force_after_train_and_observe(dh):
+    rng = np.random.default_rng(30 + dh)
+    events = random_stream(rng, 12, 10, 120)
+    for m in _trained_and_streamed(events, dh):
+        users = sorted(m.profiles.profiles)
+        for u in users:
+            for v in users:
+                if u != v:
+                    pu, pv = m.profiles.get(u), m.profiles.get(v)
+                    want = len(hammock_pairs(pu, pv, dh))
+                    assert m.pair_state(u, v).hp_count == want

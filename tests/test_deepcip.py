@@ -15,20 +15,41 @@ from helpers import store_from
 
 
 def test_gen_pairs_order_window_one():
-    assert list(gen_pairs([5, 7, 9], 1)) == [(5, 7), (7, 5), (7, 9), (9, 7)]
+    assert gen_pairs([[5, 7, 9]], 1).tolist() == [[5, 7], [7, 5], [7, 9], [9, 7]]
 
 
 def test_gen_pairs_order_window_two():
     # hand-enumerated: each position emits its window left-to-right
-    assert list(gen_pairs([5, 7, 9], 2)) == [
-        (5, 7), (5, 9), (7, 5), (7, 9), (9, 5), (9, 7)]
+    assert gen_pairs([[5, 7, 9]], 2).tolist() == [
+        [5, 7], [5, 9], [7, 5], [7, 9], [9, 5], [9, 7]]
+
+
+def _loop_pairs(seqs, window):
+    """Reference: the per-sequence double loop, in its enumeration order."""
+    out = []
+    for seq in seqs:
+        for t in range(len(seq)):
+            for off in range(-window, window + 1):
+                if off and 0 <= t + off < len(seq):
+                    out.append([seq[t], seq[t + off]])
+    return out
+
+
+def test_gen_pairs_matches_the_loop_over_many_sequences():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        seqs = [rng.integers(0, 50, int(rng.integers(0, 9))).tolist()
+                for _ in range(int(rng.integers(0, 6)))]
+        window = int(rng.integers(1, 6))
+        assert gen_pairs(seqs, window).tolist() == _loop_pairs(seqs, window)
 
 
 def test_gen_pairs_edge_cases():
-    assert list(gen_pairs([3], 5)) == []
-    assert list(gen_pairs([], 5)) == []
+    assert gen_pairs([[3]], 5).tolist() == []
+    assert gen_pairs([[]], 5).tolist() == []
+    assert gen_pairs([], 5).tolist() == []
     with pytest.raises(ValueError):
-        gen_pairs([1, 2], 0)
+        gen_pairs([[1, 2]], 0)
 
 
 def test_pair_count_matches_enumeration():
@@ -37,7 +58,7 @@ def test_pair_count_matches_enumeration():
         length = int(rng.integers(0, 12))
         window = int(rng.integers(1, 8))
         items = list(range(100, 100 + length))
-        assert pair_count(length, window) == len(list(gen_pairs(items, window)))
+        assert pair_count(length, window) == len(gen_pairs([items], window))
 
 
 def test_zero_init_loss_is_log2_per_output():

@@ -84,22 +84,19 @@ def test_cip_u_round_trip(corpus):
     loaded = load_model(path)
     assert _recommendations(loaded) == _recommendations(model)
     # pair counts survive under raw-id remapping
-    raw_hp = {}
-    for u, row in model._hp.items():
-        for v, c in row.items():
-            if c:
-                a = store.user_ids[u]
-                b = store.user_ids[v]
-                raw_hp[(min(a, b), max(a, b))] = c
-    raw_hp2 = {}
-    st2 = loaded.profiles
-    for u, row in loaded._hp.items():
-        for v, c in row.items():
-            if c:
-                a = st2.user_ids[u]
-                b = st2.user_ids[v]
-                raw_hp2[(min(a, b), max(a, b))] = c
-    assert raw_hp == raw_hp2
+    def raw_counts(m):
+        st = m.profiles
+        users = sorted(st.profiles)
+        out = {}
+        for a in range(len(users)):
+            for b in range(a + 1, len(users)):
+                c = m.pair_state(users[a], users[b]).hp_count
+                if c:
+                    x, y = st.user_ids[users[a]], st.user_ids[users[b]]
+                    out[(min(x, y), max(x, y))] = c
+        return out
+
+    assert raw_counts(model) == raw_counts(loaded)
     assert loaded.params == model.params
 
 
@@ -190,6 +187,55 @@ def test_popularity_counts_must_match_the_events(tmp_path, corpus):
     for bad in (tampered, truncated):
         with pytest.raises(FormatError):
             load_model(bad)
+
+
+def _cip_u_file(tmp_path, corpus):
+    """A saved cip-u model: the path, its header lines, its pair rows and
+    one raw user pair that has no row."""
+    log, store, events_path, tmp = corpus
+    path = tmp_path / "m.cipu"
+    save_model(CipUModel.train(store, 3, 10), path, events_path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[4] == f"pairs {len(lines) - 5}\n"
+    listed = {tuple(int(x) for x in row.split()[:2]) for row in lines[5:]}
+    raw = sorted(log.user_ids)
+    absent = next((a, b) for a in raw for b in raw
+                  if a < b and (a, b) not in listed)
+    return path, lines[:4], lines[5:], absent
+
+
+def _write_pairs(path, head, rows, name):
+    out = path.parent / name      # next to the original: same events reference
+    out.write_text("".join(head + [f"pairs {len(rows)}\n"] + rows))
+    return out
+
+
+def test_cip_u_pairs_must_match_the_events(tmp_path, corpus):
+    path, head, rows, (a, b) = _cip_u_file(tmp_path, corpus)
+    load_model(path)
+    u, v, hp = rows[0].split()
+    bad = {
+        "changed": [f"{u} {v} {int(hp) + 1}\n"] + rows[1:],
+        "missing": rows[1:],
+        "extra": rows + [f"{a} {b} 1\n"],
+    }
+    for name, bad_rows in bad.items():
+        with pytest.raises(FormatError, match="do not match"):
+            load_model(_write_pairs(path, head, bad_rows, name))
+    for name, row in (("text", f"{u} {v} x\n"), ("huge", f"{u} {v} {2**70}\n")):
+        with pytest.raises(FormatError, match="64-bit integers"):
+            load_model(_write_pairs(path, head, [row] + rows[1:], name))
+    truncated = path.parent / "truncated"
+    truncated.write_text("".join(head + [f"pairs {len(rows)}\n"] + rows[:-1]))
+    with pytest.raises(FormatError, match="truncated"):
+        load_model(truncated)
+
+
+def test_cip_u_file_listing_zero_count_pairs_loads(tmp_path, corpus):
+    # older files also listed pairs with common items but no hammock pair
+    path, head, rows, (a, b) = _cip_u_file(tmp_path, corpus)
+    old = load_model(_write_pairs(path, head, rows + [f"{b} {a} 0\n"], "old"))
+    assert _recommendations(old) == _recommendations(load_model(path))
 
 
 def test_model_file_errors(tmp_path, corpus):

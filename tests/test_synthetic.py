@@ -35,6 +35,14 @@ def test_generation_is_seeded():
     assert a != c
 
 
+def test_step_draws_equal_weighted_choice_on_the_same_stream():
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    got = [synthetic._step(a) for _ in range(5000)]
+    want = [int(b.choice(3, p=synthetic._STEP_P)) for _ in range(5000)]
+    assert got == want
+    assert a.random() == b.random()     # both consumed the same draws
+
+
 def test_write_ml_tab(tmp_path):
     from ciprec.ingest import parse_events
     ev = synthetic.generate_events(seed=3, n_users=10, n_items=40,
