@@ -14,13 +14,13 @@ from ciprec.synthetic import generate_events
 
 
 def main() -> None:
-    print("one pack [a, b, c] scores (a,b) and (b,c) as 1 + 1/1 = 2.0,")
-    print("and the two-hop pair (a,c) as 1 + 1/2 = 1.5:")
+    print("one pack [0, 1, 2] scores (0, 1) and (1, 2) as 1 + 1/1 = 2.0,")
+    print("and the two-hop pair (0, 2) as 1 + 1/2 = 1.5:")
     model = CipIModel(delta=60, k=5)
-    model.update_scores(["a", "b", "c"])
-    for pair in (("a", "b"), ("b", "c"), ("a", "c")):
+    model.update_scores([0, 1, 2])
+    for pair in ((0, 1), (1, 2), (0, 2)):
         print(f"    score{pair} = {model.score[pair[0]][pair[1]]}")
-    print("    sim(a, b) =", model.similarity("a", "b"),
+    print("    sim(0, 1) =", model.similarity(0, 1),
           "(score 2.0 over 2 * max cardinality 1)")
 
     print("\ntraining on a synthetic corpus and asking for successors ...")

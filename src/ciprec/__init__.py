@@ -10,8 +10,8 @@ from ciprec.ingest import (
     all_cips,
     build_profiles,
     parse_events,
-    partition_cips,
     temporal_split,
+    window_pairs,
 )
 
 __all__ = [
@@ -24,8 +24,8 @@ __all__ = [
     "all_cips",
     "build_profiles",
     "parse_events",
-    "partition_cips",
     "temporal_split",
+    "window_pairs",
 ]
 
 __version__ = "0.1.0"

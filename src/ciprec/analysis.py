@@ -10,7 +10,9 @@ from typing import Callable, Iterable, Mapping
 from xml.etree import ElementTree as ET
 from xml.dom import minidom
 
-from ciprec.ingest import EventLog, ProfileStore
+import numpy as np
+
+from ciprec.ingest import EventLog, ProfileStore, window_pairs
 
 
 @dataclass
@@ -35,30 +37,20 @@ def build_item_graph(store: ProfileStore, hop_back: int = 2, hop_fwd: int = 3,
                      min_weight: float = 30) -> ItemGraph:
     """Connect items consumed close together in some user's profile.
 
-    For every profile position t, the items at offsets -hop_back..hop_fwd
-    pair with the item at t; each user contributes at most 1 to an edge's
-    weight no matter how often the pair recurs for them. Edges lighter
-    than ``min_weight`` are dropped at the end.
+    Items at offsets -hop_back..hop_fwd pair, so an edge's weight is the
+    number of users holding the pair at most max(hop_back, hop_fwd)
+    positions apart (a profile's items are distinct, so a user counts
+    once). Edges lighter than ``min_weight`` are dropped at the end.
     """
     if hop_back < 0 or hop_fwd < 0:
         raise ValueError("hop window must be non-negative")
-    counts: dict[tuple[int, int], int] = {}
-    for profile in store:
-        items = profile.items
-        length = len(items)
-        mine = set()
-        for t in range(length):
-            a = items[t]
-            for off in range(-hop_back, hop_fwd + 1):
-                s = t + off
-                if off == 0 or s < 0 or s >= length:
-                    continue
-                b = items[s]
-                mine.add((a, b) if a < b else (b, a))
-        for pair in mine:
-            counts[pair] = counts.get(pair, 0) + 1
-    edges = {pair: float(w) for pair, w in counts.items() if w >= min_weight}
-    return ItemGraph(edges)
+    items, p, q = window_pairs([prof.items for prof in store], max(hop_back, hop_fwd))
+    i, j = items[p], items[q]
+    keys, counts = np.unique((np.minimum(i, j) << 32) | np.maximum(i, j),
+                             return_counts=True)
+    heavy = counts >= min_weight
+    return ItemGraph({divmod(k, 1 << 32): float(w)
+                      for k, w in zip(keys[heavy].tolist(), counts[heavy].tolist())})
 
 
 def modularity(graph: ItemGraph, partition: Mapping[int, int]) -> float:

@@ -10,6 +10,12 @@ The pair is counted once per pack, so
 stays in [0, 1] and hits 1 exactly when every pack containing i or j has
 i immediately followed by j.
 
+Both stores come from one fold: :func:`~ciprec.ingest.window_pairs`
+lists the forward pairs of the packs (for :meth:`CipIModel.observe`,
+only pairs ending at a new item), one ``np.add.at`` over their ordered
+keys ``i << 32 | j`` adds each pair's weight to the scores, and one
+``np.bincount`` counts the new items into the cards.
+
 ``recommend`` tallies the ids of each profile item's top-k successors.
 Those id lists are cached per item and the whole cache is cleared on
 every score or card change (:meth:`CipIModel.update_scores`,
@@ -19,11 +25,12 @@ every score or card change (:meth:`CipIModel.update_scores`,
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from ciprec.ingest import ProfileStore
+from ciprec.ingest import ProfileStore, all_cips, window_pairs
 
 
 class CipIModel:
@@ -52,12 +59,10 @@ class CipIModel:
 
     @classmethod
     def train(cls, store: ProfileStore, delta: int, k: int) -> "CipIModel":
-        """Score every user's packs in one pass over existing profiles."""
+        """Score every user's packs in one fold over existing profiles."""
         model = cls(delta, k)
         model.profiles = store
-        for u in sorted(store.profiles):
-            for pack in store.profiles[u].partition(delta):
-                model.update_scores(pack.items)
+        model._fold([pack.items for pack in all_cips(store, delta)])
         return model
 
     def update_scores(self, items: Sequence[int]) -> None:
@@ -67,39 +72,46 @@ class CipIModel:
         """
         if len(set(items)) != len(items):
             raise ValueError("pack repeats an item")
-        self._top.clear()
-        for i in items:
-            self.card[i] = self.card.get(i, 0) + 1
-        for p in range(len(items) - 1):
-            row = self.score.setdefault(items[p], {})
-            for q in range(p + 1, len(items)):
-                j = items[q]
-                row[j] = row.get(j, 0.0) + 1.0 + 1.0 / (q - p)
+        self._fold([items])
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
         """Fold new events into the profiles (see
         :meth:`ProfileStore.extend`), scoring each new item against the
-        members of the pack it joins. Produces exactly the same stores as
-        retraining on the final profiles."""
-        self._top.clear()
-        delta = self.delta
+        members of the pack it joins. Produces the same stores as
+        retraining on the final profiles, up to float summation order."""
+        packs, first = [], []
         for u, start in self.profiles.extend(batches).items():
             prof = self.profiles.profiles[u]
-            items, ts = prof.items, prof.ts
-            if start == len(items):
-                continue
-            # the pack the first new item joins: walk back while gaps <= delta
-            lo = start
-            while lo > 0 and ts[lo] <= ts[lo - 1] + delta:
-                lo -= 1
-            for q in range(start, len(items)):
-                if q > start and ts[q] > ts[q - 1] + delta:
-                    lo = q
-                item = items[q]
-                for p in range(lo, q):
-                    row = self.score.setdefault(items[p], {})
-                    row[item] = row.get(item, 0.0) + 1.0 + 1.0 / (q - p)
-                self.card[item] = self.card.get(item, 0) + 1
+            bounds = prof.cip_boundaries(self.delta) + [len(prof)]
+            for b, e in zip(bounds, bounds[1:]):
+                if e > start:                  # the pack holds a new item
+                    packs.append(prof.items[b:e])
+                    first.append(max(start - b, 0))
+        self._fold(packs, first)
+
+    def _fold(self, packs: list[Sequence[int]], first: list[int] | None = None) -> None:
+        """Fold each pack's forward pairs ending at or after ``first[s]``
+        into ``score`` and the items from there on into ``card``."""
+        self._top.clear()
+        items, p, q = window_pairs(packs, None, first)
+        fresh = items if first is None else np.fromiter(
+            chain.from_iterable(s[f:] for s, f in zip(packs, first)), dtype=np.int64)
+        counts = np.bincount(fresh)
+        for i in np.flatnonzero(counts).tolist():
+            self.card[i] = self.card.get(i, 0) + int(counts[i])
+        if not len(p):
+            return
+        pairs = (items[p] << 32) | items[q]
+        keys = np.sort(pairs)
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        ij = [divmod(key, 1 << 32) for key in keys.tolist()]
+        sums = np.array([self.score.get(i, {}).get(j, 0.0) for i, j in ij])
+        # one pair at a time, 1 and then 1/(q - p): a sum of the weights
+        # rounds otherwise, and ulp gaps reorder tied similarities
+        np.add.at(sums, np.searchsorted(keys, pairs).repeat(2),
+                  np.column_stack((np.ones(len(p)), 1.0 / (q - p))).ravel())
+        for (i, j), s in zip(ij, sums.tolist()):
+            self.score.setdefault(i, {})[j] = s
 
     def similarity(self, i: int, j: int) -> float:
         """Directed similarity of j following i; 0 without co-consumption."""

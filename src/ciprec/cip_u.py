@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from ciprec.ingest import ProfileStore, UserProfile
+from ciprec.ingest import ProfileStore, UserProfile, window_pairs
 
 
 def hammock_distance(profile: UserProfile, i: int, j: int) -> int:
@@ -98,14 +98,14 @@ class CipUModel:
 
     kind = "cip-u"
 
-    def __init__(self, delta_h: int, k: int, num_items: int = 0):
+    def __init__(self, delta_h: int, k: int):
         if delta_h < 0:
             raise ValueError(f"delta_h must be >= 0, got {delta_h}")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         self.delta_h = delta_h
         self.k = k
-        self.profiles = ProfileStore(0, num_items)
+        self.profiles = ProfileStore(0, 0)
         self._keys = np.empty(0, dtype=np.int64)     # token keys, sorted
         self._users = np.empty(0, dtype=np.int32)    # user of each token
         self._h = csr_matrix((0, 0), dtype=np.int32)
@@ -114,14 +114,11 @@ class CipUModel:
 
     @classmethod
     def train(cls, store: ProfileStore, delta_h: int, k: int) -> "CipUModel":
-        """Build the pair store from existing profiles in one batch."""
-        model = cls(delta_h, k, store.num_items)
-        batches = {u: list(zip(p.items, p.ts)) for u, p in store.profiles.items()}
-        model.observe(batches)
-        model.profiles.user_ids = list(store.user_ids)
-        model.profiles.item_ids = list(store.item_ids)
-        model.profiles.num_users = max(model.profiles.num_users, store.num_users)
-        model.profiles.num_items = max(model.profiles.num_items, store.num_items)
+        """Build the pair store from existing profiles in one batch; the
+        model adopts ``store``."""
+        model = cls(delta_h, k)
+        model.profiles = store
+        model._add({u: 0 for u, p in store.profiles.items() if len(p)})
         return model
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
@@ -129,8 +126,12 @@ class CipUModel:
         ``(item, ts)`` lists (see :meth:`ProfileStore.extend`). The result
         is identical to rebuilding the store from the final profiles."""
         profs = self.profiles.profiles
-        grown = {u: base for u, base in self.profiles.extend(batches).items()
-                 if len(profs[u]) > base}
+        self._add({u: base for u, base in self.profiles.extend(batches).items()
+                   if len(profs[u]) > base})
+
+    def _add(self, grown: dict[int, int]) -> None:
+        """Fold in the tokens of each user's profile from position
+        ``grown[u]`` on, the length before the new events."""
         for u in grown:
             self._rehash(u)
         n = self.profiles.num_users
@@ -169,34 +170,16 @@ class CipUModel:
 
     def _new_tokens(self, grown: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Keys and users of ΔT: every item at a position >= the user's
-        length before the batch, paired with the up to ``delta_h`` items
-        before it."""
-        if not grown or self.delta_h == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-        profs = self.profiles.profiles
-        us = np.fromiter(grown, dtype=np.int32, count=len(grown))
-        bases = np.fromiter(grown.values(), dtype=np.int64, count=len(grown))
-        lows = np.maximum(bases - self.delta_h, 0)
-        chunks = [profs[u].items[lo:] for u, lo in zip(us.tolist(), lows.tolist())]
-        sizes = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
-        items = np.fromiter(chain.from_iterable(chunks), dtype=np.int64,
-                            count=int(sizes.sum()))
-        seg = np.repeat(np.arange(len(chunks)), sizes)
-        pos = np.arange(len(items)) - (np.cumsum(sizes) - sizes)[seg] + lows[seg]
-        new = np.flatnonzero(pos >= bases[seg])
-        owner = us[seg[new]]
-        back = np.minimum(pos[new], self.delta_h)   # items before each new one
-        keys = np.empty(int(back.sum()), dtype=np.int64)
-        users = np.empty(len(keys), dtype=np.int32)
-        at = 0
-        for d in range(1, self.delta_h + 1):
-            ok = back >= d
-            i, j = items[new[ok]], items[new[ok] - d]
-            end = at + len(i)
-            keys[at:end] = (np.minimum(i, j) << 32) | np.maximum(i, j)
-            users[at:end] = owner[ok]
-            at = end
-        return keys, users
+        length before the batch, paired by :func:`window_pairs` with the
+        up to ``delta_h`` items before it."""
+        lows = {u: max(base - self.delta_h, 0) for u, base in grown.items()}
+        tails = [self.profiles.profiles[u].items[lo:] for u, lo in lows.items()]
+        items, p, q = window_pairs(tails, self.delta_h,
+                                   [grown[u] - lo for u, lo in lows.items()])
+        i, j = items[p], items[q]
+        owner = np.repeat(np.fromiter(grown, dtype=np.int32, count=len(grown)),
+                          np.fromiter(map(len, tails), dtype=np.int64, count=len(tails)))
+        return (np.minimum(i, j) << 32) | np.maximum(i, j), owner[q]
 
     def _rehash(self, u: int) -> None:
         """File ``u`` under the hash of its (grown) item sequence."""

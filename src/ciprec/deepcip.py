@@ -28,7 +28,7 @@ from queue import Empty, Queue
 import numpy as np
 from scipy.special import expit
 
-from ciprec.ingest import Cip
+from ciprec.ingest import Cip, window_pairs
 
 
 @dataclass
@@ -120,17 +120,10 @@ def gen_pairs(seqs, window: int) -> np.ndarray:
     position by position, offsets ascending (-window .. -1, 1 .. window)."""
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
-    sizes = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64,
-                       count=int(sizes.sum()))
-    seg = np.repeat(np.arange(len(seqs)), sizes)
-    pos = np.arange(len(flat)) - (np.cumsum(sizes) - sizes)[seg]
-    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
-    ctx = pos[:, None] + offsets
-    ok = (ctx >= 0) & (ctx < sizes[seg, None])
-    at = np.arange(len(flat))[:, None] + offsets
-    return np.stack((np.broadcast_to(flat[:, None], ok.shape)[ok], flat[at[ok]]),
-                    axis=1)
+    items, p, q = window_pairs(seqs, window)
+    target, context = np.concatenate((q, p)), np.concatenate((p, q))
+    order = np.lexsort((context - target, target))
+    return np.stack((items[target[order]], items[context[order]]), axis=1)
 
 
 def pair_count(length: int, window: int) -> int:

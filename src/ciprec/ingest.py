@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -83,10 +83,6 @@ class EventLog:
             r = self.ratings[k]
             yield Event(int(self.users[k]), int(self.items[k]), int(self.ts[k]),
                         None if math.isnan(r) else float(r))
-
-    @property
-    def events(self) -> list[Event]:
-        return list(self)
 
     def slice(self, lo: int, hi: int) -> "EventLog":
         return EventLog(self.users[lo:hi], self.items[lo:hi], self.ts[lo:hi],
@@ -254,11 +250,6 @@ class UserProfile:
         return out
 
 
-def partition_cips(profile: UserProfile, delta: int) -> list[Cip]:
-    """Partition a profile into delta-distant consumed item packs."""
-    return profile.partition(delta)
-
-
 class ProfileStore:
     """All user profiles plus catalog sizes and popularity counts. Every
     model folds events in through :meth:`extend` and falls back to
@@ -285,10 +276,13 @@ class ProfileStore:
         return self.profiles.get(user)
 
     def add_event(self, user: int, item: int, t: int) -> bool:
+        # a dense id first seen here has no raw id: it maps to itself
         if item >= self.num_items:
             self.num_items = item + 1
+            self.item_ids.extend(range(len(self.item_ids), item + 1))
         if user >= self.num_users:
             self.num_users = user + 1
+            self.user_ids.extend(range(len(self.user_ids), user + 1))
         added = self.profile(user).append(item, t)
         if added:
             if self._counts is not None:
@@ -386,3 +380,27 @@ def all_cips(store: ProfileStore, delta: int) -> list[Cip]:
     for u in sorted(store.profiles):
         out.extend(store.profiles[u].partition(delta))
     return out
+
+
+def window_pairs(seqs, window: int | None = None, first=None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every position pair (p, q) of one sequence s with 0 < q - p <=
+    ``window`` (``None``: no limit) and q >= ``first[s]`` (default 0).
+
+    Returns ``(items, p, q)``: the sequences concatenated into one int64
+    array and each pair's positions in it, ordered by q, then by q - p.
+    Memory is linear in items plus pairs; no positions x window mask.
+    """
+    if window is not None and window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    sizes = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    items = np.fromiter(chain.from_iterable(seqs), dtype=np.int64)
+    at = np.arange(len(items))
+    local = at - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    back = local if window is None else np.minimum(local, window)
+    if first is not None:
+        back = np.where(local >= np.repeat(first, sizes), back, 0)
+    q = np.repeat(at, back)
+    p = np.repeat(at - 1 + np.cumsum(back) - back, back)
+    p -= np.arange(len(p))
+    return items, p, q

@@ -96,6 +96,40 @@ def test_item_graph_counts_each_user_once():
     assert g.edges[(0, 1)] == 3.0
 
 
+def _loop_item_graph(store, hop_back, hop_fwd, min_weight):
+    """Reference: for every profile position, pair the items at offsets
+    -hop_back..hop_fwd, one set of pairs per user."""
+    counts: dict[tuple[int, int], int] = {}
+    for profile in store:
+        items = profile.items
+        length = len(items)
+        mine = set()
+        for t in range(length):
+            a = items[t]
+            for off in range(-hop_back, hop_fwd + 1):
+                s = t + off
+                if off == 0 or s < 0 or s >= length:
+                    continue
+                b = items[s]
+                mine.add((a, b) if a < b else (b, a))
+        for pair in mine:
+            counts[pair] = counts.get(pair, 0) + 1
+    edges = {pair: float(w) for pair, w in counts.items() if w >= min_weight}
+    return ItemGraph(edges)
+
+
+def test_item_graph_matches_the_triple_loop():
+    from ciprec.synthetic import generate_events
+
+    rows = generate_events(seed=3, n_users=60, n_items=150, n_events=4000,
+                           n_genres=6)
+    store = store_from((u, i, t) for u, i, _, t in rows)
+    for hops in ((0, 0), (0, 1), (2, 3), (3, 0)):
+        for min_weight in (1, 3):
+            want = _loop_item_graph(store, *hops, min_weight)
+            assert build_item_graph(store, *hops, min_weight).edges == want.edges
+
+
 def test_item_graph_min_weight_boundary():
     events = []
     for u in range(4):

@@ -1,0 +1,71 @@
+"""Fixed-seed outputs, hashed: the cip-i and cip-u top-10 lists of every
+7th user, the cip-i scores to the bit, and the exported item-graph edge
+list of one seeded corpus.
+
+The digests were recorded with the code as it stood before the shared
+windowed-pair enumerator (``ciprec.ingest.window_pairs``) replaced each
+model's own pair loops. A change that reorders any list or edge, or
+rounds any score differently, fails here; if the change is intended,
+record the new digests and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from ciprec.analysis import build_item_graph, export_edge_list
+from ciprec.cip_i import CipIModel
+from ciprec.cip_u import CipUModel
+from ciprec.synthetic import generate_events
+
+from helpers import store_from
+
+CIP_I_LISTS = "4a8bfb6f13df02231d927318b187ea5403d7473e87f0b2b186d7a122d4be02e1"
+CIP_I_SCORES = "63b16afdb3729d8870c9da2dbccc4faef45a7347269f86e1f3c67968c11000a9"
+CIP_U_LISTS = "c43ace23e310438c830cc60501630896db8e98236ede0914ee8f6b2f7f8b3df3"
+EDGE_LIST = "bb377b17cba1eebfe7793e5e8ceb4672056ed26a1b30f5855e70c84319679565"
+
+
+def _digest(data) -> str:
+    if not isinstance(data, bytes):
+        data = repr(data).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def store():
+    rows = generate_events(seed=21, n_users=300, n_items=600, n_events=20_000)
+    return store_from((u, i, t) for u, i, _, t in rows)
+
+
+def _lists(model, store) -> str:
+    return _digest([model.recommend(u, 10) for u in sorted(store.profiles)[::7]])
+
+
+def cip_i_digests(store) -> tuple[str, str]:
+    # k = 10 keeps the tallied neighbour lists short enough that a
+    # change in the scores shows in the lists
+    model = CipIModel.train(store, 60, 10)
+    scores = sorted((i, j, s) for i, row in model.score.items() for j, s in row.items())
+    return _lists(model, store), _digest(scores)
+
+
+def cip_u_digest(store) -> str:
+    return _lists(CipUModel.train(store, 10, 50), store)
+
+
+def edge_list_digest(store, path) -> str:
+    export_edge_list(build_item_graph(store, 2, 3, 5), path)
+    return _digest(path.read_bytes())
+
+
+def test_cip_i_lists_and_scores_are_unchanged(store):
+    assert cip_i_digests(store) == (CIP_I_LISTS, CIP_I_SCORES)
+
+
+def test_cip_u_lists_are_unchanged(store):
+    assert cip_u_digest(store) == CIP_U_LISTS
+
+
+def test_item_graph_edge_list_is_unchanged(store, tmp_path):
+    assert edge_list_digest(store, tmp_path / "edges.tsv") == EDGE_LIST

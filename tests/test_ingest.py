@@ -5,7 +5,7 @@ import pytest
 
 from ciprec.ingest import (Cip, Event, EventLog, ParseError, ProfileStore,
                            UserProfile, all_cips, build_profiles, parse_events,
-                           partition_cips, temporal_split)
+                           temporal_split, window_pairs)
 
 
 def test_parse_ml_tab_basic():
@@ -114,7 +114,6 @@ def test_pack_boundary_is_inclusive():
     packs = p.partition(60)
     assert [tuple(c.items) for c in packs] == [(1, 2), (3,)]
     assert (packs[0].start_ts, packs[0].end_ts) == (100, 160)
-    assert partition_cips(p, 60)[0].items == packs[0].items
 
 
 def test_partition_edge_cases():
@@ -247,3 +246,51 @@ def test_all_cips_sorted_by_user():
     store.add_event(0, 3, 500)
     cips = all_cips(store, 60)
     assert [tuple(c.items) for c in cips] == [(2,), (3,), (1,)]
+
+
+def test_add_event_gives_new_dense_ids_themselves_as_raw_ids():
+    store = ProfileStore(0, 0)
+    store.extend({2: [(4, 10)], 0: [(1, 20)]})
+    assert store.user_ids == [0, 1, 2] and store.item_ids == [0, 1, 2, 3, 4]
+    # ids already mapped (here, raw ids appended ahead of the event) stay
+    store.user_ids.append(77)
+    store.add_event(3, 5, 30)
+    assert store.user_ids == [0, 1, 2, 77] and store.item_ids == list(range(6))
+    assert (store.num_users, store.num_items) == (4, 6)
+
+
+def _loop_window_pairs(seqs, window, first):
+    """Reference: every (p, q) of one sequence with 0 < q - p <= window
+    and q >= first[s], by q, then by ascending q - p, as flat positions."""
+    out = []
+    base = 0
+    for s, seq in enumerate(seqs):
+        for q in range(len(seq)):
+            for p in range(q - 1, -1, -1):
+                if q >= first[s] and (window is None or q - p <= window):
+                    out.append((base + p, base + q))
+        base += len(seq)
+    return out
+
+
+def test_window_pairs_matches_a_double_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        seqs = [rng.integers(0, 40, int(rng.integers(0, 10))).tolist()
+                for _ in range(int(rng.integers(0, 6)))]
+        first = [int(rng.integers(0, len(seq) + 2)) for seq in seqs]
+        for window in (None, 0, 1, 5):
+            for f in (None, first):
+                items, p, q = window_pairs(seqs, window, f)
+                assert items.tolist() == [i for seq in seqs for i in seq]
+                want = _loop_window_pairs(seqs, window, f or [0] * len(seqs))
+                assert list(zip(p.tolist(), q.tolist())) == want
+
+
+def test_window_pairs_edge_cases():
+    for seqs in ([], [[]], [[], [7]]):
+        items, p, q = window_pairs(seqs, 3)
+        assert len(p) == len(q) == 0 and items.dtype == np.int64
+    assert window_pairs([[1, 2, 3]], 0)[1].tolist() == []
+    with pytest.raises(ValueError):
+        window_pairs([[1, 2]], -1)

@@ -8,10 +8,12 @@ from ciprec.cip_i import CipIModel
 from ciprec.cip_u import CipUModel
 from ciprec.deepcip import DeepCipRecommender, TrainConfig, train
 from ciprec.fism import FismModel
-from ciprec.ingest import all_cips, build_profiles, parse_events
+from ciprec.ingest import EventLog, ProfileStore, all_cips, build_profiles, parse_events
 from ciprec.persistence import (FormatError, dump_events, load_events,
                                 load_model, peek_kind, save_model)
 from ciprec.popularity import PopularityModel
+
+from helpers import batches_from, random_stream
 
 
 def _gappy_log(rng, n_users=25, n_items=50, n_events=350):
@@ -274,3 +276,28 @@ def test_save_load_keeps_relative_reference_portable(tmp_path, corpus):
     (b / "m.pop").write_bytes(path.read_bytes())
     loaded = load_model(b / "m.pop")
     assert _recommendations(loaded) == _recommendations(model)
+
+
+@pytest.mark.parametrize("kind", ["cip-u", "cip-i", "popularity"])
+def test_model_grown_only_by_observe_saves_and_loads(tmp_path, kind):
+    model = {"cip-u": lambda: CipUModel(3, 5),
+             "cip-i": lambda: CipIModel(60, 5),
+             "popularity": lambda: PopularityModel(ProfileStore(0, 0))}[kind]()
+    # ids numbered by first appearance, as a loaded events file numbers
+    # them, so popularity ties break the same way after the round trip
+    uid, iid = {}, {}
+    events = [(uid.setdefault(u, len(uid)), iid.setdefault(i, len(iid)), t)
+              for u, i, t in random_stream(np.random.default_rng(4), 10, 25, 150)]
+    for lo in range(0, len(events), 10):
+        model.observe(batches_from(events[lo:lo + 10]))
+    store = model.profiles
+    users, items, ts = (np.asarray(col) for col in zip(*events))
+    log = EventLog(users, items, ts, np.full(len(events), np.nan),
+                   store.user_ids, store.item_ids)
+    events_path = tmp_path / "events.ciprec"
+    dump_events(log, events_path)
+    path = tmp_path / f"model.{kind}"
+    save_model(model, path, events_path)
+    loaded = load_model(path)
+    assert len(loaded.profiles) == store.num_users
+    assert _recommendations(loaded, 10) == _recommendations(model, 10)
