@@ -9,35 +9,41 @@ The loss per example is
 
 with negatives drawn from the unigram distribution raised to 3/4.
 
-Training shards the pack list across workers. For every vectorized
-mini-batch a worker pulls just the parameter rows the batch touches
-(a short lock), computes gradients lock-free on that snapshot, and
-pushes the row deltas back under the same lock — so concurrent workers
-see each other's progress after at most one batch, and delta addition
-never loses another worker's update. With one worker and a fixed seed
-the run is bit-reproducible.
+Training shards the pack list across workers, forked processes that
+share the weight matrices. For every mini-batch a worker draws
+negatives, pulls just the parameter rows the batch touches (a short
+lock), runs :func:`sgns_batch` on that snapshot, and pushes the row
+deltas back under the same lock — so workers see each other's progress
+after at most one batch, and no delta is lost. One worker runs in the
+calling process; with a fixed seed its run is bit-reproducible.
 """
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing as mp
 import threading
 from dataclasses import dataclass, replace
 from itertools import chain
-from queue import Empty, Queue
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 from ciprec.ingest import Cip, window_pairs
 
 
+# packs per worker fetch
+SHARD_SIZE = 64
+# pairs per sgns_batch call and per push: it bounds how stale concurrent
+# workers get; much larger values destabilize them on small vocabularies
+BATCH_PAIRS = 256
+
+
 @dataclass
 class TrainConfig:
     """Knobs for :func:`train`. ``lr`` decays linearly to ``min_lr`` over
-    all scheduled pairs. ``shard_size`` is packs per worker fetch and
-    ``batch_pairs`` the vectorized chunk size — also the push quantum,
-    so it bounds how stale concurrent workers can get; much larger
-    values destabilize multi-worker training on small vocabularies."""
+    all scheduled pairs."""
 
     dim: int = 100
     window: int = 5
@@ -47,8 +53,6 @@ class TrainConfig:
     epochs: int = 5
     workers: int = 1
     seed: int = 1
-    shard_size: int = 64
-    batch_pairs: int = 256
 
 
 class EmbeddingModel:
@@ -68,21 +72,19 @@ class EmbeddingModel:
         self.syn0 = syn0
         self.syn1 = syn1
         self.config = config
-        self.counts = np.zeros(len(self.item_ids), dtype=np.float64)
-        self._cum: np.ndarray | None = None
+        self.set_counts(np.zeros(len(self.item_ids)))
         self.epoch_losses: list[float] = []
 
     @classmethod
     def create(cls, item_ids, config: TrainConfig) -> "EmbeddingModel":
-        """Fresh model: inputs uniform in [-0.5/dim, 0.5/dim], outputs zero."""
-        ids = np.asarray(sorted(int(i) for i in item_ids), dtype=np.int64)
-        if len(set(ids.tolist())) != len(ids):
+        """Fresh model over ``item_ids`` (see :meth:`add_items`)."""
+        ids = sorted(int(i) for i in item_ids)
+        if len(set(ids)) != len(ids):
             raise ValueError("duplicate item ids in vocabulary")
-        rng = np.random.default_rng(config.seed)
-        n, d = len(ids), config.dim
-        syn0 = (rng.random((n, d), dtype=np.float64) - 0.5) / d
-        syn1 = np.zeros((n, d), dtype=np.float64)
-        return cls(ids, syn0, syn1, config)
+        empty = np.zeros((0, config.dim))
+        model = cls(np.zeros(0, dtype=np.int64), empty, empty, config)
+        model.add_items(ids, config.seed)
+        return model
 
     @property
     def dim(self) -> int:
@@ -93,25 +95,24 @@ class EmbeddingModel:
 
     def set_counts(self, counts: np.ndarray) -> None:
         self.counts = np.asarray(counts, dtype=np.float64)
-        total = float(self.counts.sum())
-        if total > 0:
-            self._cum = np.cumsum(self.counts ** 0.75)
-        else:
-            self._cum = np.arange(1, len(self.item_ids) + 1, dtype=np.float64)
+        # negatives follow unigram^(3/4); uniform while nothing is counted
+        self._cum = np.cumsum(self.counts ** 0.75 if self.counts.any()
+                              else np.ones(len(self.counts)))
 
-    def sample_negatives(self, exclude_row: int, k: int, rng) -> np.ndarray:
-        """k negative rows from unigram^(3/4), re-drawing collisions with
-        the positive context a few times before giving up."""
-        if self._cum is None:
-            self.set_counts(self.counts)
-        cum = self._cum
-        out = np.searchsorted(cum, rng.random(k) * cum[-1])
-        for _ in range(10):
-            bad = out == exclude_row
-            if not bad.any():
-                break
-            out[bad] = np.searchsorted(cum, rng.random(int(bad.sum())) * cum[-1])
-        return out
+    def add_items(self, ids, seed: int) -> None:
+        """Give the ids not yet in the vocabulary rows, in ascending id
+        order: inputs uniform in [-0.5/dim, 0.5/dim] drawn from ``seed``,
+        outputs zero."""
+        fresh = sorted(set(ids) - set(self.row))
+        if fresh:
+            rng = np.random.default_rng(seed)
+            d = self.dim
+            add0 = (rng.random((len(fresh), d), dtype=np.float64) - 0.5) / d
+            self.syn0 = np.vstack([self.syn0, add0])
+            self.syn1 = np.vstack([self.syn1, np.zeros((len(fresh), d))])
+            self.item_ids = np.concatenate([self.item_ids,
+                                            np.asarray(fresh, dtype=np.int64)])
+            self.row = {int(i): r for r, i in enumerate(self.item_ids)}
 
 
 def gen_pairs(seqs, window: int) -> np.ndarray:
@@ -130,112 +131,123 @@ def pair_count(length: int, window: int) -> int:
     return sum(min(t, window) + min(length - 1 - t, window) for t in range(length))
 
 
-def sgns_loss_grads(v_in: np.ndarray, out_rows: np.ndarray,
-                    labels: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and exact gradients for one target vector against a stack of
-    output vectors with 0/1 labels. Gradients are of the loss (descend by
-    subtracting lr times them)."""
-    dots = out_rows @ v_in
-    loss = float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -dots, dots))))
-    err = expit(dots) - labels
-    grad_in = err @ out_rows
-    grad_out = err[:, None] * v_in[None, :]
-    return loss, grad_in, grad_out
+def draw_negatives(cum: np.ndarray, context: np.ndarray, k: int, rng) -> np.ndarray:
+    """(len(context), k) negative rows from the cumulative unigram^(3/4)
+    weights ``cum``, re-drawing collisions with each pair's positive
+    context row a few times before giving up."""
+    neg = np.searchsorted(cum, rng.random((len(context), k)) * cum[-1])
+    for _ in range(10):
+        bad = neg == context[:, None]
+        if not bad.any():
+            break
+        neg[bad] = np.searchsorted(cum, rng.random(int(bad.sum())) * cum[-1])
+    return neg
 
 
-def sgns_step(model: EmbeddingModel, target: int, context: int, lr: float,
-              rng, negatives: int | None = None) -> float:
-    """One SGD step on a single (target, context) item pair; returns the
-    loss at the pre-update parameters."""
-    k = model.config.negatives if negatives is None else negatives
-    t = model.row[target]
-    c = model.row[context]
-    neg = model.sample_negatives(c, k, rng)
-    rows = np.concatenate(([c], neg))
-    labels = np.zeros(len(rows), dtype=np.float64)
-    labels[0] = 1.0
-    loss, g_in, g_out = sgns_loss_grads(model.syn0[t], model.syn1[rows], labels)
-    np.add.at(model.syn1, rows, -lr * g_out)
-    model.syn0[t] -= lr * g_in
-    return loss
+def sgns_batch(base0: np.ndarray, base1: np.ndarray, t_c: np.ndarray, c_c: np.ndarray,
+               n_c: np.ndarray, lr: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """One SGD step of skip-gram with negative sampling on a mini-batch.
+
+    Pair b has input vector ``base0[t_c[b]]``, positive output vector
+    ``base1[c_c[b]]`` and negative output vectors ``base1[n_c[b]]``; rows
+    may repeat. Returns the batch loss at ``base0`` / ``base1`` and the
+    summed row deltas ``(acc0, acc1)`` to add to them, which are
+    ``-lr`` times the loss gradients.
+    """
+    vin = base0[t_c]
+    pos = base1[c_c]
+    nvec = base1[n_c]
+    pos_dot = np.einsum("bd,bd->b", vin, pos)
+    neg_dot = np.einsum("bd,bkd->bk", vin, nvec)
+    loss = float(np.logaddexp(0.0, -pos_dot).sum()
+                 + np.logaddexp(0.0, neg_dot).sum())
+    g_pos = (1.0 - expit(pos_dot)) * lr
+    g_neg = -expit(neg_dot) * lr
+    g_in = g_pos[:, None] * pos + np.einsum("bk,bkd->bd", g_neg, nvec)
+    # input row t_c[b] gains g_in[b]; output row c_c[b] gains
+    # g_pos[b] * vin[b] and output row n_c[b, j] gains g_neg[b, j] * vin[b]:
+    # one CSR product over the input rows stacked on the output rows
+    m, n0 = len(t_c), len(base0)
+    b = np.arange(m)
+    acc = _scatter(np.concatenate([t_c, n0 + c_c, n0 + n_c.ravel()]),
+                   np.concatenate([b, m + b, m + np.repeat(b, n_c.shape[1])]),
+                   np.concatenate([np.ones(m), g_pos, g_neg.ravel()]),
+                   np.concatenate([g_in, vin]), n0 + len(base1))
+    return loss, acc[:n0], acc[n0:]
 
 
-def _count_corpus(rows, n: int) -> np.ndarray:
-    """Occurrences of each vocabulary row in the corpus."""
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
-    return np.bincount(flat, minlength=n).astype(np.float64)
+def _scatter(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+             vecs: np.ndarray, n: int) -> np.ndarray:
+    """``out[r]`` is the sum of ``weights[j] * vecs[cols[j]]`` over the
+    ``j`` with ``rows[j] == r``: each product rounded, then added in ``j``
+    order as ``np.add.at`` into zeros would. One CSR product."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    order = np.argsort(rows, kind="stable")
+    return csr_matrix((weights[order], cols[order], indptr),
+                      shape=(n, len(vecs))) @ vecs
 
 
 class _Shared:
-    """Training-run state shared by workers."""
+    """Run state the workers share: the lock, the pairs done (for the
+    learning-rate schedule), the epoch's loss sums and the next shard."""
 
-    def __init__(self, model, total_pairs, cfg):
+    def __init__(self, model, total_pairs, cfg, ctx):
         self.model = model
         self.total = max(1, total_pairs)
         self.cfg = cfg
-        self.lock = threading.Lock()
-        self.done = 0
-        self.loss_sum = 0.0
-        self.loss_pairs = 0
+        self.lock = ctx.Lock()
+        self.done = ctx.Value("q", 0, lock=False)
+        self.loss_sum = ctx.Value("d", 0.0, lock=False)
+        self.loss_pairs = ctx.Value("q", 0, lock=False)
+        self.next_shard = ctx.Value("q", 0, lock=False)
 
     def lr_now(self) -> float:
-        frac = min(1.0, self.done / self.total)
+        frac = min(1.0, self.done.value / self.total)
         return max(self.cfg.min_lr, self.cfg.lr * (1.0 - frac))
+
+    def take(self) -> int:
+        with self.lock:
+            self.next_shard.value += 1
+            return self.next_shard.value - 1
+
+
+def _shared_copy(a: np.ndarray) -> np.ndarray:
+    """``a`` copied into memory that forked processes write in place."""
+    out = np.frombuffer(mmap.mmap(-1, max(1, a.nbytes)), dtype=a.dtype)[:a.size]
+    out[:] = a.ravel()
+    return out.reshape(a.shape)
 
 
 def _train_shard(shared: _Shared, pairs_t: np.ndarray, pairs_c: np.ndarray,
                  rng) -> None:
     model = shared.model
-    cfg = shared.cfg
-    k = cfg.negatives
-    cum = model._cum
     shard_loss = 0.0
-    b = cfg.batch_pairs
-    for lo in range(0, len(pairs_t), b):
-        t_rows = pairs_t[lo:lo + b]
-        c_rows = pairs_c[lo:lo + b]
+    for lo in range(0, len(pairs_t), BATCH_PAIRS):
+        t_rows = pairs_t[lo:lo + BATCH_PAIRS]
+        c_rows = pairs_c[lo:lo + BATCH_PAIRS]
         m = len(t_rows)
-        neg = np.searchsorted(cum, rng.random((m, k)) * cum[-1])
-        for _ in range(10):
-            bad = neg == c_rows[:, None]
-            if not bad.any():
-                break
-            neg[bad] = np.searchsorted(cum, rng.random(int(bad.sum())) * cum[-1])
+        neg = draw_negatives(model._cum, c_rows, shared.cfg.negatives, rng)
+        rows0, t_c = np.unique(t_rows, return_inverse=True)
+        rows1, out_c = np.unique(np.concatenate([c_rows, neg.ravel()]),
+                                 return_inverse=True)
         # pull: snapshot only the rows this mini-batch touches, so the
         # staleness other workers see is bounded by one batch
-        rows0 = np.unique(t_rows)
-        rows1 = np.unique(np.concatenate([c_rows, neg.ravel()]))
-        t_c = np.searchsorted(rows0, t_rows)
-        c_c = np.searchsorted(rows1, c_rows)
-        n_c = np.searchsorted(rows1, neg)
         with shared.lock:
             base0 = model.syn0[rows0]
             base1 = model.syn1[rows1]
             lr = shared.lr_now()
-            shared.done += m
-        vin = base0[t_c]
-        pos = base1[c_c]
-        nvec = base1[n_c]
-        pos_dot = np.einsum("bd,bd->b", vin, pos)
-        neg_dot = np.einsum("bd,bkd->bk", vin, nvec)
-        shard_loss += float(np.logaddexp(0.0, -pos_dot).sum()
-                            + np.logaddexp(0.0, neg_dot).sum())
-        g_pos = (1.0 - expit(pos_dot)) * lr
-        g_neg = -expit(neg_dot) * lr
-        g_in = g_pos[:, None] * pos + np.einsum("bk,bkd->bd", g_neg, nvec)
-        acc0 = np.zeros_like(base0)
-        acc1 = np.zeros_like(base1)
-        np.add.at(acc0, t_c, g_in)
-        np.add.at(acc1, c_c, g_pos[:, None] * vin)
-        np.add.at(acc1, n_c.reshape(-1),
-                  (g_neg[:, :, None] * vin[:, None, :]).reshape(-1, vin.shape[1]))
+            shared.done.value += m
+        loss, acc0, acc1 = sgns_batch(base0, base1, t_c, out_c[:m],
+                                      out_c[m:].reshape(neg.shape), lr)
+        shard_loss += loss
         # push: add this batch's deltas onto whatever the store holds now
         with shared.lock:
             model.syn0[rows0] += acc0
             model.syn1[rows1] += acc1
     with shared.lock:
-        shared.loss_sum += shard_loss
-        shared.loss_pairs += len(pairs_t)
+        shared.loss_sum.value += shard_loss
+        shared.loss_pairs.value += len(pairs_t)
 
 
 def train(corpus, config: TrainConfig | None = None,
@@ -245,75 +257,63 @@ def train(corpus, config: TrainConfig | None = None,
     ``corpus`` is a sequence of :class:`~ciprec.ingest.Cip` or plain item
     sequences. With a warm-start ``model``, unseen items get fresh rows
     and existing rows keep their values until a pair touches them.
-    Mean epoch losses end up in ``model.epoch_losses``.
+    Negatives follow the corpus's item counts. Mean epoch losses end up
+    in ``model.epoch_losses``.
     """
     cfg = config or TrainConfig()
     if cfg.workers <= 0:
         raise ValueError(f"workers must be positive, got {cfg.workers}")
     seqs = [list(c.items) if isinstance(c, Cip) else list(c) for c in corpus]
-    if not seqs:
-        raise ValueError("corpus is empty")
-    vocab = sorted({i for seq in seqs for i in seq})
+    vocab = {i for seq in seqs for i in seq}
     if not vocab:
-        raise ValueError("corpus has no items")
+        raise ValueError("corpus is empty or has no items")
     if model is None:
         model = EmbeddingModel.create(vocab, cfg)
     else:
-        fresh = sorted(set(vocab) - set(model.row))
-        if fresh:
-            rng = np.random.default_rng(cfg.seed)
-            d = model.dim
-            add0 = (rng.random((len(fresh), d), dtype=np.float64) - 0.5) / d
-            model.syn0 = np.vstack([model.syn0, add0])
-            model.syn1 = np.vstack([model.syn1, np.zeros((len(fresh), d))])
-            model.item_ids = np.concatenate([model.item_ids,
-                                             np.asarray(fresh, dtype=np.int64)])
-            model.row = {int(i): r for r, i in enumerate(model.item_ids)}
         cfg = replace(cfg, dim=model.dim)
+        model.add_items(vocab, cfg.seed)
     model.config = cfg
     rows = [[model.row[i] for i in seq] for seq in seqs]
-    model.set_counts(_count_corpus(rows, len(model)))
+    model.set_counts(np.bincount(np.fromiter(chain.from_iterable(rows), dtype=np.int64),
+                                 minlength=len(model)))
+    _fit(model, rows, cfg)
+    return model
 
+
+def _fit(model: EmbeddingModel, rows, cfg: TrainConfig) -> None:
+    """Run ``cfg.epochs`` epochs over the row sequences, drawing
+    negatives from the model's current counts."""
     multi = [r for r in rows if len(r) >= 2]
-    shards = [gen_pairs(multi[i:i + cfg.shard_size], cfg.window)
-              for i in range(0, len(multi), cfg.shard_size)]
-    total_pairs = cfg.epochs * sum(len(s) for s in shards)
-    shared = _Shared(model, total_pairs, cfg)
+    shards = [gen_pairs(multi[i:i + SHARD_SIZE], cfg.window)
+              for i in range(0, len(multi), SHARD_SIZE)]
+    ctx = mp.get_context("fork" if cfg.workers > 1 else None)
+    shared = _Shared(model, cfg.epochs * sum(len(s) for s in shards), cfg, ctx)
+    if cfg.workers > 1:
+        if threading.active_count() > 1:    # a child gets only this thread's locks
+            raise RuntimeError("workers > 1 forks: call train with no other threads")
+        model.syn0, model.syn1 = _shared_copy(model.syn0), _shared_copy(model.syn1)
     model.epoch_losses = []
-    if not shards:
-        return model
-
     for epoch in range(cfg.epochs):
-        shared.loss_sum = 0.0
-        shared.loss_pairs = 0
-        if cfg.workers == 1:
-            for s_idx, shard in enumerate(shards):
+        shared.loss_sum.value = shared.loss_pairs.value = shared.next_shard.value = 0
+
+        def work():
+            while (s_idx := shared.take()) < len(shards):
                 rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.seed, epoch, s_idx]))
-                _train_shard(shared, shard[:, 0], shard[:, 1], rng)
+                _train_shard(shared, shards[s_idx][:, 0], shards[s_idx][:, 1], rng)
+
+        if cfg.workers == 1:
+            work()              # shards in order in this process: reproducible
         else:
-            q: Queue = Queue()
-            for s_idx, shard in enumerate(shards):
-                q.put((s_idx, shard))
-
-            def pull():
-                while True:
-                    try:
-                        s_idx, shard = q.get_nowait()
-                    except Empty:
-                        return
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence([cfg.seed, epoch, s_idx]))
-                    _train_shard(shared, shard[:, 0], shard[:, 1], rng)
-
-            threads = [threading.Thread(target=pull) for _ in range(cfg.workers)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
-        if shared.loss_pairs:
-            model.epoch_losses.append(shared.loss_sum / shared.loss_pairs)
-    return model
+            procs = [ctx.Process(target=work) for _ in range(cfg.workers)]
+            for pr in procs:
+                pr.start()
+            for pr in procs:
+                pr.join()
+            if any(pr.exitcode for pr in procs):
+                raise RuntimeError("a deepcip training worker failed")
+        if shared.loss_pairs.value:
+            model.epoch_losses.append(shared.loss_sum.value / shared.loss_pairs.value)
 
 
 def cip_vector(model: EmbeddingModel, items) -> np.ndarray:
@@ -341,8 +341,7 @@ class DeepCipRecommender:
         prof = self.profiles.get(u)
         if prof is None or not prof.items:
             return self.profiles.popular(n)
-        packs = prof.partition(self.delta)
-        last = packs[-1].items
+        last = prof.partition(self.delta)[-1].items
         try:
             ranked = most_similar(self.model, last, n, exclude=prof.pos)
         except ValueError:
@@ -355,16 +354,20 @@ class DeepCipRecommender:
         return out
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
-        """Fold new events into profiles (see
-        :meth:`ProfileStore.extend`) and warm-start the embeddings for one
-        epoch on every pack those events touched."""
+        """Fold new events into profiles (see :meth:`ProfileStore.extend`)
+        and warm-start the embeddings, one epoch by one worker, on every
+        pack they touched. Negatives follow the whole corpus: packs split
+        profiles of distinct items, so corpus counts are profile counts."""
         touched: list[list[int]] = []
         for u, first_new in self.profiles.extend(batches).items():
             prof = self.profiles.profiles[u]
             touched.extend(pack.items for pack in prof.partition(self.delta)
                            if prof.pos[pack.items[-1]] >= first_new)
         if touched:
-            train(touched, replace(self.model.config, epochs=1), model=self.model)
+            model, cfg = self.model, replace(self.model.config, epochs=1, workers=1)
+            model.add_items({i for pack in touched for i in pack}, cfg.seed)
+            model.set_counts(self.profiles.item_counts()[model.item_ids])
+            _fit(model, [[model.row[i] for i in pack] for pack in touched], cfg)
 
     @property
     def params(self) -> dict:
@@ -387,11 +390,7 @@ def most_similar(model: EmbeddingModel, items, n: int,
     norms = np.linalg.norm(model.syn0, axis=1)
     norms[norms == 0.0] = 1.0
     cos = (model.syn0 @ q) / (norms * qn)
-    keep = np.ones(len(cos), dtype=bool)
-    if exclude:
-        drop = [model.row[i] for i in exclude if i in model.row]
-        keep[drop] = False
-    idx = np.nonzero(keep)[0]
+    idx = np.setdiff1d(np.arange(len(cos)),
+                       [model.row[i] for i in exclude if i in model.row])
     order = np.lexsort((model.item_ids[idx], -cos[idx]))[:n]
-    sel = idx[order]
-    return [(int(model.item_ids[r]), float(cos[r])) for r in sel]
+    return [(int(model.item_ids[r]), float(cos[r])) for r in idx[order]]

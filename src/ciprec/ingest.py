@@ -276,13 +276,12 @@ class ProfileStore:
         return self.profiles.get(user)
 
     def add_event(self, user: int, item: int, t: int) -> bool:
-        # a dense id first seen here has no raw id: it maps to itself
         if item >= self.num_items:
             self.num_items = item + 1
-            self.item_ids.extend(range(len(self.item_ids), item + 1))
+            _grow_ids(self.item_ids, item + 1)
         if user >= self.num_users:
             self.num_users = user + 1
-            self.user_ids.extend(range(len(self.user_ids), user + 1))
+            _grow_ids(self.user_ids, user + 1)
         added = self.profile(user).append(item, t)
         if added:
             if self._counts is not None:
@@ -360,6 +359,19 @@ class ProfileStore:
 
     def __len__(self) -> int:
         return len(self.profiles)
+
+
+def _grow_ids(ids: list, n: int) -> None:
+    """Extend a dense -> raw id map to ``n`` ids. A dense id first seen
+    in a store has no raw id: it gets its own number, or the next number
+    up that no other id holds."""
+    used = set(ids)
+    raw = len(ids)
+    while len(ids) < n:
+        while raw in used:
+            raw += 1
+        ids.append(raw)
+        raw += 1
 
 
 def build_profiles(log: EventLog) -> ProfileStore:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ciprec.deepcip import sgns_batch
 from ciprec.ingest import ProfileStore
 
 
@@ -49,3 +50,31 @@ def chunked_batches(rng, events, max_chunk: int = 20):
         step = int(rng.integers(1, max_chunk))
         yield batches_from(events[pos:pos + step])
         pos += step
+
+
+def sgns_gradient_error(rng, draws: int, eps: float = 1e-6) -> float:
+    """Worst relative gap between :func:`sgns_batch`'s deltas at lr 1,
+    which are minus the loss gradient, and central differences of its
+    own loss on every input and output row entry. Each draw is a random
+    mini-batch whose pairs share rows."""
+    worst = 0.0
+    for _ in range(draws):
+        d = int(rng.integers(2, 10))
+        m, k = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        base0 = rng.normal(0.0, 0.8, (int(rng.integers(1, 4)), d))
+        base1 = rng.normal(0.0, 0.8, (int(rng.integers(1, 5)), d))
+        batch = (rng.integers(0, len(base0), m), rng.integers(0, len(base1), m),
+                 rng.integers(0, len(base1), (m, k)))
+        _, acc0, acc1 = sgns_batch(base0, base1, *batch, 1.0)
+        for base, acc in ((base0, acc0), (base1, acc1)):
+            for idx in np.ndindex(base.shape):
+                keep = base[idx]
+                base[idx] = keep + eps
+                up = sgns_batch(base0, base1, *batch, 1.0)[0]
+                base[idx] = keep - eps
+                down = sgns_batch(base0, base1, *batch, 1.0)[0]
+                base[idx] = keep
+                numeric = (up - down) / (2 * eps)
+                worst = max(worst, abs(acc[idx] + numeric)
+                            / max(1.0, abs(acc[idx]), abs(numeric)))
+    return worst

@@ -23,8 +23,7 @@ from numpy.random import default_rng
 from ciprec.analysis import ItemGraph, modularity, precision_at_n
 from ciprec.cip_i import CipIModel
 from ciprec.cip_u import CipUModel, pair_similarity
-from ciprec.deepcip import (DeepCipRecommender, TrainConfig, pair_count,
-                            sgns_loss_grads, train)
+from ciprec.deepcip import DeepCipRecommender, TrainConfig, pair_count, train
 from ciprec.fism import FismModel
 from ciprec.ingest import (UserProfile, all_cips, build_profiles,
                            parse_events, temporal_split)
@@ -32,7 +31,8 @@ from ciprec.persistence import dump_events, load_model, save_model
 from ciprec.popularity import PopularityModel
 from ciprec.synthetic import generate_events, planted_clusters, write_ml_tab
 
-from helpers import chunked_batches, random_stream, store_from
+from helpers import (chunked_batches, random_stream, sgns_gradient_error,
+                     store_from)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -228,45 +228,17 @@ def test_acceptance_04_item_similarity_boundaries_exhaustive():
 
 
 # --------------------------------------------------------------------------
-# 5. embedding loss gradients vs central finite differences
+# 5. the training kernel's deltas vs central finite differences
 
 
 def test_acceptance_05_sgns_gradient_check():
-    rng = default_rng(55)
-    eps = 1e-6
-    worst = 0.0
     t0 = perf_counter()
-
-    def rel(analytic, numeric):
-        return abs(analytic - numeric) / max(1.0, abs(analytic),
-                                             abs(numeric))
-
-    for _ in range(100):
-        d = int(rng.integers(2, 12))
-        rows = int(rng.integers(1, 8))
-        v = rng.normal(0.0, 0.8, d)
-        out = rng.normal(0.0, 0.8, (rows, d))
-        labels = (rng.random(rows) < 0.5).astype(float)
-        _, g_in, g_out = sgns_loss_grads(v, out, labels)
-        for j in range(d):
-            vp, vm = v.copy(), v.copy()
-            vp[j] += eps
-            vm[j] -= eps
-            numeric = (sgns_loss_grads(vp, out, labels)[0]
-                       - sgns_loss_grads(vm, out, labels)[0]) / (2 * eps)
-            worst = max(worst, rel(g_in[j], numeric))
-        for r in range(rows):
-            for j in range(d):
-                op, om = out.copy(), out.copy()
-                op[r, j] += eps
-                om[r, j] -= eps
-                numeric = (sgns_loss_grads(v, op, labels)[0]
-                           - sgns_loss_grads(v, om, labels)[0]) / (2 * eps)
-                worst = max(worst, rel(g_out[r, j], numeric))
+    worst = sgns_gradient_error(default_rng(55), 100)
     elapsed = perf_counter() - t0
     _verdict(5, worst < 1e-4 and elapsed < 5.0,
-             f"worst relative gradient error {worst:.2e} over 100 draws "
-             f"(< 1e-4), {elapsed:.2f}s (< 5 s)")
+             f"training kernel sgns_batch: worst relative gap between its "
+             f"deltas and central differences {worst:.2e} over 100 "
+             f"mini-batches with shared rows (< 1e-4), {elapsed:.2f}s (< 5 s)")
 
 
 # --------------------------------------------------------------------------

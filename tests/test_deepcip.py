@@ -1,17 +1,19 @@
 """Skip-gram embeddings over item packs: pairs, gradients, training."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ciprec import deepcip
 from ciprec.deepcip import (DeepCipRecommender, EmbeddingModel, TrainConfig,
-                            cip_vector, gen_pairs, most_similar, pair_count,
-                            sgns_loss_grads, sgns_step, train)
-from ciprec.ingest import ProfileStore
+                            _scatter, cip_vector, draw_negatives, gen_pairs,
+                            most_similar, pair_count, sgns_batch, train)
+from ciprec.ingest import ProfileStore, all_cips
 
-from helpers import store_from
+from helpers import sgns_gradient_error, store_from
 
 
 def test_gen_pairs_order_window_one():
@@ -62,57 +64,47 @@ def test_pair_count_matches_enumeration():
 
 
 def test_zero_init_loss_is_log2_per_output():
-    # hand-derived: every dot is 0, so each of the 1 + k outputs
-    # contributes ln 2 to the loss
-    m = EmbeddingModel.create([0, 1, 2, 3, 4, 5, 6], TrainConfig(dim=12, seed=3))
-    m.syn0[:] = 0.0
-    loss, g_in, g_out = sgns_loss_grads(
-        m.syn0[0], m.syn1[[1, 2, 3, 4, 5]], np.array([1.0, 0, 0, 0, 0]))
+    # hand-derived: every dot is 0, so each of the 1 + k outputs of every
+    # pair contributes ln 2 to the loss
+    base0, base1 = np.zeros((2, 12)), np.zeros((7, 12))
+    loss, _, _ = sgns_batch(base0, base1, np.array([0]), np.array([1]),
+                            np.array([[2, 3, 4, 5]]), 0.025)
     assert abs(loss - 5.0 * math.log(2.0)) < 1e-12   # 1 positive + 4 negatives
-    m.set_counts(np.ones(7))
-    rng = np.random.default_rng(0)
-    step_loss = sgns_step(m, 0, 1, 0.025, rng, negatives=5)
-    assert abs(step_loss - 6.0 * math.log(2.0)) < 1e-12  # 1 positive + 5 negatives
+    loss, _, _ = sgns_batch(base0, base1, np.array([0, 1, 0]), np.array([1, 2, 1]),
+                            np.ones((3, 5), dtype=np.int64), 0.025)
+    assert abs(loss - 18.0 * math.log(2.0)) < 1e-12  # 3 pairs x (1 + 5)
 
 
 def test_gradients_match_central_differences():
-    rng = np.random.default_rng(42)
-    eps = 1e-6
-    for _ in range(20):
-        d = int(rng.integers(3, 9))
-        rows = int(rng.integers(2, 6))
-        v = rng.normal(0.0, 0.5, d)
-        out = rng.normal(0.0, 0.5, (rows, d))
-        labels = np.zeros(rows)
-        labels[0] = 1.0
-        _, g_in, g_out = sgns_loss_grads(v, out, labels)
-        for j in range(d):
-            vp, vm = v.copy(), v.copy()
-            vp[j] += eps
-            vm[j] -= eps
-            num = (sgns_loss_grads(vp, out, labels)[0]
-                   - sgns_loss_grads(vm, out, labels)[0]) / (2 * eps)
-            assert abs(num - g_in[j]) <= 1e-4 * max(1.0, abs(num))
-        for r in range(rows):
-            for j in range(d):
-                op, om = out.copy(), out.copy()
-                op[r, j] += eps
-                om[r, j] -= eps
-                num = (sgns_loss_grads(v, op, labels)[0]
-                       - sgns_loss_grads(v, om, labels)[0]) / (2 * eps)
-                assert abs(num - g_out[r, j]) <= 1e-4 * max(1.0, abs(num))
+    assert sgns_gradient_error(np.random.default_rng(42), 20) < 1e-4
 
 
-def test_sgns_step_decreases_pair_loss():
-    m = EmbeddingModel.create([0, 1], TrainConfig(dim=8, seed=1))
-    m.set_counts(np.ones(2))
+def test_scatter_adds_in_order_like_add_at():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        n, length = int(rng.integers(1, 9)), int(rng.integers(0, 40))
+        rows, cols = rng.integers(0, n, length), rng.integers(0, 6, length)
+        weights = rng.normal(0.0, 1.0, length) * 10.0 ** rng.integers(-8, 8, length)
+        vecs = rng.normal(0.0, 1.0, (6, 3))
+        expect = np.zeros((n, 3))
+        np.add.at(expect, rows, weights[:, None] * vecs[cols])
+        assert np.array_equal(_scatter(rows, cols, weights, vecs, n), expect)
+
+
+def test_sgns_batch_steps_decrease_pair_loss():
     rng = np.random.default_rng(7)
-    losses = [sgns_step(m, 0, 1, 0.5, rng, negatives=1) for _ in range(60)]
+    base0 = rng.normal(0.0, 0.1, (1, 8))
+    base1 = np.zeros((2, 8))
+    batch = (np.array([0]), np.array([0]), np.array([[1]]))
+    losses = []
+    for _ in range(60):
+        loss, acc0, acc1 = sgns_batch(base0, base1, *batch, 0.5)
+        base0 += acc0
+        base1 += acc1
+        losses.append(loss)
     assert losses[-1] < losses[0]
     # the positive dot should have turned positive
-    assert float(m.syn0[m.row[0]] @ m.syn1[m.row[1]]) > 0.0
-
-
+    assert float(base0[0] @ base1[0]) > 0.0
 def test_initialization_contract():
     cfg = TrainConfig(dim=50, seed=9)
     m = EmbeddingModel.create([3, 1, 2], cfg)
@@ -126,11 +118,11 @@ def test_initialization_contract():
 
 
 def test_negative_sampling_respects_exclusion_and_range():
-    cfg = TrainConfig(dim=4, seed=2)
-    m = EmbeddingModel.create(list(range(50)), cfg)
+    m = EmbeddingModel.create(list(range(50)), TrainConfig(dim=4, seed=2))
     m.set_counts(np.arange(1, 51, dtype=float))
     rng = np.random.default_rng(0)
-    draws = np.concatenate([m.sample_negatives(7, 5, rng) for _ in range(200)])
+    draws = draw_negatives(m._cum, np.full(200, 7), 5, rng)
+    assert draws.shape == (200, 5)
     assert draws.min() >= 0 and draws.max() < 50
     assert np.count_nonzero(draws == 7) == 0
     # unigram^(3/4) weighting: the most popular half dominates the draws
@@ -145,6 +137,41 @@ def test_train_single_worker_is_bit_reproducible():
     assert np.array_equal(a.syn0, b.syn0)
     assert np.array_equal(a.syn1, b.syn1)
     assert a.epoch_losses == b.epoch_losses
+
+
+def test_worker_processes_account_every_pair():
+    # all-zero weights stay zero and every pair costs (1 + k) ln 2, so each
+    # epoch's mean is exact only if no worker's loss or pair count is lost
+    packs = [[0, 1, 2, 3], [2, 3, 4], [0, 4, 1]] * 40
+    emb = EmbeddingModel(np.arange(5), np.zeros((5, 8)), np.zeros((5, 8)),
+                         TrainConfig(dim=8))
+    train(packs, TrainConfig(dim=8, window=2, negatives=3, epochs=3, workers=4),
+          model=emb)
+    assert len(emb.epoch_losses) == 3
+    for loss in emb.epoch_losses:
+        assert abs(loss - 4.0 * math.log(2.0)) < 1e-12
+    assert not emb.syn0.any() and not emb.syn1.any()
+
+
+def test_failed_worker_process_raises(monkeypatch):
+    def broken(*args):
+        raise ValueError("broken shard")
+    monkeypatch.setattr(deepcip, "_train_shard", broken)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        train([[0, 1, 2]] * 10, TrainConfig(dim=4, epochs=1, workers=2))
+
+
+def test_worker_processes_refuse_a_threaded_caller():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        with pytest.raises(RuntimeError, match="no other threads"):
+            train([[0, 1, 2]] * 10, TrainConfig(dim=4, epochs=1, workers=2))
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
 
 
 def test_train_loss_decreases():
@@ -212,3 +239,27 @@ def test_recommender_observe_updates_embeddings():
     assert 3 in emb.row and 4 in emb.row
     # the extended pack [1, 2, 3, 4] retrains item 1 as well
     assert not np.array_equal(emb.syn0[emb.row[1]], before_1)
+
+
+def test_observe_draws_negatives_from_the_whole_corpus():
+    store = store_from([(0, 1, 10), (0, 2, 20), (1, 4, 10), (1, 5, 20), (1, 6, 30),
+                        (2, 2, 10), (2, 4, 20), (2, 6, 30)])
+    emb = train(all_cips(store, 60), TrainConfig(dim=8, epochs=2, seed=4))
+    rec = DeepCipRecommender(emb, store, 60)
+    rec.observe({0: [(3, 30)]})
+    # the warm start trains on user 0's pack only; its negatives still
+    # follow every pack's counts, not that pack's own members
+    assert emb.counts.tolist() == store.item_counts()[emb.item_ids].tolist()
+    assert dict(zip(emb.item_ids.tolist(), emb.counts.tolist())) == {
+        1: 1, 2: 2, 3: 1, 4: 2, 5: 1, 6: 2}
+    neg = draw_negatives(emb._cum, np.full(500, emb.row[2]), 5,
+                         np.random.default_rng(0))
+    assert set(emb.item_ids[np.unique(neg)]) == {1, 3, 4, 5, 6}
+
+
+def test_observe_keeps_the_trained_config():
+    store = store_from([(0, 1, 10), (0, 2, 20)])
+    emb = train([[1, 2]] * 10, TrainConfig(dim=8, epochs=3, seed=4))
+    rec = DeepCipRecommender(emb, store, 60)
+    rec.observe({0: [(3, 30)]})
+    assert rec.params["epochs"] == 3 and len(emb.epoch_losses) == 1

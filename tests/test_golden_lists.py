@@ -1,12 +1,15 @@
-"""Fixed-seed outputs, hashed: the cip-i and cip-u top-10 lists of every
-7th user, the cip-i scores to the bit, and the exported item-graph edge
-list of one seeded corpus.
+"""Fixed-seed outputs, hashed: the cip-i, cip-u and deepcip top-10 lists
+of every 7th user, the cip-i scores and the deepcip embeddings and epoch
+losses to the bit, and the exported item-graph edge list of one seeded
+corpus.
 
 The digests were recorded with the code as it stood before the shared
 windowed-pair enumerator (``ciprec.ingest.window_pairs``) replaced each
 model's own pair loops. A change that reorders any list or edge, or
 rounds any score differently, fails here; if the change is intended,
-record the new digests and say why.
+record the new digests and say why. The deepcip digests were recorded
+with the code as it stood before training and the gradient checks shared
+one batched SGNS kernel.
 """
 
 import hashlib
@@ -16,6 +19,8 @@ import pytest
 from ciprec.analysis import build_item_graph, export_edge_list
 from ciprec.cip_i import CipIModel
 from ciprec.cip_u import CipUModel
+from ciprec.deepcip import DeepCipRecommender, TrainConfig, train
+from ciprec.ingest import all_cips
 from ciprec.synthetic import generate_events
 
 from helpers import store_from
@@ -23,6 +28,8 @@ from helpers import store_from
 CIP_I_LISTS = "4a8bfb6f13df02231d927318b187ea5403d7473e87f0b2b186d7a122d4be02e1"
 CIP_I_SCORES = "63b16afdb3729d8870c9da2dbccc4faef45a7347269f86e1f3c67968c11000a9"
 CIP_U_LISTS = "c43ace23e310438c830cc60501630896db8e98236ede0914ee8f6b2f7f8b3df3"
+DEEPCIP_EMBEDDINGS = "e3b59139a72d435ead1157396a1b58c06c18e4b85725e00a0a2fa3a78a17fde1"
+DEEPCIP_LISTS = "3f9e4f5d34c742ff9e29ea3edbd6ddbd117be81401a1b90b33752455300febb3"
 EDGE_LIST = "bb377b17cba1eebfe7793e5e8ceb4672056ed26a1b30f5855e70c84319679565"
 
 
@@ -54,6 +61,13 @@ def cip_u_digest(store) -> str:
     return _lists(CipUModel.train(store, 10, 50), store)
 
 
+def deepcip_digests(store) -> tuple[str, str]:
+    cfg = TrainConfig(dim=16, window=5, negatives=5, epochs=2, workers=1, seed=21)
+    emb = train(all_cips(store, 60), cfg)
+    weights = emb.syn0.tobytes() + emb.syn1.tobytes() + repr(emb.epoch_losses).encode()
+    return _digest(weights), _lists(DeepCipRecommender(emb, store, 60), store)
+
+
 def edge_list_digest(store, path) -> str:
     export_edge_list(build_item_graph(store, 2, 3, 5), path)
     return _digest(path.read_bytes())
@@ -65,6 +79,10 @@ def test_cip_i_lists_and_scores_are_unchanged(store):
 
 def test_cip_u_lists_are_unchanged(store):
     assert cip_u_digest(store) == CIP_U_LISTS
+
+
+def test_deepcip_embeddings_and_lists_are_unchanged(store):
+    assert deepcip_digests(store) == (DEEPCIP_EMBEDDINGS, DEEPCIP_LISTS)
 
 
 def test_item_graph_edge_list_is_unchanged(store, tmp_path):

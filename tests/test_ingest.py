@@ -259,6 +259,15 @@ def test_add_event_gives_new_dense_ids_themselves_as_raw_ids():
     assert (store.num_users, store.num_items) == (4, 6)
 
 
+def test_add_event_never_reuses_a_raw_id():
+    store = ProfileStore(2, 2, user_ids=[5, 2], item_ids=[1, 0])
+    store.extend({2: [(2, 10)], 4: [(3, 20)]})
+    # raw id 2 is dense user 1's, so dense user 2 takes the next free
+    # number; dense item 2 finds raw id 2 free and keeps its own number
+    assert store.user_ids == [5, 2, 3, 4, 6]
+    assert store.item_ids == [1, 0, 2, 3]
+
+
 def _loop_window_pairs(seqs, window, first):
     """Reference: every (p, q) of one sequence with 0 < q - p <= window
     and q >= first[s], by q, then by ascending q - p, as flat positions."""

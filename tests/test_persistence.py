@@ -301,3 +301,18 @@ def test_model_grown_only_by_observe_saves_and_loads(tmp_path, kind):
     loaded = load_model(path)
     assert len(loaded.profiles) == store.num_users
     assert _recommendations(loaded, 10) == _recommendations(model, 10)
+
+
+def test_observed_new_user_keeps_its_own_raw_id(tmp_path):
+    log = parse_events(["5\t10\t3\t100", "2\t20\t3\t200"], "ml-tab")
+    model = PopularityModel(build_profiles(log))
+    model.observe({2: [(0, 300)]})              # dense user 2: new
+    store = model.profiles
+    assert len(set(store.user_ids)) == store.num_users == 3
+    users = np.array([0, 1, 2])
+    full = EventLog(users, np.array([0, 1, 0]), np.array([100, 200, 300]),
+                    np.full(3, np.nan), store.user_ids, store.item_ids)
+    events_path = tmp_path / "events.ciprec"
+    dump_events(full, events_path)
+    save_model(model, tmp_path / "model.pop", events_path)
+    assert len(load_model(tmp_path / "model.pop").profiles) == 3
