@@ -16,16 +16,25 @@ only pairs ending at a new item), one ``np.add.at`` over their ordered
 keys ``i << 32 | j`` adds each pair's weight to the scores, and one
 ``np.bincount`` counts the new items into the cards.
 
-``recommend`` tallies the ids of each profile item's top-k successors.
-Those id lists are cached per item and the whole cache is cleared on
-every score or card change (:meth:`CipIModel.update_scores`,
-:meth:`CipIModel.observe`), so frozen serving ranks each row once.
+One kernel ranks rows: :meth:`CipIModel._top_rows` reads any number of
+score rows into flat arrays, computes their similarities and ranks them
+all with one ``np.lexsort`` by (row, -sim, id). :meth:`CipIModel.top_k`
+and the cache both call it.
+
+``recommend`` tallies the ids of each profile item's top-k successors
+with one ``np.bincount``. Those ids are cached in one ``(items, k)``
+array and a fold (:meth:`CipIModel.update_scores`,
+:meth:`CipIModel.observe`) drops only the rows whose top-k *set* can
+change. The tally reads a row as a set, and a card bump only lowers
+similarities, so a row is dropped when one of its scores changed, or
+when it has more than k entries and its own card or the card of an item
+in its cached set changed. A row of at most k entries holds all of them
+whatever their order.
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import chain
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -38,9 +47,10 @@ class CipIModel:
 
     ``delta`` is the pack gap threshold in seconds (used when updating
     from raw event batches), ``k`` the per-item neighbor list size used
-    by :meth:`recommend`. ``_top`` caches the successor ids each
-    recommendation tallies; it is emptied whenever a score or a card
-    changes, since a card bump reorders every row holding that column.
+    by :meth:`recommend`. ``_top[i]`` caches the ids of item i's top-k
+    successors, padded with -1, and is read only where ``_valid[i]``;
+    ``_long[i]`` marks a cached row of more than k entries, the only
+    rows a card bump alone can change (see the module docstring).
     """
 
     kind = "cip-i"
@@ -55,7 +65,9 @@ class CipIModel:
         self.score: dict[int, dict[int, float]] = {}
         self.card: dict[int, int] = {}
         self.profiles = ProfileStore(0, 0)
-        self._top: dict[int, np.ndarray] = {}
+        self._top = np.full((0, k), -1, dtype=np.int64)
+        self._valid = np.zeros(0, dtype=bool)
+        self._long = np.zeros(0, dtype=bool)
 
     @classmethod
     def train(cls, store: ProfileStore, delta: int, k: int) -> "CipIModel":
@@ -91,15 +103,17 @@ class CipIModel:
 
     def _fold(self, packs: list[Sequence[int]], first: list[int] | None = None) -> None:
         """Fold each pack's forward pairs ending at or after ``first[s]``
-        into ``score`` and the items from there on into ``card``."""
-        self._top.clear()
+        into ``score`` and the items from there on into ``card``, then
+        drop the cached rows whose top-k set can change."""
         items, p, q = window_pairs(packs, None, first)
         fresh = items if first is None else np.fromiter(
             chain.from_iterable(s[f:] for s, f in zip(packs, first)), dtype=np.int64)
         counts = np.bincount(fresh)
-        for i in np.flatnonzero(counts).tolist():
+        bumped = np.flatnonzero(counts)
+        for i in bumped.tolist():
             self.card[i] = self.card.get(i, 0) + int(counts[i])
         if not len(p):
+            self._drop(bumped, bumped[:0])
             return
         pairs = (items[p] << 32) | items[q]
         keys = np.sort(pairs)
@@ -112,6 +126,45 @@ class CipIModel:
                   np.column_stack((np.ones(len(p)), 1.0 / (q - p))).ravel())
         for (i, j), s in zip(ij, sums.tolist()):
             self.score.setdefault(i, {})[j] = s
+        self._drop(bumped, keys >> 32)
+
+    def _drop(self, bumped: np.ndarray, rescored: np.ndarray) -> None:
+        """Invalidate the cached rows of ``rescored`` items, and the long
+        rows whose own card or a cached member's card is in ``bumped``."""
+        n = len(self._valid)
+        if not n:
+            return
+        mark = np.zeros(n + 1, dtype=bool)    # slot n stays False: -1 padding
+        mark[bumped[bumped < n]] = True
+        live = np.flatnonzero(self._valid & self._long)
+        self._valid[live[mark[live] | mark[self._top[live]].any(axis=1)]] = False
+        self._valid[rescored[rescored < n]] = False
+
+    def _top_rows(self, rows: list[int], k: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Rank the score rows of ``rows`` at once by (-similarity, id).
+        Returns each row's length and, for the first k entries of every
+        row in row order, the row's position in ``rows``, the entry's
+        rank, its id and its similarity (bit-identical to
+        :meth:`similarity`)."""
+        score, card = self.score, self.card
+        got = [score.get(i, {}) for i in rows]
+        lengths = np.fromiter(map(len, got), dtype=np.int64, count=len(got))
+        size = int(lengths.sum())
+        cols = list(chain.from_iterable(got))
+        s = np.fromiter(chain.from_iterable(r.values() for r in got),
+                        dtype=np.float64, count=size)
+        ci = np.fromiter(map(card.get, rows, repeat(0)), dtype=np.int64,
+                         count=len(rows)).repeat(lengths)
+        cj = np.fromiter(map(card.get, cols, repeat(0)), dtype=np.int64, count=size)
+        sim = s / (2.0 * np.maximum(ci, cj))
+        j = np.array(cols, dtype=np.int64)
+        r = np.arange(len(rows)).repeat(lengths)
+        order = np.lexsort((j, -sim, r))      # r is already sorted
+        rank = np.arange(size) - (np.cumsum(lengths) - lengths).repeat(lengths)
+        kept = rank < k
+        order = order[kept]
+        return lengths, r[kept], rank[kept], j[order], sim[order]
 
     def similarity(self, i: int, j: int) -> float:
         """Directed similarity of j following i; 0 without co-consumption."""
@@ -123,16 +176,20 @@ class CipIModel:
     def top_k(self, i: int, k: int | None = None) -> list[tuple[int, float]]:
         """Top-k successors of item i by similarity, ties by ascending
         item id; items never scored give []. A fresh list each call."""
-        row = self.score.get(i)
-        if not row:
-            return []
-        card = self.card
-        ci = card.get(i, 0)
-        # similarity(i, j) inlined; must stay bit-identical to it
-        scored = [(j, s / (2.0 * max(ci, card.get(j, 0))))
-                  for j, s in row.items() if s > 0.0]
-        return heapq.nsmallest(self.k if k is None else k, scored,
-                               key=lambda t: (-t[1], t[0]))
+        _, _, _, j, sim = self._top_rows([i], self.k if k is None else k)
+        return list(zip(j.tolist(), sim.tolist()))
+
+    def _grow(self, n: int) -> None:
+        """Make room in the cache for item ids below ``n``."""
+        have = len(self._valid)
+        if n <= have:
+            return
+        n = max(n, 2 * have)
+        top = np.full((n, self.k), -1, dtype=np.int64)
+        top[:have] = self._top
+        self._top = top
+        self._valid = np.concatenate((self._valid, np.zeros(n - have, dtype=bool)))
+        self._long = np.concatenate((self._long, np.zeros(n - have, dtype=bool)))
 
     def recommend_for_profile(self, items: Sequence[int], n: int) -> list[int]:
         """Top-n items tallied over each profile item's neighbor list,
@@ -142,17 +199,20 @@ class CipIModel:
             raise ValueError(f"n must be positive, got {n}")
         if len(items) == 0:
             return self.profiles.popular(n)
-        top = self._top
-        lists = []
-        for i in items:
-            succ = top.get(i)
-            if succ is None:
-                succ = top[i] = np.array([j for j, _ in self.top_k(i)],
-                                         dtype=np.int64)
-            lists.append(succ)
-        tally = np.concatenate(lists)
         owned = np.asarray(items, dtype=np.int64)
-        counts = np.bincount(tally, minlength=int(owned.max()) + 1)
+        self._grow(int(owned.max()) + 1)
+        missing = np.unique(owned[~self._valid[owned]])
+        if len(missing):
+            lengths, r, rank, j, _ = self._top_rows(missing.tolist(), self.k)
+            if len(j):                         # _drop marks every cached id
+                self._grow(int(j.max()) + 1)
+            self._top[missing] = -1
+            self._top[missing[r], rank] = j
+            self._valid[missing] = True
+            self._long[missing] = lengths > self.k
+        # shift by one so the -1 padding lands in the dropped slot 0
+        counts = np.bincount(self._top[owned].ravel() + 1,
+                             minlength=int(owned.max()) + 2)[1:]
         counts[owned] = 0
         ids = np.flatnonzero(counts)
         if not len(ids):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +52,25 @@ def peek_kind(path) -> str:
     return parts[1]
 
 
+@contextmanager
+def _replacing(path):
+    """Yield a temporary path next to ``path`` and move it over ``path``
+    once the block returns, so readers see the old file or the whole new
+    one; on an exception the temporary file is removed instead."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def dump_events(log: EventLog, path) -> None:
     """Canonical events file: header plus raw ``user,item,timestamp``
-    lines in timestamp order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    lines in timestamp order, written atomically."""
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"{MAGIC} events\n")
         for k in range(len(log)):
             u = log.user_ids[int(log.users[k])]
@@ -140,7 +156,8 @@ def _fmt_float(x: float) -> str:
 
 
 def save_model(model, path, events_path) -> None:
-    """Write any trained model next to its canonical events file."""
+    """Write any trained model next to its canonical events file,
+    atomically: a failed save leaves the previous file as it was."""
     savers = {
         "cip-u": _save_cip_u,
         "cip-i": _save_cip_i,
@@ -151,7 +168,9 @@ def save_model(model, path, events_path) -> None:
     kind = getattr(model, "kind", None)
     if kind not in savers:
         raise FormatError(f"cannot save model of kind {kind!r}")
-    savers[kind](model, path, _events_ref(path, events_path))
+    ref = _events_ref(path, events_path)
+    with _replacing(path) as tmp:
+        savers[kind](model, tmp, ref)
 
 
 def load_model(path):
@@ -251,6 +270,9 @@ def _save_cip_i(model: CipIModel, path, ref: str) -> None:
 
 
 def _load_cip_i(path) -> CipIModel:
+    """Load a cip-i model. Every item must be in the events file, every
+    card a positive integer, every scored item carded and every score a
+    positive finite float."""
     with open(path, "r", encoding="utf-8") as fh:
         _check_header(fh.readline(), "cip-i", path)
         ref = _read_kv(fh, "events", path)
@@ -259,20 +281,43 @@ def _load_cip_i(path) -> CipIModel:
         log, store = _load_ref_profiles(path, ref)
         model = CipIModel(delta, k)
         model.profiles = store
+
+        def item(raw: str) -> int:
+            try:
+                return log.item_index[int(raw)]
+            except (KeyError, ValueError):
+                raise FormatError(f"{path}: item {raw!r} is not an item of "
+                                  "its events file") from None
+
         n_card = int(_read_kv(fh, "card", path))
         for _ in range(n_card):
             parts = fh.readline().split()
             if len(parts) != 2:
                 raise FormatError(f"{path}: truncated card section")
-            model.card[log.item_index[int(parts[0])]] = int(parts[1])
+            try:
+                c = int(parts[1])
+            except ValueError:
+                c = 0
+            if c <= 0:
+                raise FormatError(f"{path}: card {parts[1]!r} is not a positive integer")
+            model.card[item(parts[0])] = c
         n_scores = int(_read_kv(fh, "scores", path))
         for _ in range(n_scores):
             parts = fh.readline().split()
             if len(parts) != 3:
                 raise FormatError(f"{path}: truncated scores section")
-            i = log.item_index[int(parts[0])]
-            j = log.item_index[int(parts[1])]
-            model.score.setdefault(i, {})[j] = float(parts[2])
+            i, j = item(parts[0]), item(parts[1])
+            try:
+                s = float(parts[2])
+            except ValueError:
+                s = math.nan
+            if not (0.0 < s < math.inf):
+                raise FormatError(f"{path}: score {parts[2]!r} is not a positive "
+                                  "finite number")
+            if i not in model.card or j not in model.card:
+                raise FormatError(f"{path}: score row {parts[0]} {parts[1]} "
+                                  "names an item without a card")
+            model.score.setdefault(i, {})[j] = s
     return model
 
 

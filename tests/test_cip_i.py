@@ -6,7 +6,7 @@ import pytest
 from ciprec.cip_i import CipIModel
 from ciprec.ingest import ProfileStore
 
-from helpers import random_stream, store_from
+from helpers import chunked_batches, random_stream, store_from
 
 
 def _store_of_packs(packs, gap=10_000):
@@ -150,6 +150,7 @@ def test_card_bump_from_another_user_reorders_a_cached_row():
     # which drops similarity(0, 1) to 2 / 8 below similarity(0, 2)
     m.observe({5: [(1, 10_000_000)]})
     assert m.score == CipIModel.train(_store_of_packs(_FLIP_PACKS), 60, 1).score
+    assert not m._valid[0]                 # a long row holding the bumped item
     want = CipIModel.train(m.profiles, 60, 1)
     assert m.recommend(4, 3) == want.recommend(4, 3) == [2]
 
@@ -193,3 +194,72 @@ def test_recommend_equals_a_dict_tally_of_top_k():
         ranked = sorted(counts.items(), key=lambda t: (-t[1], t[0]))
         want = [j for j, _ in ranked[:10]] or store.popular(10, items)
         assert m.recommend(u, 10) == want
+
+
+def _cold(m):
+    """A copy of m sharing its stores but with an empty cache."""
+    cold = CipIModel(m.delta, m.k)
+    cold.score, cold.card, cold.profiles = m.score, m.card, m.profiles
+    return cold
+
+
+def test_cached_lists_equal_a_cold_cache_after_every_step():
+    rng = np.random.default_rng(29)
+    for _ in range(25):
+        n_users, n_items = int(rng.integers(2, 7)), int(rng.integers(4, 14))
+        events = random_stream(rng, n_users, n_items, int(rng.integers(10, 60)),
+                               max_gap=60, unique_per_user=True)
+        m = CipIModel(40, int(rng.integers(1, 4)))
+        for batch in chunked_batches(rng, events, 5):
+            if rng.random() < 0.3:
+                size = int(rng.integers(1, 5))
+                m.update_scores(rng.choice(n_items, size, replace=False).tolist())
+            m.observe(batch)
+            cold = _cold(m)
+            for u in sorted(m.profiles.profiles):
+                assert m.recommend(u, 4) == cold.recommend(u, 4)
+
+
+def test_short_row_keeps_its_cached_set_across_a_member_bump():
+    # row 0 holds 1 and 2, fewer than k = 5, so a card bump of 1 cannot
+    # change which ids it holds
+    m = CipIModel.train(_store_of_packs([[0, 1], [0, 2], [0, 2]]), 60, 5)
+    assert m.recommend_for_profile([0], 3) == [1, 2]
+    cached = m._top[0].copy()
+    m.observe({3: [(1, 10_000_000)]})
+    assert m._valid[0] and np.array_equal(m._top[0], cached)
+    assert m.recommend_for_profile([0], 3) == _cold(m).recommend_for_profile([0], 3)
+
+
+def test_short_row_is_dropped_when_it_gains_an_entry():
+    m = CipIModel.train(_store_of_packs([[0, 1]]), 60, 5)
+    assert m.recommend_for_profile([0], 3) == [1]
+    m.update_scores([0, 2])                # row 0 stays short: rescored only
+    assert not m._valid[0]
+    assert m.recommend_for_profile([0], 3) == [1, 2]
+
+
+# row 0 with k = 1: score(0, 1) = 2 with card(1) = 1, score(0, 2) = 4 with
+# card(2) = 7 and card(0) = 3, so similarity 2/6 beats 4/14; card(0) = 4
+# turns that into 2/8 against 4/14
+_OWN_PACKS = [[0, 1], [0, 2], [0, 2], [2], [2], [2], [2], [2]]
+
+
+def test_long_row_is_dropped_when_its_own_card_is_bumped():
+    m = CipIModel.train(_store_of_packs(_OWN_PACKS), 60, 1)
+    assert m.recommend_for_profile([0], 3) == [1]
+    m.observe({8: [(0, 10_000_000)]})      # card(0): 3 -> 4, no score change
+    assert not m._valid[0]
+    assert m.recommend_for_profile([0], 3) == [2]
+
+
+def test_top_k_equals_a_brute_force_sort_of_similarities():
+    events = random_stream(np.random.default_rng(8), 8, 20, 200, max_gap=40,
+                           unique_per_user=True)
+    m = CipIModel.train(store_from(events), 60, 4)
+    for i, row in m.score.items():
+        brute = sorted(((j, m.similarity(i, j)) for j in row),
+                       key=lambda t: (-t[1], t[0]))
+        for k in (1, 2, 4, len(row), len(row) + 3):
+            assert m.top_k(i, k) == brute[:k]
+        assert m.top_k(i) == brute[:4]

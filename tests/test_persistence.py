@@ -316,3 +316,83 @@ def test_observed_new_user_keeps_its_own_raw_id(tmp_path):
     dump_events(full, events_path)
     save_model(model, tmp_path / "model.pop", events_path)
     assert len(load_model(tmp_path / "model.pop").profiles) == 3
+
+
+def _cip_i_file(tmp_path, corpus):
+    """A saved cip-i model: the path, its lines and the index of its
+    ``scores`` line."""
+    log, store, events_path, tmp = corpus
+    path = tmp_path / "m.cipi"
+    save_model(CipIModel.train(store, 60, 10), path, events_path)
+    lines = path.read_text().splitlines(keepends=True)
+    return path, lines, lines.index(next(x for x in lines if x.startswith("scores ")))
+
+
+def test_cip_i_item_missing_from_the_events_raises_format_error(tmp_path, corpus):
+    path, lines, at = _cip_i_file(tmp_path, corpus)
+    _, j, s = lines[at + 1].split()
+    card = path.parent / "card"
+    card.write_text("".join(lines[:5] + ["99 1\n"] + lines[6:]))
+    score = path.parent / "score"
+    score.write_text("".join(lines[:at + 1] + [f"99 {j} {s}\n"] + lines[at + 2:]))
+    for bad in (card, score):
+        with pytest.raises(FormatError, match="not an item of its events"):
+            load_model(bad)
+
+
+def test_cip_i_zero_card_of_a_scored_item_raises_format_error(tmp_path, corpus):
+    path, lines, at = _cip_i_file(tmp_path, corpus)
+    i = lines[at + 1].split()[0]
+    row = next(k for k in range(5, at) if lines[k].split()[0] == i)
+    zero = path.parent / "zero"
+    zero.write_text("".join(lines[:row] + [f"{i} 0\n"] + lines[row + 1:]))
+    with pytest.raises(FormatError, match="not a positive integer"):
+        load_model(zero)
+    uncarded = path.parent / "uncarded"
+    uncarded.write_text("".join(lines[:4] + [f"card {at - 6}\n"] + lines[5:row]
+                                + lines[row + 1:]))
+    with pytest.raises(FormatError, match="without a card"):
+        load_model(uncarded)
+
+
+@pytest.mark.parametrize("score", ["0.0", "-1.5", "inf", "nan", "x"])
+def test_cip_i_score_not_positive_finite_raises_format_error(tmp_path, corpus, score):
+    path, lines, at = _cip_i_file(tmp_path, corpus)
+    i, j, _ = lines[at + 1].split()
+    bad = path.parent / "bad"
+    bad.write_text("".join(lines[:at + 1] + [f"{i} {j} {score}\n"] + lines[at + 2:]))
+    with pytest.raises(FormatError, match="positive finite"):
+        load_model(bad)
+
+
+def test_failed_save_leaves_the_previous_file(tmp_path, corpus, monkeypatch):
+    log, store, events_path, tmp = corpus
+    path = tmp_path / "m.cipi"
+    save_model(CipIModel.train(store, 60, 10), path, events_path)
+    before = path.read_bytes()
+
+    def crash(model, out, ref):
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("CIPREC1 cip-i\n")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(persistence, "_save_cip_i", crash)
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_model(CipIModel.train(store, 60, 5), path, events_path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.cipi"]
+    assert load_model(path).k == 10
+
+
+def test_failed_dump_events_leaves_the_previous_file(tmp_path):
+    log = _gappy_log(np.random.default_rng(2))
+    path = tmp_path / "ev.ciprec"
+    dump_events(log, path)
+    before = path.read_bytes()
+    # a user id table missing the last users fails part-way through the rows
+    broken = EventLog(log.users, log.items, log.ts, log.ratings,
+                      log.user_ids[:len(log.user_ids) // 2], log.item_ids)
+    with pytest.raises(IndexError):
+        dump_events(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ev.ciprec"]
