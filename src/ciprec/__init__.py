@@ -9,6 +9,7 @@ from ciprec.ingest import (
     UserProfile,
     all_cips,
     build_profiles,
+    pack_arrays,
     parse_events,
     temporal_split,
     window_pairs,
@@ -23,6 +24,7 @@ __all__ = [
     "UserProfile",
     "all_cips",
     "build_profiles",
+    "pack_arrays",
     "parse_events",
     "temporal_split",
     "window_pairs",

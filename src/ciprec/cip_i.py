@@ -10,7 +10,8 @@ The pair is counted once per pack, so
 stays in [0, 1] and hits 1 exactly when every pack containing i or j has
 i immediately followed by j.
 
-Both stores come from one fold: :func:`~ciprec.ingest.window_pairs`
+Both stores come from one fold over packs given as arrays (the items
+concatenated, and each pack's size): :func:`~ciprec.ingest.pair_positions`
 lists the forward pairs of the packs (for :meth:`CipIModel.observe`,
 only pairs ending at a new item), one ``np.add.at`` over their ordered
 keys ``i << 32 | j`` adds each pair's weight to the scores, and one
@@ -39,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ciprec.ingest import ProfileStore, all_cips, window_pairs
+from ciprec.ingest import ProfileStore, pack_arrays, pair_positions
 
 
 class CipIModel:
@@ -74,7 +75,8 @@ class CipIModel:
         """Score every user's packs in one fold over existing profiles."""
         model = cls(delta, k)
         model.profiles = store
-        model._fold([pack.items for pack in all_cips(store, delta)])
+        items, _, sizes = pack_arrays(store, delta)
+        model._fold(items, sizes)
         return model
 
     def update_scores(self, items: Sequence[int]) -> None:
@@ -84,7 +86,7 @@ class CipIModel:
         """
         if len(set(items)) != len(items):
             raise ValueError("pack repeats an item")
-        self._fold([items])
+        self._fold(np.asarray(items, dtype=np.int64), np.array([len(items)]))
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
         """Fold new events into the profiles (see
@@ -99,15 +101,21 @@ class CipIModel:
                 if e > start:                  # the pack holds a new item
                     packs.append(prof.items[b:e])
                     first.append(max(start - b, 0))
-        self._fold(packs, first)
+        sizes = np.fromiter(map(len, packs), dtype=np.int64, count=len(packs))
+        self._fold(np.fromiter(chain.from_iterable(packs), dtype=np.int64), sizes,
+                   np.array(first, dtype=np.int64))
 
-    def _fold(self, packs: list[Sequence[int]], first: list[int] | None = None) -> None:
-        """Fold each pack's forward pairs ending at or after ``first[s]``
-        into ``score`` and the items from there on into ``card``, then
+    def _fold(self, items: np.ndarray, sizes: np.ndarray,
+              first: np.ndarray | None = None) -> None:
+        """Fold the packs of ``sizes`` concatenated in ``items``: each
+        pack's forward pairs ending at or after its position ``first[s]``
+        into ``score`` and its items from there on into ``card``, then
         drop the cached rows whose top-k set can change."""
-        items, p, q = window_pairs(packs, None, first)
-        fresh = items if first is None else np.fromiter(
-            chain.from_iterable(s[f:] for s, f in zip(packs, first)), dtype=np.int64)
+        p, q = pair_positions(sizes, None, first)
+        fresh = items
+        if first is not None:
+            local = np.arange(len(items)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            fresh = items[local >= np.repeat(first, sizes)]
         counts = np.bincount(fresh)
         bumped = np.flatnonzero(counts)
         for i in bumped.tolist():

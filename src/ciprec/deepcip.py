@@ -390,7 +390,8 @@ def most_similar(model: EmbeddingModel, items, n: int,
     norms = np.linalg.norm(model.syn0, axis=1)
     norms[norms == 0.0] = 1.0
     cos = (model.syn0 @ q) / (norms * qn)
-    idx = np.setdiff1d(np.arange(len(cos)),
-                       [model.row[i] for i in exclude if i in model.row])
+    keep = np.ones(len(cos), dtype=bool)
+    keep[[model.row[i] for i in exclude if i in model.row]] = False
+    idx = np.flatnonzero(keep)
     order = np.lexsort((model.item_ids[idx], -cos[idx]))[:n]
     return [(int(model.item_ids[r]), float(cos[r])) for r in idx[order]]

@@ -7,6 +7,17 @@ Each user's profile is the time-ordered sequence of distinct items they
 consumed; a profile splits into consumed item packs (short bursts of
 activity) wherever the gap between consecutive events exceeds ``delta``
 seconds.
+
+Both are built from arrays, not per event. :func:`build_profiles` finds
+each (user, item) pair's first occurrence with one ``np.unique``, groups
+them by user with one stable sort and creates each profile from its
+user's slice. :func:`pack_arrays` is the one pack rule of bulk callers:
+it concatenates every profile in user order and cuts where a user starts
+or the next timestamp is more than ``delta`` seconds later, returning the
+items and the pack sizes. cip-i training folds those arrays directly
+(:func:`pair_positions` lists their windowed pairs); :func:`all_cips`
+makes the same packs into :class:`Cip` objects for deepcip's corpus.
+:meth:`UserProfile.partition` applies the same rule to one profile.
 """
 
 from __future__ import annotations
@@ -115,7 +126,7 @@ def parse_events(source, fmt: str) -> EventLog:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return parse_events(list(fh), fmt)
+            return parse_events(fh, fmt)
 
     users: list[int] = []
     items: list[int] = []
@@ -376,38 +387,75 @@ def _grow_ids(ids: list, n: int) -> None:
 
 def build_profiles(log: EventLog) -> ProfileStore:
     """Build per-user profiles from a log; re-consumptions collapse to
-    the first occurrence."""
+    the first occurrence. Users enter ``store.profiles`` in order of
+    their first event. Raises ValueError if a user's first occurrences
+    are not in timestamp order."""
     store = ProfileStore(log.num_users, log.num_items, log.user_ids, log.item_ids)
-    users = log.users
-    items = log.items
-    ts = log.ts
-    for k in range(len(users)):
-        store.profile(int(users[k])).append(int(items[k]), int(ts[k]))
+    if not len(log):
+        return store
+    span = int(log.items.max()) + 1
+    _, first = np.unique(log.users * span + log.items, return_index=True)
+    first.sort()
+    # group by user, each user's first occurrences still in log order
+    first = first[np.argsort(log.users[first], kind="stable")]
+    users, items, ts = log.users[first], log.items[first], log.ts[first]
+    same = users[1:] == users[:-1]
+    if np.any(same & (ts[1:] < ts[:-1])):
+        raise ValueError("events must arrive in timestamp order")
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    ends = np.append(starts[1:], len(users))
+    for k in np.argsort(first[starts]).tolist():
+        b, e = int(starts[k]), int(ends[k])
+        u, row = int(users[b]), items[b:e].tolist()
+        store.profiles[u] = UserProfile(u, row, ts[b:e].tolist(),
+                                        dict(zip(row, range(e - b))))
     return store
+
+
+def pack_arrays(store: ProfileStore, delta: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every user's packs in user order, as arrays: the profiles' items
+    and timestamps concatenated (int64), and each pack's size. A pack
+    ends where a user's profile ends or the next timestamp is more than
+    ``delta`` seconds later, the rule of :meth:`UserProfile.partition`."""
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    profs = [store.profiles[u] for u in sorted(store.profiles)]
+    lengths = np.fromiter(map(len, profs), dtype=np.int64, count=len(profs))
+    n = int(lengths.sum())
+    items = np.fromiter(chain.from_iterable(p.items for p in profs),
+                        dtype=np.int64, count=n)
+    ts = np.fromiter(chain.from_iterable(p.ts for p in profs), dtype=np.int64, count=n)
+    cut = np.ones(n, dtype=bool)
+    cut[1:] = np.diff(ts) > delta
+    cut[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
+    starts = np.flatnonzero(cut)
+    return items, ts, np.diff(np.append(starts, n))
 
 
 def all_cips(store: ProfileStore, delta: int) -> list[Cip]:
     """Every user's packs, in user order (a training corpus)."""
-    out: list[Cip] = []
-    for u in sorted(store.profiles):
-        out.extend(store.profiles[u].partition(delta))
-    return out
+    items, ts, sizes = pack_arrays(store, delta)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    row = items.tolist()
+    return [Cip(row[b:e], s, t) for b, e, s, t in
+            zip(starts.tolist(), ends.tolist(), ts[starts].tolist(), ts[ends - 1].tolist())]
 
 
-def window_pairs(seqs, window: int | None = None, first=None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every position pair (p, q) of one sequence s with 0 < q - p <=
-    ``window`` (``None``: no limit) and q >= ``first[s]`` (default 0).
+def pair_positions(sizes: np.ndarray, window: int | None = None, first=None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Every position pair (p, q) of one run s of a concatenation of runs
+    of ``sizes`` with 0 < q - p <= ``window`` (``None``: no limit) and
+    q >= ``first[s]`` run positions (default 0).
 
-    Returns ``(items, p, q)``: the sequences concatenated into one int64
-    array and each pair's positions in it, ordered by q, then by q - p.
-    Memory is linear in items plus pairs; no positions x window mask.
+    Returns the flat positions ``(p, q)``, ordered by q, then by q - p.
+    Memory is linear in positions plus pairs; no positions x window mask.
     """
     if window is not None and window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    sizes = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    items = np.fromiter(chain.from_iterable(seqs), dtype=np.int64)
-    at = np.arange(len(items))
+    sizes = np.asarray(sizes, dtype=np.int64)
+    at = np.arange(int(sizes.sum()))
     local = at - np.repeat(np.cumsum(sizes) - sizes, sizes)
     back = local if window is None else np.minimum(local, window)
     if first is not None:
@@ -415,4 +463,14 @@ def window_pairs(seqs, window: int | None = None, first=None
     q = np.repeat(at, back)
     p = np.repeat(at - 1 + np.cumsum(back) - back, back)
     p -= np.arange(len(p))
-    return items, p, q
+    return p, q
+
+
+def window_pairs(seqs, window: int | None = None, first=None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pair_positions` of a list of sequences. Returns ``(items,
+    p, q)``: the sequences concatenated into one int64 array and each
+    pair's positions in it."""
+    sizes = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    items = np.fromiter(chain.from_iterable(seqs), dtype=np.int64)
+    return (items, *pair_positions(sizes, window, first))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ciprec.cip_i import CipIModel
-from ciprec.ingest import ProfileStore
+from ciprec.ingest import ProfileStore, all_cips
 
 from helpers import chunked_batches, random_stream, store_from
 
@@ -83,6 +83,24 @@ def test_streaming_equals_one_shot():
             assert abs(x - y) < 1e-12
             s = batch.similarity(a, b)
             assert 0.0 <= s <= 1.0
+
+
+def test_train_from_pack_arrays_equals_folding_all_cips_pack_by_pack():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        events = random_stream(rng, 6, 15, int(rng.integers(0, 60)), max_gap=80)
+        store = store_from(events)
+        store.profile(7)                               # an empty profile
+        for delta in (0, 60, 10**12):
+            trained = CipIModel.train(store, delta, 3)
+            folded = CipIModel(delta, 3)
+            folded.profiles = store
+            for items in [c.items for c in all_cips(store, delta)]:
+                folded.update_scores(items)
+            # same float steps in the same order: equal, not merely close
+            assert trained.score == folded.score and trained.card == folded.card
+            for u in store.profiles:
+                assert trained.recommend(u, 5) == folded.recommend(u, 5)
 
 
 def test_apply_events_spanning_the_gap_starts_a_new_pack():

@@ -216,6 +216,26 @@ def test_cip_vector_and_most_similar():
     assert_allclose(cip_vector(m, [10, 99]), [1.0, 0.0])
 
 
+def test_most_similar_equals_a_brute_force_sort_with_exclusions():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        m = EmbeddingModel.create(rng.choice(100, int(rng.integers(2, 30)), replace=False),
+                                  TrainConfig(dim=3, seed=2))
+        ids = m.item_ids.tolist()                      # row order
+        # a few rows repeated, so cosines tie and ids break the ties
+        m.syn0 = rng.integers(-2, 3, (len(ids), 3)).astype(np.float64)
+        m.syn0[0] = [1.0, 1.0, 1.0]
+        exclude = set(rng.choice(120, int(rng.integers(0, 12))).tolist())
+        n = int(rng.integers(1, len(ids) + 3))
+        q = cip_vector(m, [ids[0]])
+        norms = np.linalg.norm(m.syn0, axis=1)
+        norms[norms == 0.0] = 1.0
+        cos = (m.syn0 @ q) / (norms * np.linalg.norm(q))
+        want = sorted(((-cos[r], i) for r, i in enumerate(ids) if i not in exclude))
+        got = most_similar(m, [ids[0]], n, exclude=exclude)
+        assert got == [(i, -c) for c, i in want[:n]]
+
+
 def test_recommender_uses_last_pack_and_falls_back():
     store = store_from([(0, 1, 10), (0, 2, 20), (0, 3, 10_000), (1, 2, 15)])
     packs = [[1, 2], [2, 3], [1, 3]] * 10

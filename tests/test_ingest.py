@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ciprec.ingest import (Cip, Event, EventLog, ParseError, ProfileStore,
-                           UserProfile, all_cips, build_profiles, parse_events,
-                           temporal_split, window_pairs)
+                           UserProfile, all_cips, build_profiles, pack_arrays,
+                           parse_events, temporal_split, window_pairs)
 
 
 def test_parse_ml_tab_basic():
@@ -153,6 +153,104 @@ def test_build_profiles_and_counts():
     assert store.get(0).items == [0]        # duplicate consumption dropped
     assert list(store.item_counts()) == [2, 1]
     assert store.popular_ranking() == [0, 1]
+
+
+def _append_profiles(log):
+    """Reference: one ``UserProfile.append`` per event, in log order."""
+    store = ProfileStore(log.num_users, log.num_items, log.user_ids, log.item_ids)
+    for u, i, t in zip(log.users.tolist(), log.items.tolist(), log.ts.tolist()):
+        store.profile(u).append(i, t)
+    return store
+
+
+def _random_log(rng, n_users, n_items, n_events, late_repeats):
+    """Random log with repeats, tied timestamps and users first seen out
+    of id order; ``late_repeats`` repeat events get an earlier timestamp
+    than the user's events before them."""
+    users = rng.integers(0, n_users, n_events)
+    items = rng.integers(0, n_items, n_events)
+    ts = np.cumsum(rng.integers(0, 3, n_events))      # gaps of 0 tie
+    seen: dict[int, list[int]] = {}
+    for k in range(n_events):
+        seen.setdefault(int(users[k]), []).append(k)
+    repeats = [ks for ks in seen.values() if len(ks) > 1]
+    for _ in range(late_repeats if repeats else 0):
+        ks = repeats[int(rng.integers(len(repeats)))]
+        a, b = sorted(rng.choice(len(ks), 2, replace=False))
+        items[ks[b]] = items[ks[a]]
+        ts[ks[b]] = ts[ks[a]] - int(rng.integers(0, 3))
+    ratings = np.full(n_events, np.nan)
+    return EventLog(users, items, ts, ratings, list(range(n_users)),
+                    list(range(n_items)))
+
+
+def _profiles(store):
+    return [(u, p.user, p.items, p.ts, list(p.pos.items()))
+            for u, p in store.profiles.items()]
+
+
+def test_build_profiles_matches_per_event_appends():
+    rng = np.random.default_rng(5)
+    logs = [_random_log(rng, int(rng.integers(1, 12)), int(rng.integers(1, 20)),
+                        int(rng.integers(1, 80)), int(rng.integers(0, 4)))
+            for _ in range(300)]
+    logs.append(EventLog([], [], [], [], [], []))
+    for log in logs:
+        want = _append_profiles(log)
+        got = build_profiles(log)
+        assert _profiles(got) == _profiles(want)     # users in first-event order
+        assert all(type(i) is int for p in got for i in p.items + p.ts)
+        assert (got.num_users, got.num_items) == (log.num_users, log.num_items)
+
+
+def test_build_profiles_rejects_an_unsorted_log():
+    # user 1's second item is older than its first; the earlier-ts
+    # repeat of item 0 by user 0 is a repeat, never checked
+    log = EventLog([0, 1, 0, 0, 1], [0, 1, 1, 0, 2], [10, 20, 30, 5, 15],
+                   [np.nan] * 5, [0, 1], [0, 1, 2])
+    with pytest.raises(ValueError, match="timestamp order"):
+        _append_profiles(log)
+    with pytest.raises(ValueError, match="timestamp order"):
+        build_profiles(log)
+    assert build_profiles(log.slice(0, 4)).get(0).items == [0, 1]
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        log = _random_log(rng, 3, 6, 12, 0)
+        swap = rng.integers(0, len(log), 2)
+        log.ts[swap] = log.ts[swap[::-1]]             # unsorted about half the time
+        try:
+            want = _profiles(_append_profiles(log))
+        except ValueError:
+            with pytest.raises(ValueError):
+                build_profiles(log)
+        else:
+            assert _profiles(build_profiles(log)) == want
+
+
+def test_pack_arrays_match_partition():
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        store = ProfileStore(0, 0)
+        for u, i, t in sorted(zip(rng.integers(0, 8, 40).tolist(),
+                                  rng.integers(0, 15, 40).tolist(),
+                                  np.cumsum(rng.integers(0, 90, 40)).tolist()),
+                              key=lambda e: e[2]):
+            store.add_event(u, i, t)
+        for u in rng.integers(0, 12, 3).tolist():
+            store.profile(u)                          # possibly empty
+        for delta in (0, 60, 10**12):
+            packs = [c for u in sorted(store.profiles)
+                     for c in store.profiles[u].partition(delta)]
+            items, ts, sizes = pack_arrays(store, delta)
+            assert items.tolist() == [i for c in packs for i in c.items]
+            assert sizes.tolist() == [len(c) for c in packs]
+            assert ts.tolist() == [t for u in sorted(store.profiles)
+                                   for t in store.profiles[u].ts]
+            assert all_cips(store, delta) == packs
+    empty = pack_arrays(ProfileStore(0, 0), 60)
+    assert [a.tolist() for a in empty] == [[], [], []]
+    with pytest.raises(ValueError):
+        pack_arrays(store, -1)
 
 
 def test_popular_ranking_orders_and_excludes_unseen():
