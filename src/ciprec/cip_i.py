@@ -10,12 +10,22 @@ The pair is counted once per pack, so
 stays in [0, 1] and hits 1 exactly when every pack containing i or j has
 i immediately followed by j.
 
+Scores are exact: ``score[i][j]`` holds the integer sum of the pair's
+weights in fixed point, ``ONE + round(ONE / H)`` with ``ONE = 2**40``, so
+the order of additions cannot change a bit and a model folded event by
+event equals one trained from scratch. ``ONE`` is a power of two, so
+dividing by ``2 * ONE * max(card)`` gives the same float as storing
+``score / ONE``. A profile holds distinct items, so each user adds at most
+2 to a pair's score, and int64 holds the scores of about 4 million users.
+
 Both stores come from one fold over packs given as arrays (the items
 concatenated, and each pack's size): :func:`~ciprec.ingest.pair_positions`
 lists the forward pairs of the packs (for :meth:`CipIModel.observe`,
-only pairs ending at a new item), one ``np.add.at`` over their ordered
-keys ``i << 32 | j`` adds each pair's weight to the scores, and one
-``np.bincount`` counts the new items into the cards.
+only pairs ending at a new item), one integer sum over their sorted keys
+``i << 32 | j`` adds up each pair's weights, and one ``np.bincount``
+counts the new items into the cards. :meth:`CipIModel.train` folds the
+packs in runs of whole packs of at most ``_PAIR_BUDGET`` pairs, which
+bounds its transient arrays.
 
 One kernel ranks rows: :meth:`CipIModel._top_rows` reads any number of
 score rows into flat arrays, computes their similarities and ranks them
@@ -42,6 +52,9 @@ import numpy as np
 
 from ciprec.ingest import ProfileStore, pack_arrays, pair_positions
 
+ONE = 1 << 40           # fixed-point unit of a score
+_PAIR_BUDGET = 1 << 18  # most pairs one fold of train holds at once
+
 
 class CipIModel:
     """Sparse directed item-item score store plus recommender.
@@ -63,7 +76,7 @@ class CipIModel:
             raise ValueError(f"k must be positive, got {k}")
         self.delta = delta
         self.k = k
-        self.score: dict[int, dict[int, float]] = {}
+        self.score: dict[int, dict[int, int]] = {}
         self.card: dict[int, int] = {}
         self.profiles = ProfileStore(0, 0)
         self._top = np.full((0, k), -1, dtype=np.int64)
@@ -76,7 +89,19 @@ class CipIModel:
         model = cls(delta, k)
         model.profiles = store
         items, _, sizes = pack_arrays(store, delta)
-        model._fold(items, sizes)
+        # pairs[s], ends[s]: the pairs and the items of the first s packs
+        pairs = np.concatenate(([0], np.cumsum(sizes * (sizes - 1) // 2)))
+        if pairs[-1] <= _PAIR_BUDGET:
+            model._fold(items, sizes)
+            return model
+        ends = np.concatenate(([0], np.cumsum(sizes)))
+        a = 0
+        while a < len(sizes):
+            # whole packs up to the budget, and at least one
+            b = max(int(np.searchsorted(pairs, pairs[a] + _PAIR_BUDGET, "right")) - 1,
+                    a + 1)
+            model._fold(items[ends[a]:ends[b]], sizes[a:b])
+            a = b
         return model
 
     def update_scores(self, items: Sequence[int]) -> None:
@@ -92,7 +117,7 @@ class CipIModel:
         """Fold new events into the profiles (see
         :meth:`ProfileStore.extend`), scoring each new item against the
         members of the pack it joins. Produces the same stores as
-        retraining on the final profiles, up to float summation order."""
+        retraining on the final profiles."""
         packs, first = [], []
         for u, start in self.profiles.extend(batches).items():
             prof = self.profiles.profiles[u]
@@ -124,16 +149,18 @@ class CipIModel:
             self._drop(bumped, bumped[:0])
             return
         pairs = (items[p] << 32) | items[q]
-        keys = np.sort(pairs)
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        ij = [divmod(key, 1 << 32) for key in keys.tolist()]
-        sums = np.array([self.score.get(i, {}).get(j, 0.0) for i, j in ij])
-        # one pair at a time, 1 and then 1/(q - p): a sum of the weights
-        # rounds otherwise, and ulp gaps reorder tied similarities
-        np.add.at(sums, np.searchsorted(keys, pairs).repeat(2),
-                  np.column_stack((np.ones(len(p)), 1.0 / (q - p))).ravel())
-        for (i, j), s in zip(ij, sums.tolist()):
-            self.score.setdefault(i, {})[j] = s
+        h = q - p
+        weights = ONE + (2 * ONE + h) // (2 * h)      # ONE + round(ONE / h)
+        order = np.argsort(pairs)
+        keys = pairs[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        sums = np.add.reduceat(weights[order], starts)
+        keys = keys[starts]
+        score = self.score
+        for key, s in zip(keys.tolist(), sums.tolist()):
+            row = score.setdefault(key >> 32, {})
+            j = key & 0xFFFFFFFF
+            row[j] = row.get(j, 0) + s
         self._drop(bumped, keys >> 32)
 
     def _drop(self, bumped: np.ndarray, rescored: np.ndarray) -> None:
@@ -161,11 +188,11 @@ class CipIModel:
         size = int(lengths.sum())
         cols = list(chain.from_iterable(got))
         s = np.fromiter(chain.from_iterable(r.values() for r in got),
-                        dtype=np.float64, count=size)
+                        dtype=np.int64, count=size)
         ci = np.fromiter(map(card.get, rows, repeat(0)), dtype=np.int64,
                          count=len(rows)).repeat(lengths)
         cj = np.fromiter(map(card.get, cols, repeat(0)), dtype=np.int64, count=size)
-        sim = s / (2.0 * np.maximum(ci, cj))
+        sim = s / (2.0 * ONE * np.maximum(ci, cj))
         j = np.array(cols, dtype=np.int64)
         r = np.arange(len(rows)).repeat(lengths)
         order = np.lexsort((j, -sim, r))      # r is already sorted
@@ -176,10 +203,10 @@ class CipIModel:
 
     def similarity(self, i: int, j: int) -> float:
         """Directed similarity of j following i; 0 without co-consumption."""
-        s = self.score.get(i, {}).get(j, 0.0)
-        if s == 0.0:
+        s = self.score.get(i, {}).get(j, 0)
+        if s == 0:
             return 0.0
-        return s / (2.0 * max(self.card.get(i, 0), self.card.get(j, 0)))
+        return s / (2.0 * ONE * max(self.card.get(i, 0), self.card.get(j, 0)))
 
     def top_k(self, i: int, k: int | None = None) -> list[tuple[int, float]]:
         """Top-k successors of item i by similarity, ties by ascending

@@ -54,9 +54,6 @@ class RunConfig:
     alpha: float = 0.5
     batch_q: int = 1000
 
-    def k_for(self, kind: str) -> int:
-        return self.k_users if kind == "cip-u" else self.k_items
-
 
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
 

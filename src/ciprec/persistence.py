@@ -1,26 +1,30 @@
 """Versioned on-disk formats for event logs and trained models.
 
 Every file starts with ``CIPREC1 <kind>``; loaders verify both the magic
-and the kind and fail loudly on a mismatch. Model files reference the
-canonical events file they were built from (path relative to the model
-file), carry all ids as raw ids, and keep float payloads either as
-full-precision reprs or as little-endian float64 binary rows, so a
-save/load round trip reproduces the model's answers exactly even though
-dense internal indices are reassigned on load.
+and the kind and fail loudly on a mismatch. A model file names the
+canonical events file it was built from (path relative to the model
+file) and records that file's size and SHA-256; loading raises
+``FormatError`` when the events file no longer matches them.
+
+cip-u, cip-i and popularity models are functions of their events and
+params, so their files hold only the params, one ``key value`` line
+each, and loading retrains the model from the events file. deepcip and
+fism files add their factors as little-endian float64 binary rows under
+raw ids, so a save/load round trip reproduces their answers exactly even
+though dense internal indices are reassigned on load.
 """
 
 from __future__ import annotations
 
+import hashlib
+import inspect
 import math
 import os
-from array import array
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import triu
 
-from ciprec.analysis import ItemGraph
 from ciprec.cip_i import CipIModel
 from ciprec.cip_u import CipUModel
 from ciprec.deepcip import DeepCipRecommender, EmbeddingModel, TrainConfig
@@ -129,13 +133,56 @@ def _resolve_ref(model_path, ref: str) -> Path:
     return (Path(model_path).resolve().parent / ref).resolve()
 
 
-def _load_ref_profiles(model_path, ref: str, raw_users=(), raw_items=()
-                       ) -> tuple[EventLog, ProfileStore]:
+def _read_kv(fh, key: str, path) -> str:
+    line = fh.readline()
+    if isinstance(line, bytes):
+        line = line.decode("utf-8")
+    line = line.strip()
+    if not line.startswith(key + " "):
+        raise FormatError(f"{path}: expected '{key} ...', got {line!r}")
+    return line[len(key) + 1:]
+
+
+def _digest(path) -> str:
+    """``<size> <sha256>`` of a file's bytes."""
+    h, size = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+            size += len(block)
+    return f"{size} {h.hexdigest()}"
+
+
+def _head(kind: str, model_path, events_path) -> str:
+    """The header, events reference and events digest lines of a model
+    file."""
+    return (f"{MAGIC} {kind}\n"
+            f"events {_events_ref(model_path, events_path)}\n"
+            f"events-digest {_digest(events_path)}\n")
+
+
+def _read_ref(fh, path) -> tuple[str, str]:
+    """The events reference and digest that follow a model file's header."""
+    ref = _read_kv(fh, "events", path)
+    try:
+        return ref, _read_kv(fh, "events-digest", path)
+    except FormatError:
+        raise FormatError(f"{path}: no events digest; a model file written "
+                          "before model files recorded one must be retrained "
+                          "with 'ciprec train'") from None
+
+
+def _load_ref_profiles(model_path, ref: str, digest: str, raw_users=(),
+                       raw_items=()) -> tuple[EventLog, ProfileStore]:
     events_path = _resolve_ref(model_path, ref)
     if not events_path.exists():
         raise FormatError(
             f"{model_path}: events reference {ref!r} not found at "
             f"{events_path}; keep the model next to its events file")
+    if _digest(events_path) != digest:
+        raise FormatError(
+            f"{model_path}: events file {events_path} changed after the "
+            f"model was saved (saved size and sha256: {digest})")
     log = load_events(events_path)
     # a model may carry catalog rows for ids its events file never
     # mentions (e.g. trained on a split that inherited the full id
@@ -155,22 +202,21 @@ def _fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+# kinds whose file holds only params: loading retrains them
+_DERIVED = {"cip-u": CipUModel, "cip-i": CipIModel, "popularity": PopularityModel}
+
+
 def save_model(model, path, events_path) -> None:
     """Write any trained model next to its canonical events file,
     atomically: a failed save leaves the previous file as it was."""
-    savers = {
-        "cip-u": _save_cip_u,
-        "cip-i": _save_cip_i,
-        "deepcip": _save_deepcip,
-        "fism": _save_fism,
-        "popularity": _save_popularity,
-    }
+    savers = {**dict.fromkeys(_DERIVED, _save_derived),
+              "deepcip": _save_deepcip, "fism": _save_fism}
     kind = getattr(model, "kind", None)
     if kind not in savers:
         raise FormatError(f"cannot save model of kind {kind!r}")
-    ref = _events_ref(path, events_path)
+    head = _head(kind, path, events_path)
     with _replacing(path) as tmp:
-        savers[kind](model, tmp, ref)
+        savers[kind](model, tmp, head)
 
 
 def load_model(path):
@@ -178,150 +224,50 @@ def load_model(path):
     reference. The returned object answers queries identically to the
     one that was saved."""
     kind = peek_kind(path)
-    loaders = {
-        "cip-u": _load_cip_u,
-        "cip-i": _load_cip_i,
-        "deepcip": _load_deepcip,
-        "fism": _load_fism,
-        "popularity": _load_popularity,
-    }
+    loaders = {**dict.fromkeys(_DERIVED, _load_derived),
+               "deepcip": _load_deepcip, "fism": _load_fism}
     if kind not in loaders:
         raise FormatError(f"{path}: unknown model kind {kind!r}")
-    return loaders[kind](path)
+    return loaders[kind](path, kind)
 
 
-def _sorted_rows(a, b, c) -> np.ndarray:
-    """``(min(a, b), max(a, b), c)`` int64 rows in ascending order."""
-    rows = np.column_stack((np.minimum(a, b), np.maximum(a, b), c)).astype(np.int64)
-    return rows[np.lexsort(rows.T[::-1])]
-
-
-def _pair_rows(model: CipUModel) -> np.ndarray:
-    """H's upper triangle as sorted ``(raw user, raw user, count)`` rows,
-    the smaller raw id first."""
-    up = triu(model._h, k=1).tocoo()
-    ids = np.asarray(model.profiles.user_ids, dtype=np.int64)
-    return _sorted_rows(ids[up.row], ids[up.col], up.data)
-
-
-def _save_cip_u(model: CipUModel, path, ref: str) -> None:
-    pairs = _pair_rows(model)
+def _save_derived(model, path, head: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{MAGIC} cip-u\n")
-        fh.write(f"events {ref}\n")
-        fh.write(f"delta-h {model.delta_h}\n")
-        fh.write(f"k {model.k}\n")
-        fh.write(f"pairs {len(pairs)}\n")
-        np.savetxt(fh, pairs, fmt="%d")
+        fh.write(head)
+        fh.writelines(f"{key} {value}\n" for key, value in model.params.items())
 
 
-def _load_cip_u(path) -> CipUModel:
-    """Load a cip-u model: the pair store is rebuilt from the events
-    file, and the file's non-zero pair counts must match it."""
-    vals = array("q")
+def _load_derived(path, kind: str):
+    """Retrain a cip-u, cip-i or popularity model from its events file
+    with the params of its file, one integer for each argument of the
+    kind's ``train`` after the store."""
+    cls = _DERIVED[kind]
+    names = list(inspect.signature(cls.train).parameters)[1:]
+    params = {}
     with open(path, "r", encoding="utf-8") as fh:
-        _check_header(fh.readline(), "cip-u", path)
-        ref = _read_kv(fh, "events", path)
-        delta_h = int(_read_kv(fh, "delta-h", path))
-        k = int(_read_kv(fh, "k", path))
-        n_pairs = int(_read_kv(fh, "pairs", path))
-        model = CipUModel.train(_load_ref_profiles(path, ref)[1], delta_h, k)
-        for _ in range(n_pairs):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}: truncated pairs section")
+        _check_header(fh.readline(), kind, path)
+        ref, digest = _read_ref(fh, path)
+        for line in fh:
+            parts = line.split()
+            if len(parts) != 2 or parts[0] not in names or parts[0] in params:
+                raise FormatError(f"{path}: expected one '<param> <value>' line "
+                                  f"for each of {names}, got {line.strip()!r}")
             try:
-                vals.extend(map(int, parts))
-            except (ValueError, OverflowError):
-                raise FormatError(f"{path}: pair row is not three 64-bit integers") from None
-    rows = np.frombuffer(vals, dtype=np.int64).reshape(-1, 3)
-    rows = rows[rows[:, 2] != 0]          # older files also list zero counts
-    if not np.array_equal(_sorted_rows(*rows.T), _pair_rows(model)):
-        raise FormatError(f"{path}: pairs do not match its events file")
-    return model
-
-
-def _read_kv(fh, key: str, path) -> str:
-    line = fh.readline().strip()
-    if not line.startswith(key + " "):
-        raise FormatError(f"{path}: expected '{key} ...', got {line!r}")
-    return line[len(key) + 1:]
-
-
-def _save_cip_i(model: CipIModel, path, ref: str) -> None:
-    ids = model.profiles.item_ids
-    cards = sorted((ids[i], c) for i, c in model.card.items())
-    scores = []
-    for i, row in model.score.items():
-        for j, s in row.items():
-            scores.append((ids[i], ids[j], s))
-    scores.sort()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{MAGIC} cip-i\n")
-        fh.write(f"events {ref}\n")
-        fh.write(f"delta {model.delta}\n")
-        fh.write(f"k {model.k}\n")
-        fh.write(f"card {len(cards)}\n")
-        for i_raw, c in cards:
-            fh.write(f"{i_raw} {c}\n")
-        fh.write(f"scores {len(scores)}\n")
-        for i_raw, j_raw, s in scores:
-            fh.write(f"{i_raw} {j_raw} {_fmt_float(s)}\n")
-
-
-def _load_cip_i(path) -> CipIModel:
-    """Load a cip-i model. Every item must be in the events file, every
-    card a positive integer, every scored item carded and every score a
-    positive finite float."""
-    with open(path, "r", encoding="utf-8") as fh:
-        _check_header(fh.readline(), "cip-i", path)
-        ref = _read_kv(fh, "events", path)
-        delta = int(_read_kv(fh, "delta", path))
-        k = int(_read_kv(fh, "k", path))
-        log, store = _load_ref_profiles(path, ref)
-        model = CipIModel(delta, k)
-        model.profiles = store
-
-        def item(raw: str) -> int:
-            try:
-                return log.item_index[int(raw)]
-            except (KeyError, ValueError):
-                raise FormatError(f"{path}: item {raw!r} is not an item of "
-                                  "its events file") from None
-
-        n_card = int(_read_kv(fh, "card", path))
-        for _ in range(n_card):
-            parts = fh.readline().split()
-            if len(parts) != 2:
-                raise FormatError(f"{path}: truncated card section")
-            try:
-                c = int(parts[1])
+                params[parts[0]] = int(parts[1])
             except ValueError:
-                c = 0
-            if c <= 0:
-                raise FormatError(f"{path}: card {parts[1]!r} is not a positive integer")
-            model.card[item(parts[0])] = c
-        n_scores = int(_read_kv(fh, "scores", path))
-        for _ in range(n_scores):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}: truncated scores section")
-            i, j = item(parts[0]), item(parts[1])
-            try:
-                s = float(parts[2])
-            except ValueError:
-                s = math.nan
-            if not (0.0 < s < math.inf):
-                raise FormatError(f"{path}: score {parts[2]!r} is not a positive "
-                                  "finite number")
-            if i not in model.card or j not in model.card:
-                raise FormatError(f"{path}: score row {parts[0]} {parts[1]} "
-                                  "names an item without a card")
-            model.score.setdefault(i, {})[j] = s
-    return model
+                raise FormatError(f"{path}: {parts[0]} {parts[1]!r} is not an "
+                                  "integer") from None
+    if len(params) != len(names):
+        raise FormatError(f"{path}: missing params "
+                          f"{[n for n in names if n not in params]}")
+    _, store = _load_ref_profiles(path, ref, digest)
+    try:
+        return cls.train(store, **params)
+    except ValueError as exc:         # out-of-range params
+        raise FormatError(f"{path}: {exc}") from None
 
 
-def _save_deepcip(rec, path, ref: str) -> None:
+def _save_deepcip(rec, path, head: str) -> None:
     model: EmbeddingModel = getattr(rec, "model", rec)
     delta = getattr(rec, "delta", 60)
     store = getattr(rec, "profiles", None)
@@ -330,9 +276,7 @@ def _save_deepcip(rec, path, ref: str) -> None:
     else:
         raw_ids = [int(i) for i in model.item_ids]
     cfg = model.config
-    header = (
-        f"{MAGIC} deepcip\n"
-        f"events {ref}\n"
+    header = head + (
         f"delta {delta}\n"
         f"n {len(model)} d {model.dim}\n"
         f"window {cfg.window} negatives {cfg.negatives} lr {_fmt_float(cfg.lr)} "
@@ -346,23 +290,23 @@ def _save_deepcip(rec, path, ref: str) -> None:
         fh.write(np.ascontiguousarray(model.syn1, dtype="<f8").tobytes())
 
 
-def _load_deepcip(path) -> DeepCipRecommender:
+def _load_deepcip(path, kind: str) -> DeepCipRecommender:
     with open(path, "rb") as fh:
-        _check_header(fh.readline().decode("utf-8"), "deepcip", path)
-        ref = _read_kv_b(fh, "events", path)
-        delta = int(_read_kv_b(fh, "delta", path))
-        nd = _read_kv_b(fh, "n", path).split()
+        _check_header(fh.readline().decode("utf-8"), kind, path)
+        ref, digest = _read_ref(fh, path)
+        delta = int(_read_kv(fh, "delta", path))
+        nd = _read_kv(fh, "n", path).split()
         if len(nd) != 3 or nd[1] != "d":
             raise FormatError(f"{path}: expected 'n <n> d <d>'")
         n, d = int(nd[0]), int(nd[2])
-        hp_line = _read_kv_b(fh, "window", path).split()
+        hp_line = _read_kv(fh, "window", path).split()
         window = int(hp_line[0])
         negatives = int(hp_line[2])
         lr = float(hp_line[4])
         min_lr = float(hp_line[6])
         epochs = int(hp_line[8])
         seed = int(hp_line[10])
-        raw_items = [int(x) for x in _read_kv_b(fh, "items", path).split()]
+        raw_items = [int(x) for x in _read_kv(fh, "items", path).split()]
         if len(raw_items) != n:
             raise FormatError(f"{path}: items line has {len(raw_items)} ids, expected {n}")
         marker = fh.readline().decode("utf-8").strip()
@@ -373,7 +317,7 @@ def _load_deepcip(path) -> DeepCipRecommender:
             raise FormatError(f"{path}: truncated binary payload")
     syn0 = np.frombuffer(payload[: n * d * 8], dtype="<f8").reshape(n, d).copy()
     syn1 = np.frombuffer(payload[n * d * 8:], dtype="<f8").reshape(n, d).copy()
-    log, store = _load_ref_profiles(path, ref)
+    log, store = _load_ref_profiles(path, ref, digest)
     dense = np.asarray([log.item_index[i] for i in raw_items], dtype=np.int64)
     cfg = TrainConfig(dim=d, window=window, negatives=negatives, lr=lr,
                       min_lr=min_lr, epochs=epochs, seed=seed)
@@ -381,20 +325,11 @@ def _load_deepcip(path) -> DeepCipRecommender:
     return DeepCipRecommender(model, store, delta)
 
 
-def _read_kv_b(fh, key: str, path) -> str:
-    line = fh.readline().decode("utf-8").strip()
-    if not line.startswith(key + " "):
-        raise FormatError(f"{path}: expected '{key} ...', got {line!r}")
-    return line[len(key) + 1:]
-
-
-def _save_fism(model: FismModel, path, ref: str) -> None:
+def _save_fism(model: FismModel, path, head: str) -> None:
     if model.profiles is None:
         raise FormatError("fism model has no profiles attached")
     store = model.profiles
-    header = (
-        f"{MAGIC} fism\n"
-        f"events {ref}\n"
+    header = head + (
         f"m {model.num_users} n {model.num_items} k {model.k} "
         f"alpha {_fmt_float(model.alpha)}\n"
         f"delta {model.delta}\n"
@@ -408,16 +343,16 @@ def _save_fism(model: FismModel, path, ref: str) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _load_fism(path) -> FismModel:
+def _load_fism(path, kind: str) -> FismModel:
     with open(path, "rb") as fh:
-        _check_header(fh.readline().decode("utf-8"), "fism", path)
-        ref = _read_kv_b(fh, "events", path)
-        shape = _read_kv_b(fh, "m", path).split()
+        _check_header(fh.readline().decode("utf-8"), kind, path)
+        ref, digest = _read_ref(fh, path)
+        shape = _read_kv(fh, "m", path).split()
         m, n, k = int(shape[0]), int(shape[2]), int(shape[4])
         alpha = float(shape[6])
-        delta = int(_read_kv_b(fh, "delta", path))
-        raw_users = [int(x) for x in _read_kv_b(fh, "users", path).split()]
-        raw_items = [int(x) for x in _read_kv_b(fh, "items", path).split()]
+        delta = int(_read_kv(fh, "delta", path))
+        raw_users = [int(x) for x in _read_kv(fh, "users", path).split()]
+        raw_items = [int(x) for x in _read_kv(fh, "items", path).split()]
         if len(raw_users) != m or len(raw_items) != n:
             raise FormatError(f"{path}: id lines do not match m/n")
         marker = fh.readline().decode("utf-8").strip()
@@ -439,7 +374,7 @@ def _load_fism(path) -> FismModel:
     b_item_file = take(n, (n,))
     p_file = take(n * k, (n, k))
     q_file = take(n * k, (n, k))
-    log, store = _load_ref_profiles(path, ref, raw_users, raw_items)
+    log, store = _load_ref_profiles(path, ref, digest, raw_users, raw_items)
     u_perm = np.asarray([log.user_index[r] for r in raw_users])
     i_perm = np.asarray([log.item_index[r] for r in raw_items])
     b_user = np.zeros(store.num_users)
@@ -453,57 +388,3 @@ def _load_fism(path) -> FismModel:
     model = FismModel(p, q, b_user, b_item, alpha, delta)
     model.profiles = store
     return model
-
-
-def _count_rows(store: ProfileStore) -> list[tuple[int, int]]:
-    """Sorted ``(raw item, count)`` rows of every consumed item."""
-    counts = store.item_counts()
-    return sorted((store.item_ids[i], int(c)) for i, c in enumerate(counts) if c > 0)
-
-
-def _save_popularity(model: PopularityModel, path, ref: str) -> None:
-    rows = _count_rows(model.profiles)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{MAGIC} popularity\n")
-        fh.write(f"events {ref}\n")
-        fh.write(f"counts {len(rows)}\n")
-        for raw, c in rows:
-            fh.write(f"{raw} {c}\n")
-
-
-def _load_popularity(path) -> PopularityModel:
-    """Load a popularity model; its counts must match the ones rebuilt
-    from the events file."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        _check_header(fh.readline(), "popularity", path)
-        ref = _read_kv(fh, "events", path)
-        n_rows = int(_read_kv(fh, "counts", path))
-        for _ in range(n_rows):
-            parts = fh.readline().split()
-            if len(parts) != 2:
-                raise FormatError(f"{path}: truncated counts section")
-            try:
-                rows.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise FormatError(f"{path}: non-integer count row") from None
-    _, store = _load_ref_profiles(path, ref)
-    if rows != _count_rows(store):
-        raise FormatError(f"{path}: counts do not match its events file")
-    return PopularityModel(store)
-
-
-def load_graph(path) -> ItemGraph:
-    """Read a tab-separated edge list back into a graph."""
-    edges: dict[tuple[int, int], float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{line_no}: expected i<TAB>j<TAB>weight")
-            i, j = int(parts[0]), int(parts[1])
-            edges[(min(i, j), max(i, j))] = float(parts[2])
-    return ItemGraph(edges)

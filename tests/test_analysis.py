@@ -140,15 +140,14 @@ def test_item_graph_min_weight_boundary():
 
 
 def test_edge_list_round_trip(tmp_path):
-    from ciprec.persistence import load_graph
     g = _graph([(0, 1, 3), (1, 2, 2.5)])
     path = tmp_path / "g.tsv"
     export_edge_list(g, path)
     text = path.read_text()
     assert "0\t1\t3\n" in text          # integral weights stay integral
     assert "1\t2\t2.5\n" in text
-    g2 = load_graph(path)
-    assert g2.edges == g.edges
+    rows = [line.split("\t") for line in text.splitlines()]
+    assert {(int(i), int(j)): float(w) for i, j, w in rows} == g.edges
 
 
 def test_graphml_export(tmp_path):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ciprec.cip_i import CipIModel
+from ciprec import cip_i
+from ciprec.cip_i import ONE, CipIModel
 from ciprec.ingest import ProfileStore, all_cips
 
 from helpers import chunked_batches, random_stream, store_from
@@ -23,11 +24,11 @@ def _store_of_packs(packs, gap=10_000):
 
 def test_single_pack_scores_frozen():
     # hand-derived for pack [a, b, c]: adjacent pairs score 1 + 1/1,
-    # the distance-2 pair scores 1 + 1/2
+    # the distance-2 pair scores 1 + 1/2, in units of ONE
     m = CipIModel.train(_store_of_packs([[0, 1, 2]]), 60, 5)
-    assert m.score[0][1] == 2.0
-    assert m.score[1][2] == 2.0
-    assert m.score[0][2] == 1.5
+    assert m.score[0][1] == 2 * ONE
+    assert m.score[1][2] == 2 * ONE
+    assert m.score[0][2] == 3 * ONE // 2
     assert 1 not in m.score.get(2, {}) and 0 not in m.score.get(1, {})
     assert m.card == {0: 1, 1: 1, 2: 1}
     assert m.similarity(0, 1) == 1.0
@@ -74,15 +75,12 @@ def test_streaming_equals_one_shot():
         stream = CipIModel(40, 5)
         for u, i, t in events:
             stream.observe({u: [(i, t)]})
+        # integer sums: equal, whatever the order of the additions
         assert batch.card == stream.card
-        keys = {(a, b) for a, r in batch.score.items() for b in r}
-        keys |= {(a, b) for a, r in stream.score.items() for b in r}
-        for a, b in keys:
-            x = batch.score.get(a, {}).get(b, 0.0)
-            y = stream.score.get(a, {}).get(b, 0.0)
-            assert abs(x - y) < 1e-12
-            s = batch.similarity(a, b)
-            assert 0.0 <= s <= 1.0
+        assert batch.score == stream.score
+        for a, row in batch.score.items():
+            for b in row:
+                assert 0.0 <= batch.similarity(a, b) <= 1.0
 
 
 def test_train_from_pack_arrays_equals_folding_all_cips_pack_by_pack():
@@ -97,10 +95,23 @@ def test_train_from_pack_arrays_equals_folding_all_cips_pack_by_pack():
             folded.profiles = store
             for items in [c.items for c in all_cips(store, delta)]:
                 folded.update_scores(items)
-            # same float steps in the same order: equal, not merely close
             assert trained.score == folded.score and trained.card == folded.card
             for u in store.profiles:
                 assert trained.recommend(u, 5) == folded.recommend(u, 5)
+
+
+def test_train_in_runs_of_packs_equals_train_in_one_run(monkeypatch):
+    rng = np.random.default_rng(29)
+    stores = []
+    for _ in range(60):
+        events = random_stream(rng, 6, 15, int(rng.integers(0, 80)), max_gap=80)
+        stores.append(store_from(events))
+    whole = [CipIModel.train(store, 60, 3) for store in stores]
+    for budget in (1, 2, 7):              # runs of one pack and of several
+        monkeypatch.setattr(cip_i, "_PAIR_BUDGET", budget)
+        for store, want in zip(stores, whole):
+            got = CipIModel.train(store, 60, 3)
+            assert got.score == want.score and got.card == want.card
 
 
 def test_apply_events_spanning_the_gap_starts_a_new_pack():

@@ -55,9 +55,3 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     p.write_text(json.dumps([1, 2]))
     with pytest.raises(ValueError):
         config.load_config_file(p)
-
-
-def test_k_for_picks_the_right_neighborhood():
-    cfg = config.RunConfig(k_users=50, k_items=30)
-    assert cfg.k_for("cip-u") == 50
-    assert cfg.k_for("cip-i") == 30

@@ -9,7 +9,9 @@ model's own pair loops. A change that reorders any list or edge, or
 rounds any score differently, fails here; if the change is intended,
 record the new digests and say why. The deepcip digests were recorded
 with the code as it stood before training and the gradient checks shared
-one batched SGNS kernel.
+one batched SGNS kernel. The cip-i digests were recorded again when cip-i
+scores became exact integer sums in fixed point: the scores digest hashes
+those integers, and the lists of this corpus kept their digest.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ from ciprec.synthetic import generate_events
 from helpers import store_from
 
 CIP_I_LISTS = "4a8bfb6f13df02231d927318b187ea5403d7473e87f0b2b186d7a122d4be02e1"
-CIP_I_SCORES = "63b16afdb3729d8870c9da2dbccc4faef45a7347269f86e1f3c67968c11000a9"
+CIP_I_SCORES = "a5f44bfe610d05af71129082fa4a6c41048c87f7d7235ee102754f0a44e515f5"
 CIP_U_LISTS = "c43ace23e310438c830cc60501630896db8e98236ede0914ee8f6b2f7f8b3df3"
 DEEPCIP_EMBEDDINGS = "e3b59139a72d435ead1157396a1b58c06c18e4b85725e00a0a2fa3a78a17fde1"
 DEEPCIP_LISTS = "3f9e4f5d34c742ff9e29ea3edbd6ddbd117be81401a1b90b33752455300febb3"

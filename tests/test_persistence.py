@@ -172,74 +172,6 @@ def test_popularity_round_trip(corpus):
     assert _recommendations(loaded) == _recommendations(model)
 
 
-def test_popularity_counts_must_match_the_events(tmp_path, corpus):
-    log, store, events_path, tmp = corpus
-    path = tmp_path / "m.pop"
-    save_model(PopularityModel.train(store), path, events_path)
-    load_model(path)
-    lines = path.read_text().splitlines(keepends=True)
-    assert lines[2].startswith("counts ")
-    raw, count = lines[3].split()
-    # copies sit next to the original, so the events reference resolves
-    tampered = tmp_path / "tampered.pop"
-    tampered.write_text("".join(lines[:3] + [f"{raw} {int(count) + 997}\n"]
-                                + lines[4:]))
-    truncated = tmp_path / "truncated.pop"
-    truncated.write_text("".join(lines[:-1]))
-    for bad in (tampered, truncated):
-        with pytest.raises(FormatError):
-            load_model(bad)
-
-
-def _cip_u_file(tmp_path, corpus):
-    """A saved cip-u model: the path, its header lines, its pair rows and
-    one raw user pair that has no row."""
-    log, store, events_path, tmp = corpus
-    path = tmp_path / "m.cipu"
-    save_model(CipUModel.train(store, 3, 10), path, events_path)
-    lines = path.read_text().splitlines(keepends=True)
-    assert lines[4] == f"pairs {len(lines) - 5}\n"
-    listed = {tuple(int(x) for x in row.split()[:2]) for row in lines[5:]}
-    raw = sorted(log.user_ids)
-    absent = next((a, b) for a in raw for b in raw
-                  if a < b and (a, b) not in listed)
-    return path, lines[:4], lines[5:], absent
-
-
-def _write_pairs(path, head, rows, name):
-    out = path.parent / name      # next to the original: same events reference
-    out.write_text("".join(head + [f"pairs {len(rows)}\n"] + rows))
-    return out
-
-
-def test_cip_u_pairs_must_match_the_events(tmp_path, corpus):
-    path, head, rows, (a, b) = _cip_u_file(tmp_path, corpus)
-    load_model(path)
-    u, v, hp = rows[0].split()
-    bad = {
-        "changed": [f"{u} {v} {int(hp) + 1}\n"] + rows[1:],
-        "missing": rows[1:],
-        "extra": rows + [f"{a} {b} 1\n"],
-    }
-    for name, bad_rows in bad.items():
-        with pytest.raises(FormatError, match="do not match"):
-            load_model(_write_pairs(path, head, bad_rows, name))
-    for name, row in (("text", f"{u} {v} x\n"), ("huge", f"{u} {v} {2**70}\n")):
-        with pytest.raises(FormatError, match="64-bit integers"):
-            load_model(_write_pairs(path, head, [row] + rows[1:], name))
-    truncated = path.parent / "truncated"
-    truncated.write_text("".join(head + [f"pairs {len(rows)}\n"] + rows[:-1]))
-    with pytest.raises(FormatError, match="truncated"):
-        load_model(truncated)
-
-
-def test_cip_u_file_listing_zero_count_pairs_loads(tmp_path, corpus):
-    # older files also listed pairs with common items but no hammock pair
-    path, head, rows, (a, b) = _cip_u_file(tmp_path, corpus)
-    old = load_model(_write_pairs(path, head, rows + [f"{b} {a} 0\n"], "old"))
-    assert _recommendations(old) == _recommendations(load_model(path))
-
-
 def test_model_file_errors(tmp_path, corpus):
     log, store, events_path, tmp = corpus
     model = CipIModel.train(store, 60, 10)
@@ -258,6 +190,87 @@ def test_model_file_errors(tmp_path, corpus):
         load_model(bad)
     with pytest.raises(OSError):
         load_model(tmp_path / "does-not-exist")
+
+
+_TRAIN = {
+    "cip-u": lambda store: CipUModel.train(store, 3, 10),
+    "cip-i": lambda store: CipIModel.train(store, 60, 10),
+    "popularity": PopularityModel.train,
+    "deepcip": lambda store: DeepCipRecommender(
+        train(all_cips(store, 60), TrainConfig(dim=4, epochs=1, seed=3)), store, 60),
+    "fism": lambda store: FismModel.train(store, 60, 3, 0.5, seed=3),
+}
+
+
+def _saved(tmp_path, corpus, kind):
+    """A model of ``kind`` saved next to its own copy of the events file:
+    the model path and the events file's lines."""
+    log, store, events_path, tmp = corpus
+    events = tmp_path / "events.ciprec"
+    events.write_bytes(events_path.read_bytes())
+    path = tmp_path / f"m.{kind}"
+    save_model(_TRAIN[kind](store), path, events)
+    load_model(path)
+    return path, events.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("kind", sorted(_TRAIN))
+def test_events_file_edited_after_the_save_raises_format_error(tmp_path, corpus, kind):
+    path, lines = _saved(tmp_path, corpus, kind)
+    u, i, t = lines[5].split(",")
+    edits = {
+        "timestamp": lines[:5] + [f"{u},{i},{int(t) + 1}\n"] + lines[6:],
+        "dropped": lines[:-1],
+        "appended": lines + [f"{u},999999,{int(lines[-1].split(',')[2]) + 1}\n"],
+    }
+    for edited in edits.values():
+        (tmp_path / "events.ciprec").write_text("".join(edited))
+        with pytest.raises(FormatError, match="changed after the model was saved"):
+            load_model(path)
+
+
+@pytest.mark.parametrize("kind", sorted(_TRAIN))
+def test_model_file_without_its_events_digest_raises_format_error(tmp_path, corpus,
+                                                                  kind):
+    path, _ = _saved(tmp_path, corpus, kind)
+    data = path.read_bytes()
+    head, _, rest = data.partition(b"\nevents-digest ")
+    assert rest                               # the third line
+    path.write_bytes(head + b"\n" + rest.partition(b"\n")[2])
+    with pytest.raises(FormatError, match="no events digest"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["cip-u", "cip-i"])
+def test_bad_params_in_a_derived_file_raise_format_error(tmp_path, corpus, kind):
+    path, _ = _saved(tmp_path, corpus, kind)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[3:] == [f"{key} {value}\n"
+                         for key, value in _TRAIN[kind](corpus[1]).params.items()]
+    head, params = lines[:3], lines[3:]
+    k = params.index("k 10\n")
+    bad = {
+        "missing": params[:k] + params[k + 1:],
+        "unknown": params + ["wat 1\n"],
+        "repeated": params + ["k 10\n"],
+        "not an integer": params[:k] + ["k ten\n"] + params[k + 1:],
+        "out of range": params[:k] + ["k 0\n"] + params[k + 1:],
+    }
+    for rows in bad.values():
+        path.write_text("".join(head + rows))
+        with pytest.raises(FormatError):
+            load_model(path)
+    path.write_text("".join(head + params[::-1]))   # any order loads
+    assert load_model(path).params == _TRAIN[kind](corpus[1]).params
+
+
+def test_any_param_in_a_popularity_file_raises_format_error(tmp_path, corpus):
+    path, _ = _saved(tmp_path, corpus, "popularity")
+    assert len(path.read_text().splitlines()) == 3      # no params
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("k 10\n")
+    with pytest.raises(FormatError, match="expected one"):
+        load_model(path)
 
 
 def test_save_load_keeps_relative_reference_portable(tmp_path, corpus):
@@ -318,65 +331,18 @@ def test_observed_new_user_keeps_its_own_raw_id(tmp_path):
     assert len(load_model(tmp_path / "model.pop").profiles) == 3
 
 
-def _cip_i_file(tmp_path, corpus):
-    """A saved cip-i model: the path, its lines and the index of its
-    ``scores`` line."""
-    log, store, events_path, tmp = corpus
-    path = tmp_path / "m.cipi"
-    save_model(CipIModel.train(store, 60, 10), path, events_path)
-    lines = path.read_text().splitlines(keepends=True)
-    return path, lines, lines.index(next(x for x in lines if x.startswith("scores ")))
-
-
-def test_cip_i_item_missing_from_the_events_raises_format_error(tmp_path, corpus):
-    path, lines, at = _cip_i_file(tmp_path, corpus)
-    _, j, s = lines[at + 1].split()
-    card = path.parent / "card"
-    card.write_text("".join(lines[:5] + ["99 1\n"] + lines[6:]))
-    score = path.parent / "score"
-    score.write_text("".join(lines[:at + 1] + [f"99 {j} {s}\n"] + lines[at + 2:]))
-    for bad in (card, score):
-        with pytest.raises(FormatError, match="not an item of its events"):
-            load_model(bad)
-
-
-def test_cip_i_zero_card_of_a_scored_item_raises_format_error(tmp_path, corpus):
-    path, lines, at = _cip_i_file(tmp_path, corpus)
-    i = lines[at + 1].split()[0]
-    row = next(k for k in range(5, at) if lines[k].split()[0] == i)
-    zero = path.parent / "zero"
-    zero.write_text("".join(lines[:row] + [f"{i} 0\n"] + lines[row + 1:]))
-    with pytest.raises(FormatError, match="not a positive integer"):
-        load_model(zero)
-    uncarded = path.parent / "uncarded"
-    uncarded.write_text("".join(lines[:4] + [f"card {at - 6}\n"] + lines[5:row]
-                                + lines[row + 1:]))
-    with pytest.raises(FormatError, match="without a card"):
-        load_model(uncarded)
-
-
-@pytest.mark.parametrize("score", ["0.0", "-1.5", "inf", "nan", "x"])
-def test_cip_i_score_not_positive_finite_raises_format_error(tmp_path, corpus, score):
-    path, lines, at = _cip_i_file(tmp_path, corpus)
-    i, j, _ = lines[at + 1].split()
-    bad = path.parent / "bad"
-    bad.write_text("".join(lines[:at + 1] + [f"{i} {j} {score}\n"] + lines[at + 2:]))
-    with pytest.raises(FormatError, match="positive finite"):
-        load_model(bad)
-
-
 def test_failed_save_leaves_the_previous_file(tmp_path, corpus, monkeypatch):
     log, store, events_path, tmp = corpus
     path = tmp_path / "m.cipi"
     save_model(CipIModel.train(store, 60, 10), path, events_path)
     before = path.read_bytes()
 
-    def crash(model, out, ref):
+    def crash(model, out, head):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("CIPREC1 cip-i\n")
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr(persistence, "_save_cip_i", crash)
+    monkeypatch.setattr(persistence, "_save_derived", crash)
     with pytest.raises(RuntimeError, match="disk full"):
         save_model(CipIModel.train(store, 60, 5), path, events_path)
     assert path.read_bytes() == before
