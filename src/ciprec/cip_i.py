@@ -91,9 +91,6 @@ class CipIModel:
         items, _, sizes = pack_arrays(store, delta)
         # pairs[s], ends[s]: the pairs and the items of the first s packs
         pairs = np.concatenate(([0], np.cumsum(sizes * (sizes - 1) // 2)))
-        if pairs[-1] <= _PAIR_BUDGET:
-            model._fold(items, sizes)
-            return model
         ends = np.concatenate(([0], np.cumsum(sizes)))
         a = 0
         while a < len(sizes):

@@ -158,9 +158,7 @@ def cmd_train(args) -> int:
     train_log = splits[0] if splits else log
     store = build_profiles(train_log)
     model = _build_model(args.model, store, cfg)
-    events_path = args.out + ".events"
-    persistence.dump_events(train_log, events_path)
-    persistence.save_model(model, args.out, events_path)
+    persistence.save_with_events(model, args.out, train_log)
     print(f"trained {args.model} on {len(train_log)} events -> {args.out}")
     return 0
 
@@ -193,9 +191,7 @@ def cmd_update(args) -> int:
     new_log = _load_log(args, _resolve(args))
     store = model.profiles
     model.observe(_remap_batches(new_log, store))
-    events_path = args.model_file + ".events"
-    persistence.dump_events(_events_from_profiles(store), events_path)
-    persistence.save_model(model, args.model_file, events_path)
+    persistence.save_with_events(model, args.model_file, _events_from_profiles(store))
     print(f"applied {len(new_log)} events -> {args.model_file}")
     return 0
 
@@ -320,9 +316,7 @@ def cmd_dump_model(args) -> int:
     print(f"users: {store.num_users} items: {store.num_items} "
           f"profiles: {len(store)}")
     if args.out:
-        events_path = args.out + ".events"
-        persistence.dump_events(_events_from_profiles(store), events_path)
-        persistence.save_model(model, args.out, events_path)
+        persistence.save_with_events(model, args.out, _events_from_profiles(store))
         print(f"rewritten -> {args.out}")
     return 0
 

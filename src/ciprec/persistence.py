@@ -215,8 +215,54 @@ def save_model(model, path, events_path) -> None:
     if kind not in savers:
         raise FormatError(f"cannot save model of kind {kind!r}")
     head = _head(kind, path, events_path)
+    _check_events(model, events_path)
     with _replacing(path) as tmp:
         savers[kind](model, tmp, head)
+
+
+def _check_events(model, events_path) -> None:
+    """Raise FormatError unless the events file holds as many profile
+    events as the model, a cheap guard against saving a model with an
+    events file that is not its own. Re-consumptions collapse in
+    profiles, so a file with another row count is rebuilt and counted."""
+    store = getattr(model, "profiles", None)
+    if store is None:
+        return
+    want = sum(map(len, store.profiles.values()))
+    with open(events_path, "rb") as fh:
+        rows = sum(b.count(b"\n") for b in iter(lambda: fh.read(1 << 20), b"")) - 1
+    if rows != want:
+        rows = sum(map(len, build_profiles(load_events(events_path)).profiles.values()))
+    if rows != want:
+        raise FormatError(f"{events_path} holds {rows} profile events, the model "
+                          f"{want}: it is not the model's events file")
+
+
+def save_with_events(model, path, log: EventLog) -> None:
+    """Save ``model`` at ``path`` with ``log`` as its events file, named
+    ``<path>.events`` or ``<path>.events.1``, whichever the file already
+    at ``path`` does not reference. The model file's atomic replace
+    switches it to the new log, so a failed save leaves the previous
+    model and its events file loadable; the previous log is removed
+    after the switch."""
+    own = [Path(f"{path}.events").resolve(), Path(f"{path}.events.1").resolve()]
+    old = _events_of(path)
+    new = own[1] if old == own[0] else own[0]
+    dump_events(log, new)
+    save_model(model, path, new)
+    if old in own and old != new:
+        old.unlink(missing_ok=True)
+
+
+def _events_of(path) -> Path | None:
+    """The events file the model file at ``path`` references, or None
+    when no model file is there."""
+    try:
+        with open(path, "rb") as fh:
+            fh.readline()
+            return _resolve_ref(path, _read_kv(fh, "events", path))
+    except (OSError, ValueError):       # FormatError and bad UTF-8 too
+        return None
 
 
 def load_model(path):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from ciprec import synthetic
+from ciprec import persistence, synthetic
 from ciprec.cli import main
 from ciprec.persistence import load_events, load_model, peek_kind
 
@@ -67,6 +67,28 @@ def test_update_extends_a_saved_model(events_file, tmp_path, capsys):
     n_after = sum(len(after.profiles.get(u).items)
                   for u in after.profiles.profiles)
     assert n_after > n_before       # the held-out tail got folded in
+    # the grown log went to the other events name and the old one is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.cipi", "m.cipi.events.1"]
+    main(["update", "--model-file", str(out), "--events", str(events_file)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.cipi", "m.cipi.events"]
+
+
+def test_failed_update_leaves_the_previous_model_loadable(events_file, tmp_path,
+                                                          monkeypatch, capsys):
+    out = tmp_path / "m.cipi"
+    main(["train", "--model", "cip-i", "--events", str(events_file),
+          *SPLIT, "--out", str(out)])
+    before = load_model(out)
+
+    def crash(model, path, head):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(persistence, "_save_derived", crash)
+    assert main(["update", "--model-file", str(out), "--events", str(events_file)]) != 0
+    assert "disk full" in capsys.readouterr().err
+    after = load_model(out)
+    assert after.score == before.score
+    assert after.profiles.user_ids == before.profiles.user_ids
 
 
 def test_evaluate_writes_report(events_file, tmp_path):

@@ -331,6 +331,20 @@ def test_observed_new_user_keeps_its_own_raw_id(tmp_path):
     assert len(load_model(tmp_path / "model.pop").profiles) == 3
 
 
+def test_saving_with_another_models_events_file_raises_format_error(tmp_path, corpus):
+    log, store, events_path, tmp = corpus
+    fewer = tmp_path / "fewer.ciprec"
+    fewer.write_text("".join(events_path.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(FormatError, match="not the model's events file"):
+        save_model(CipIModel.train(store, 60, 10), tmp_path / "m.cipi", fewer)
+    # a log that repeats an event still matches the profiles built from it
+    u, i, t = events_path.read_text().splitlines()[-1].split(",")
+    repeated = tmp_path / "repeated.ciprec"
+    repeated.write_text(events_path.read_text() + f"{u},{i},{int(t) + 1}\n")
+    save_model(CipIModel.train(store, 60, 10), tmp_path / "m.cipi", repeated)
+    assert load_model(tmp_path / "m.cipi").score == CipIModel.train(store, 60, 10).score
+
+
 def test_failed_save_leaves_the_previous_file(tmp_path, corpus, monkeypatch):
     log, store, events_path, tmp = corpus
     path = tmp_path / "m.cipi"
