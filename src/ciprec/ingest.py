@@ -8,31 +8,48 @@ consumed; a profile splits into consumed item packs (short bursts of
 activity) wherever the gap between consecutive events exceeds ``delta``
 seconds.
 
-Both are built from arrays, not per event. :func:`build_profiles` finds
-each (user, item) pair's first occurrence with one ``np.unique``, groups
-them by user with one stable sort and creates each profile from its
-user's slice. :func:`pack_arrays` is the one pack rule of bulk callers:
-it concatenates every profile in user order and cuts where a user starts
-or the next timestamp is more than ``delta`` seconds later, returning the
-items and the pack sizes. cip-i training folds those arrays directly
-(:func:`pair_positions` lists their windowed pairs); :func:`all_cips`
-makes the same packs into :class:`Cip` objects for deepcip's corpus.
-:meth:`UserProfile.partition` applies the same rule to one profile.
+:func:`parse_events` reads every input format, the canonical events file
+that :func:`ciprec.persistence.dump_events` writes included, through one
+table of formats (separator, header line, rating column). It converts
+blocks of ``_BLOCK`` lines to column arrays, then numbers users and items
+with one ``np.unique`` each and orders events with one stable sort.
+
+Profiles and packs are built from arrays too, not per event.
+:func:`build_profiles` finds each (user, item) pair's first occurrence
+with one ``np.unique``, groups them by user with one stable sort and
+creates each profile from its user's slice. :func:`pack_arrays` is the
+one pack rule of bulk callers: it concatenates every profile in user
+order and cuts where a user starts or the next timestamp is more than
+``delta`` seconds later, returning the items and the pack sizes. cip-i
+training folds those arrays directly (:func:`pair_positions` lists their
+windowed pairs); :func:`all_cips` makes the same packs into :class:`Cip`
+objects for deepcip's corpus. :meth:`UserProfile.partition` applies the
+same rule to one profile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-FORMATS = ("ml-tab", "ml-dcolon", "csv")
+EVENTS_HEADER = "CIPREC1 events"
 
-CSV_HEADER = "user,item,rating,timestamp"
+# format -> (field separator, header line or None, rating column?)
+_FORMATS = {
+    "ml-tab": ("\t", None, True),
+    "ml-dcolon": ("::", None, True),
+    "csv": (",", "user,item,rating,timestamp", True),
+    "events": (",", EVENTS_HEADER, False),
+}
+FORMATS = tuple(_FORMATS)
+
+# lines parsed into arrays at a time: bounds the per-line strings alive
+_BLOCK = 2**14
 
 
 class ParseError(ValueError):
@@ -101,91 +118,100 @@ class EventLog:
                         self.user_index, self.item_index)
 
 
-def _split_line(line: str, fmt: str, line_no: int) -> tuple[str, str, str, str]:
-    if fmt == "ml-tab":
-        parts = line.split("\t")
-    elif fmt == "ml-dcolon":
-        parts = line.split("::")
-    else:
-        parts = line.split(",")
-    if len(parts) != 4:
-        raise ParseError(f"expected 4 fields, got {len(parts)}", line_no)
-    return parts[0], parts[1], parts[2], parts[3]
-
-
 def parse_events(source, fmt: str) -> EventLog:
     """Parse a consumption log file into an :class:`EventLog`.
 
     ``source`` is a path or an iterable of lines. ``fmt`` is one of
     ``ml-tab`` (user<TAB>item<TAB>rating<TAB>timestamp), ``ml-dcolon``
-    (:: separated) or ``csv`` (header ``user,item,rating,timestamp``).
-    Raises :class:`ParseError` with the offending line number on malformed
-    input, and on empty input.
+    (:: separated), ``csv`` (header ``user,item,rating,timestamp``) or
+    ``events``, the canonical events file (header ``CIPREC1 events``,
+    then ``user,item,timestamp``). Raises :class:`ParseError` with the
+    offending line number on malformed input, and on empty input; only a
+    block that fails is read again line by line, to find that line.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return parse_events(fh, fmt)
-
-    users: list[int] = []
-    items: list[int] = []
-    ts: list[int] = []
-    ratings: list[float] = []
-    user_index: dict[int, int] = {}
-    item_index: dict[int, int] = {}
-    user_ids: list[int] = []
-    item_ids: list[int] = []
-
+    sep, header, rated = _FORMATS[fmt]
+    lines = iter(source)
     line_no = 0
-    saw_header = False
-    for raw in source:
-        line_no += 1
+    if header is not None:
+        for line_no, raw in enumerate(lines, 1):
+            if line := raw.rstrip("\n").rstrip("\r"):
+                if line != header:
+                    raise ParseError(f"expected header {header!r}", line_no)
+                break
+    blocks = []
+    while block := list(islice(lines, _BLOCK)):
+        rows = [line for line in (raw.rstrip("\n").rstrip("\r") for raw in block) if line]
+        if rows:
+            try:
+                blocks.append(_columns(rows, sep, rated))
+            except (ValueError, OverflowError):
+                _raise_first_bad_line(block, line_no + 1, sep, rated)
+                raise
+        line_no += len(block)
+    if not blocks:
+        raise ParseError("no events in input")
+
+    users, items, ts, ratings = (np.concatenate(col) for col in zip(*blocks))
+    del blocks                      # before np.unique's transient arrays
+    order = np.argsort(ts, kind="stable")
+    users, user_ids = _dense_ids(users, order)
+    items, item_ids = _dense_ids(items, order)
+    return EventLog(users, items, ts[order], ratings[order], user_ids, item_ids)
+
+
+def _columns(rows: list[str], sep: str, rated: bool):
+    """The user, item, timestamp and rating arrays of non-blank lines.
+    Raises ValueError (or OverflowError) when any line is malformed."""
+    n, width = len(rows), 4 if rated else 3
+    fields = sep.join(rows).split(sep)
+    # with width - 1 separators in every line, the joined fields come in
+    # rows of width; a ':' at a line's edge can shift a "::" split, but
+    # then leaves a ':' in the next line's user id, which int() rejects
+    if (len(fields) != n * width
+            or list(map(str.count, rows, repeat(sep, n))).count(width - 1) != n):
+        raise ValueError("wrong field count")
+    ratings = (np.fromiter(map(float, [r or "nan" for r in fields[2::4]]), np.float64, n)
+               if rated else np.full(n, math.nan))
+    return (*(np.fromiter(map(int, fields[k::width]), np.int64, n)
+              for k in (0, 1, width - 1)), ratings)
+
+
+def _raise_first_bad_line(block: list[str], first_no: int, sep: str, rated: bool):
+    """Raise ParseError for the first malformed line of a block that
+    starts at line ``first_no``."""
+    width = 4 if rated else 3
+    for line_no, raw in enumerate(block, first_no):
         line = raw.rstrip("\n").rstrip("\r")
         if not line:
             continue
-        if fmt == "csv" and not saw_header:
-            saw_header = True
-            if line != CSV_HEADER:
-                raise ParseError(f"expected header {CSV_HEADER!r}", line_no)
-            continue
-        u_s, i_s, r_s, t_s = _split_line(line, fmt, line_no)
+        parts = line.split(sep)
+        if len(parts) != width:
+            raise ParseError(f"expected {width} fields, got {len(parts)}", line_no)
         try:
-            u_raw = int(u_s)
-            i_raw = int(i_s)
-            t = int(t_s)
+            values = [int(parts[0]), int(parts[1]), int(parts[-1])]
         except ValueError:
             raise ParseError(f"non-integer id or timestamp in {line!r}", line_no) from None
-        if r_s == "":
-            rating = math.nan
-        else:
+        if not all(-2**63 <= v < 2**63 for v in values):
+            raise ParseError(f"id or timestamp out of the int64 range in {line!r}", line_no)
+        if rated and parts[2]:
             try:
-                rating = float(r_s)
+                float(parts[2])
             except ValueError:
                 raise ParseError(f"non-numeric rating in {line!r}", line_no) from None
-        u = user_index.get(u_raw)
-        if u is None:
-            u = user_index[u_raw] = len(user_ids)
-            user_ids.append(u_raw)
-        i = item_index.get(i_raw)
-        if i is None:
-            i = item_index[i_raw] = len(item_ids)
-            item_ids.append(i_raw)
-        users.append(u)
-        items.append(i)
-        ts.append(t)
-        ratings.append(rating)
 
-    if not users:
-        raise ParseError("no events in input")
 
-    order = np.argsort(np.asarray(ts, dtype=np.int64), kind="stable")
-    users_a = np.asarray(users, dtype=np.int64)[order]
-    items_a = np.asarray(items, dtype=np.int64)[order]
-    ts_a = np.asarray(ts, dtype=np.int64)[order]
-    ratings_a = np.asarray(ratings, dtype=np.float64)[order]
-    return EventLog(users_a, items_a, ts_a, ratings_a, user_ids, item_ids,
-                    user_index, item_index)
+def _dense_ids(raw: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Dense ids by first appearance in ``raw``: each value's id, taken in
+    ``order``, and the raw value of each id."""
+    values, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    dense = np.argsort(by_first)            # the inverse permutation
+    return dense[inverse.ravel()[order]], values[by_first].tolist()
 
 
 def temporal_split(log: EventLog, n_train: int, n_valid: int,

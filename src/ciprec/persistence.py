@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,22 +28,18 @@ from ciprec.cip_i import CipIModel
 from ciprec.cip_u import CipUModel
 from ciprec.deepcip import DeepCipRecommender, EmbeddingModel, TrainConfig
 from ciprec.fism import FismModel
-from ciprec.ingest import EventLog, ProfileStore, build_profiles
+from ciprec.ingest import (EVENTS_HEADER, EventLog, ParseError, ProfileStore,
+                           build_profiles, parse_events)
 from ciprec.popularity import PopularityModel
 
 MAGIC = "CIPREC1"
 
+# rows written at a time by dump_events
+_DUMP_BLOCK = 2**14
+
 
 class FormatError(ValueError):
     """Bad magic, wrong kind, or malformed payload."""
-
-
-def _check_header(line: str, kind: str, path) -> None:
-    parts = line.strip().split()
-    if len(parts) != 2 or parts[0] != MAGIC:
-        raise FormatError(f"{path}: expected '{MAGIC} <kind>' header, got {line!r}")
-    if parts[1] != kind:
-        raise FormatError(f"{path}: expected kind {kind!r}, got {parts[1]!r}")
 
 
 def peek_kind(path) -> str:
@@ -72,56 +67,28 @@ def _replacing(path):
 
 
 def dump_events(log: EventLog, path) -> None:
-    """Canonical events file: header plus raw ``user,item,timestamp``
-    lines in timestamp order, written atomically."""
+    """Canonical events file (the ``events`` format of
+    :func:`~ciprec.ingest.parse_events`): header plus raw
+    ``user,item,timestamp`` lines in timestamp order, written atomically
+    a block of rows at a time."""
+    user_ids, item_ids = np.asarray(log.user_ids), np.asarray(log.item_ids)
     with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"{MAGIC} events\n")
-        for k in range(len(log)):
-            u = log.user_ids[int(log.users[k])]
-            i = log.item_ids[int(log.items[k])]
-            fh.write(f"{u},{i},{int(log.ts[k])}\n")
+        fh.write(EVENTS_HEADER + "\n")
+        for lo in range(0, len(log), _DUMP_BLOCK):
+            hi = lo + _DUMP_BLOCK
+            fh.writelines(map("{},{},{}\n".format,
+                              user_ids[log.users[lo:hi]].tolist(),
+                              item_ids[log.items[lo:hi]].tolist(),
+                              log.ts[lo:hi].tolist()))
 
 
 def load_events(path) -> EventLog:
     """Read a canonical events file; dense ids are assigned by first
     appearance, ratings are absent."""
-    users: list[int] = []
-    items: list[int] = []
-    ts: list[int] = []
-    user_ids: list[int] = []
-    item_ids: list[int] = []
-    user_index: dict[int, int] = {}
-    item_index: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        _check_header(header, "events", path)
-        for line_no, raw in enumerate(fh, 2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{line_no}: expected user,item,timestamp")
-            try:
-                u_raw, i_raw, t = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FormatError(f"{path}:{line_no}: non-integer field") from None
-            u = user_index.setdefault(u_raw, len(user_ids))
-            if u == len(user_ids):
-                user_ids.append(u_raw)
-            i = item_index.setdefault(i_raw, len(item_ids))
-            if i == len(item_ids):
-                item_ids.append(i_raw)
-            users.append(u)
-            items.append(i)
-            ts.append(t)
-    if not users:
-        raise FormatError(f"{path}: no events")
-    order = np.argsort(np.asarray(ts), kind="stable")
-    return EventLog(np.asarray(users)[order], np.asarray(items)[order],
-                    np.asarray(ts)[order],
-                    np.full(len(users), math.nan)[order],
-                    user_ids, item_ids, user_index, item_index)
+    try:
+        return parse_events(path, "events")
+    except ParseError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _events_ref(model_path, events_path) -> str:
@@ -141,6 +108,20 @@ def _read_kv(fh, key: str, path) -> str:
     if not line.startswith(key + " "):
         raise FormatError(f"{path}: expected '{key} ...', got {line!r}")
     return line[len(key) + 1:]
+
+
+def _read_fields(fh, path, *fields) -> list:
+    """The values of one binary-mode line ``label value label value ...``
+    whose labels and types are the ``(label, type)`` pairs of ``fields``."""
+    line = fh.readline().decode("utf-8")
+    parts = line.split()
+    labels = [label for label, _ in fields]
+    if len(parts) != 2 * len(fields) or parts[0::2] != labels:
+        raise FormatError(f"{path}: expected values labelled {labels}, got {line.strip()!r}")
+    try:
+        return [kind(value) for (_, kind), value in zip(fields, parts[1::2])]
+    except ValueError:
+        raise FormatError(f"{path}: non-numeric value in {line.strip()!r}") from None
 
 
 def _digest(path) -> str:
@@ -291,7 +272,7 @@ def _load_derived(path, kind: str):
     names = list(inspect.signature(cls.train).parameters)[1:]
     params = {}
     with open(path, "r", encoding="utf-8") as fh:
-        _check_header(fh.readline(), kind, path)
+        fh.readline()                   # the header, checked by peek_kind
         ref, digest = _read_ref(fh, path)
         for line in fh:
             parts = line.split()
@@ -338,20 +319,13 @@ def _save_deepcip(rec, path, head: str) -> None:
 
 def _load_deepcip(path, kind: str) -> DeepCipRecommender:
     with open(path, "rb") as fh:
-        _check_header(fh.readline().decode("utf-8"), kind, path)
+        fh.readline()                   # the header, checked by peek_kind
         ref, digest = _read_ref(fh, path)
-        delta = int(_read_kv(fh, "delta", path))
-        nd = _read_kv(fh, "n", path).split()
-        if len(nd) != 3 or nd[1] != "d":
-            raise FormatError(f"{path}: expected 'n <n> d <d>'")
-        n, d = int(nd[0]), int(nd[2])
-        hp_line = _read_kv(fh, "window", path).split()
-        window = int(hp_line[0])
-        negatives = int(hp_line[2])
-        lr = float(hp_line[4])
-        min_lr = float(hp_line[6])
-        epochs = int(hp_line[8])
-        seed = int(hp_line[10])
+        [delta] = _read_fields(fh, path, ("delta", int))
+        n, d = _read_fields(fh, path, ("n", int), ("d", int))
+        window, negatives, lr, min_lr, epochs, seed = _read_fields(
+            fh, path, ("window", int), ("negatives", int), ("lr", float),
+            ("min-lr", float), ("epochs", int), ("seed", int))
         raw_items = [int(x) for x in _read_kv(fh, "items", path).split()]
         if len(raw_items) != n:
             raise FormatError(f"{path}: items line has {len(raw_items)} ids, expected {n}")
@@ -391,12 +365,11 @@ def _save_fism(model: FismModel, path, head: str) -> None:
 
 def _load_fism(path, kind: str) -> FismModel:
     with open(path, "rb") as fh:
-        _check_header(fh.readline().decode("utf-8"), kind, path)
+        fh.readline()                   # the header, checked by peek_kind
         ref, digest = _read_ref(fh, path)
-        shape = _read_kv(fh, "m", path).split()
-        m, n, k = int(shape[0]), int(shape[2]), int(shape[4])
-        alpha = float(shape[6])
-        delta = int(_read_kv(fh, "delta", path))
+        m, n, k, alpha = _read_fields(fh, path, ("m", int), ("n", int), ("k", int),
+                                      ("alpha", float))
+        [delta] = _read_fields(fh, path, ("delta", int))
         raw_users = [int(x) for x in _read_kv(fh, "users", path).split()]
         raw_items = [int(x) for x in _read_kv(fh, "items", path).split()]
         if len(raw_users) != m or len(raw_items) != n:

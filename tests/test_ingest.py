@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from ciprec.ingest import (Cip, Event, EventLog, ParseError, ProfileStore,
-                           UserProfile, all_cips, build_profiles, pack_arrays,
-                           parse_events, temporal_split, window_pairs)
+from ciprec import ingest
+from ciprec.ingest import (EVENTS_HEADER, Cip, Event, EventLog, ParseError,
+                           ProfileStore, UserProfile, all_cips, build_profiles,
+                           pack_arrays, parse_events, temporal_split, window_pairs)
+from ciprec.persistence import FormatError, dump_events, load_events
 
 
 def test_parse_ml_tab_basic():
@@ -47,6 +49,96 @@ def test_parse_rejects_malformed():
         with pytest.raises(ParseError) as err:
             parse_events(bad, "ml-tab")
         assert err.value.line_no == 1
+
+
+_SEPS = {"ml-tab": "\t", "ml-dcolon": "::", "csv": ",", "events": ","}
+_HEADERS = {"csv": "user,item,rating,timestamp", "events": EVENTS_HEADER}
+
+
+def _lines(rng, rows, header=None):
+    """``rows`` as lines after an optional header, with blank lines
+    between them and random ``\\n`` or ``\\r\\n`` endings (none on the
+    last). Returns the lines and each row's line number."""
+    lines = [header + "\n"] if header else []
+    numbers = []
+    for row in rows:
+        while rng.random() < 0.25:
+            lines.append(str(rng.choice(["\n", "\r\n"])))
+        lines.append(row + str(rng.choice(["\n", "\r\n"])))
+        numbers.append(len(lines))
+    lines[-1] = lines[-1].rstrip("\r\n")
+    return lines, numbers
+
+
+def _triples(log):
+    return [(log.user_ids[u], log.item_ids[i], t) for u, i, t in
+            zip(log.users.tolist(), log.items.tolist(), log.ts.tolist())]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_parse_is_the_same_across_block_boundaries(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for trial in range(25):
+        n = int(rng.integers(1, 40))
+        users = (rng.integers(-3, 9, n) * 7).tolist()
+        items = (rng.integers(0, 15, n) * 11 + 2).tolist()
+        ts = rng.integers(0, 6, n).tolist()                 # many ties
+        ratings = [str(rng.choice(["", "1", "4.5", "3"])) for _ in range(n)]
+        order = sorted(range(n), key=ts.__getitem__)      # stable
+        want = [(users[k], items[k], ts[k]) for k in order]
+        for fmt in ("ml-tab", "ml-dcolon", "csv"):
+            rows = [_SEPS[fmt].join(map(str, row))
+                    for row in zip(users, items, ratings, ts)]
+            log = parse_events(_lines(rng, rows, _HEADERS.get(fmt))[0], fmt)
+            assert _triples(log) == want
+            assert log.user_ids == list(dict.fromkeys(users))
+            assert log.item_ids == list(dict.fromkeys(items))
+            assert np.array_equal(log.ratings, [float(ratings[k] or "nan") for k in order],
+                                  equal_nan=True)
+        path = tmp_path / f"{trial}.events"
+        dump_events(log, path)
+        rows = path.read_text().splitlines()[1:]
+        for got in (parse_events(_lines(rng, rows, EVENTS_HEADER)[0], "events"),
+                    load_events(path)):
+            assert _triples(got) == want
+            assert got.user_ids == list(dict.fromkeys(u for u, _, _ in want))
+            assert got.item_ids == list(dict.fromkeys(i for _, i, _ in want))
+            assert np.isnan(got.ratings).all()
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_malformed_line_in_a_later_block_names_its_own_line(tmp_path, monkeypatch,
+                                                           block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    rng = np.random.default_rng(100 + block)
+    for fmt, sep in _SEPS.items():
+        rated = fmt != "events"
+        rows = [[str(u), str(i), "3", str(t)] if rated else [str(u), str(i), str(t)]
+                for u, i, t in zip(rng.integers(1, 9, 30), rng.integers(1, 20, 30),
+                                   range(100, 130))]
+        lines, numbers = _lines(rng, [sep.join(row) for row in rows], _HEADERS.get(fmt))
+        k = int(rng.integers(15, 29))
+        f, g = rows[k], rows[k + 1]
+        bad = [{k: sep.join(f[:-1])}, {k: sep.join(f + ["1"])}, {k: sep.join(["x"] + f[1:])},
+               {k: sep.join(f) + ":"}, {k: ":" + sep.join(f)},
+               {k: sep.join([str(2**63)] + f[1:])},                # past int64
+               # a short and a long line whose fields add up to two rows
+               {k: sep.join(f[:-1]), k + 1: sep.join(g + ["1"])}]
+        if rated:
+            bad.append({k: sep.join(f[:2] + ["abc"] + f[3:])})
+        for rows_at in bad:
+            edited = list(lines)
+            for j, row in rows_at.items():
+                edited[numbers[j] - 1] = row + "\n"
+            with pytest.raises(ParseError) as err:
+                parse_events(edited, fmt)
+            assert err.value.line_no == numbers[k], (fmt, rows_at)
+            if fmt == "events":
+                path = tmp_path / "bad.events"
+                path.write_text("".join(edited))
+                with pytest.raises(FormatError, match=f"line {numbers[k]}: "):
+                    load_events(path)
 
 
 def test_parse_rejects_empty_and_unknown_format():

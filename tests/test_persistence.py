@@ -264,6 +264,28 @@ def test_bad_params_in_a_derived_file_raise_format_error(tmp_path, corpus, kind)
     assert load_model(path).params == _TRAIN[kind](corpus[1]).params
 
 
+@pytest.mark.parametrize("kind", ["deepcip", "fism"])
+def test_cut_or_mislabelled_header_line_raises_format_error(tmp_path, corpus, kind):
+    path, _ = _saved(tmp_path, corpus, kind)
+    head, marker, payload = path.read_bytes().partition(b"\nbinary\n")
+    lines = head.decode("utf-8").split("\n")
+    labelled = [k for k, line in enumerate(lines)
+                if line.split()[0] in ("delta", "n", "window", "m")]
+    assert len(labelled) == (3 if kind == "deepcip" else 2)
+    for k in labelled:
+        fields = lines[k].split()
+        bad = [" ".join(fields[:cut]) for cut in range(len(fields))]
+        bad += [" ".join(fields[:j] + [fields[j] + "x"] + fields[j + 1:])
+                for j in range(0, len(fields), 2)]
+        for line in bad:
+            path.write_bytes("\n".join(lines[:k] + [line] + lines[k + 1:]).encode()
+                             + marker + payload)
+            with pytest.raises(FormatError):
+                load_model(path)
+    path.write_bytes(head + marker + payload)
+    load_model(path)
+
+
 def test_any_param_in_a_popularity_file_raises_format_error(tmp_path, corpus):
     path, _ = _saved(tmp_path, corpus, "popularity")
     assert len(path.read_text().splitlines()) == 3      # no params
@@ -369,7 +391,7 @@ def test_failed_dump_events_leaves_the_previous_file(tmp_path):
     path = tmp_path / "ev.ciprec"
     dump_events(log, path)
     before = path.read_bytes()
-    # a user id table missing the last users fails part-way through the rows
+    # a user id table missing the last users fails while writing the rows
     broken = EventLog(log.users, log.items, log.ts, log.ratings,
                       log.user_ids[:len(log.user_ids) // 2], log.item_ids)
     with pytest.raises(IndexError):
