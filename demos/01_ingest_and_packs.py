@@ -36,7 +36,7 @@ def main() -> None:
               "while the gap is within delta")
         for delta in (30, 60, 3600):
             packs = prof.partition(delta)
-            sizes = [len(p.items) for p in packs]
+            sizes = [len(p) for p in packs]
             print(f"    delta={delta:>5}s -> {len(packs):>3} packs, "
                   f"sizes {sizes[:8]}{' ...' if len(sizes) > 8 else ''}")
 

@@ -22,8 +22,8 @@ def profile_of(user, items):
 def main() -> None:
     alice = profile_of(0, [14, 3, 20, 99, 53, 10, 25])
     bob = profile_of(1, [20, 53, 4])
-    print("alice:", alice.items)
-    print("bob:  ", bob.items)
+    print("alice:", list(alice.items))
+    print("bob:  ", list(bob.items))
     print("position distance of (20, 53): alice",
           hammock_distance(alice, 20, 53), "/ bob",
           hammock_distance(bob, 20, 53))

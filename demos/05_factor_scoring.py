@@ -23,9 +23,10 @@ def main() -> None:
         profile.append(item, 100 + pos * 40)      # 40s gaps -> one pack
     target = 25
 
+    items = list(profile.items)
     one_pack = profile.partition(60)
     many_packs = profile.partition(10)            # every event its own pack
-    print(f"profile {profile.items} partitions into "
+    print(f"profile {items} partitions into "
           f"{len(one_pack)} pack at delta=60 and "
           f"{len(many_packs)} packs at delta=10")
     s1 = model.score(one_pack, 0, target)
@@ -35,8 +36,8 @@ def main() -> None:
     print("identical:", s1 == s2)
 
     flat = (model.b_user[0] + model.b_item[target]
-            + len(profile.items) ** -0.5
-            * float(model.p[profile.items].sum(axis=0) @ model.q[target]))
+            + len(items) ** -0.5
+            * float(model.p[items].sum(axis=0) @ model.q[target]))
     print(f"flat-profile formula:             {flat:.12f} "
           f"(gap {abs(s1 - flat):.1e})")
 

@@ -1,8 +1,6 @@
 """Incremental implicit-feedback recommenders over consumed item packs."""
 
 from ciprec.ingest import (
-    Cip,
-    Event,
     EventLog,
     ParseError,
     ProfileStore,
@@ -16,8 +14,6 @@ from ciprec.ingest import (
 )
 
 __all__ = [
-    "Cip",
-    "Event",
     "EventLog",
     "ParseError",
     "ProfileStore",

@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ciprec.ingest import ProfileStore, pack_arrays, pair_positions
+from ciprec.ingest import ProfileStore, grown_packs, pack_arrays, pair_positions
 
 ONE = 1 << 40           # fixed-point unit of a score
 _PAIR_BUDGET = 1 << 18  # most pairs one fold of train holds at once
@@ -115,17 +115,8 @@ class CipIModel:
         :meth:`ProfileStore.extend`), scoring each new item against the
         members of the pack it joins. Produces the same stores as
         retraining on the final profiles."""
-        packs, first = [], []
-        for u, start in self.profiles.extend(batches).items():
-            prof = self.profiles.profiles[u]
-            bounds = prof.cip_boundaries(self.delta) + [len(prof)]
-            for b, e in zip(bounds, bounds[1:]):
-                if e > start:                  # the pack holds a new item
-                    packs.append(prof.items[b:e])
-                    first.append(max(start - b, 0))
-        sizes = np.fromiter(map(len, packs), dtype=np.int64, count=len(packs))
-        self._fold(np.fromiter(chain.from_iterable(packs), dtype=np.int64), sizes,
-                   np.array(first, dtype=np.int64))
+        before = self.profiles.extend(batches)
+        self._fold(*grown_packs(self.profiles, before, self.delta))
 
     def _fold(self, items: np.ndarray, sizes: np.ndarray,
               first: np.ndarray | None = None) -> None:

@@ -26,18 +26,18 @@ each profile's item sequence, not stored as zero-count pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from ciprec.ingest import ProfileStore, UserProfile, window_pairs
+from ciprec.ingest import ProfileStore, UserProfile, join_profiles, window_pairs
 
 
 def hammock_distance(profile: UserProfile, i: int, j: int) -> int:
     """Positional distance between two items of one profile."""
+    pos = profile.pos
     try:
-        return abs(profile.pos[i] - profile.pos[j])
+        return abs(pos[i] - pos[j])
     except KeyError as exc:
         raise ValueError(f"item {exc.args[0]} not in profile of user {profile.user}") from None
 
@@ -48,14 +48,15 @@ def hammock_pairs(pu: UserProfile, pv: UserProfile, delta_h: int) -> set[tuple[i
     :class:`CipUModel` must agree with this exactly."""
     if delta_h < 0:
         raise ValueError(f"delta_h must be >= 0, got {delta_h}")
-    common = sorted(set(pu.pos) & set(pv.pos))
+    pos_u, pos_v = pu.pos, pv.pos
+    common = sorted(set(pos_u) & set(pos_v))
     out = set()
     for a in range(len(common)):
         i = common[a]
         for b in range(a + 1, len(common)):
             j = common[b]
-            if (abs(pu.pos[i] - pu.pos[j]) <= delta_h
-                    and abs(pv.pos[i] - pv.pos[j]) <= delta_h):
+            if (abs(pos_u[i] - pos_u[j]) <= delta_h
+                    and abs(pos_v[i] - pos_v[j]) <= delta_h):
                 out.add((i, j))
     return out
 
@@ -189,11 +190,11 @@ class CipUModel:
             peers.discard(u)
             if not peers:
                 del self._same[old]
-        h = hash(tuple(self.profiles.profiles[u].items))
+        h = hash(self.profiles.profiles[u].items.tobytes())
         self._seq_hash[u] = h
         self._same.setdefault(h, set()).add(u)
 
-    def _equal_users(self, u: int, items: list[int]) -> list[int]:
+    def _equal_users(self, u: int, items) -> list[int]:
         """Other users whose profile is exactly ``items``."""
         profs = self.profiles.profiles
         return [v for v in self._same.get(self._seq_hash.get(u), ())
@@ -211,7 +212,7 @@ class CipUModel:
         pv = self.profiles.get(v)
         if pu is None or pv is None:
             raise ValueError(f"unknown user in pair ({u}, {v})")
-        common = tuple(sorted(set(pu.pos) & set(pv.pos)))
+        common = tuple(sorted(set(pu.items) & set(pv.items)))
         vs, hps = self._row(u)
         hit = hps[vs == v]
         hp = int(hit[0]) if len(hit) else 0
@@ -251,15 +252,14 @@ class CipUModel:
             return self.profiles.popular(n)
         neighbors = self.top_k_users(u)
         if not neighbors:
-            return self.profiles.popular(n, prof.pos)
+            return self.profiles.popular(n, prof.items)
         profs = self.profiles.profiles
-        counts = np.bincount(np.fromiter(
-            chain.from_iterable(profs[v].items for v, _ in neighbors), dtype=np.int64))
-        owned = np.asarray(prof.items)
+        counts = np.bincount(join_profiles([profs[v] for v, _ in neighbors])[0])
+        owned = np.array(prof.items, dtype=np.int64)
         counts[owned[owned < len(counts)]] = 0
         ids = np.flatnonzero(counts)
         if not len(ids):
-            return self.profiles.popular(n, prof.pos)
+            return self.profiles.popular(n, prof.items)
         return ids[np.lexsort((ids, -counts[ids]))[:n]].tolist()
 
     @property

@@ -18,7 +18,8 @@ from ciprec.cip_i import CipIModel
 from ciprec.cip_u import CipUModel
 from ciprec.deepcip import DeepCipRecommender, TrainConfig, train as train_embeddings
 from ciprec.fism import FismModel
-from ciprec.ingest import EventLog, all_cips, build_profiles, parse_events, temporal_split
+from ciprec.ingest import (EventLog, all_cips, build_profiles, join_profiles, parse_events,
+                           temporal_split)
 from ciprec.popularity import PopularityModel
 
 
@@ -127,17 +128,13 @@ def _build_model(kind: str, store, cfg: config.RunConfig):
 
 
 def _events_from_profiles(store) -> EventLog:
-    triples = []
-    for u in sorted(store.profiles):
-        prof = store.profiles[u]
-        for p, (i, t) in enumerate(zip(prof.items, prof.ts)):
-            triples.append((t, u, p, i))
-    triples.sort()
-    users = np.asarray([t[1] for t in triples], dtype=np.int64)
-    items = np.asarray([t[3] for t in triples], dtype=np.int64)
-    ts = np.asarray([t[0] for t in triples], dtype=np.int64)
-    return EventLog(users, items, ts, np.full(len(triples), np.nan),
-                    store.user_ids, store.item_ids)
+    """Every profile event, in timestamp order, ties by user, then by
+    position in the profile."""
+    users = sorted(store.profiles)
+    items, ts, lengths = join_profiles([store.profiles[u] for u in users])
+    order = np.argsort(ts, kind="stable")       # profiles are laid out by user
+    return EventLog(np.repeat(users, lengths)[order], items[order], ts[order],
+                    np.full(len(ts), np.nan), store.user_ids, store.item_ids)
 
 
 def cmd_ingest(args) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
-from ciprec.ingest import Cip, window_pairs
+from ciprec.ingest import grown_packs, window_pairs
 
 
 # packs per worker fetch
@@ -254,16 +254,17 @@ def train(corpus, config: TrainConfig | None = None,
           model: EmbeddingModel | None = None) -> EmbeddingModel:
     """Train (or warm-start) embeddings on a corpus of packs.
 
-    ``corpus`` is a sequence of :class:`~ciprec.ingest.Cip` or plain item
-    sequences. With a warm-start ``model``, unseen items get fresh rows
-    and existing rows keep their values until a pair touches them.
+    ``corpus`` is a sequence of packs, each a sequence of item ids (see
+    :func:`~ciprec.ingest.all_cips`). With a warm-start ``model``, unseen
+    items get fresh rows and existing rows keep their values until a pair
+    touches them.
     Negatives follow the corpus's item counts. Mean epoch losses end up
     in ``model.epoch_losses``.
     """
     cfg = config or TrainConfig()
     if cfg.workers <= 0:
         raise ValueError(f"workers must be positive, got {cfg.workers}")
-    seqs = [list(c.items) if isinstance(c, Cip) else list(c) for c in corpus]
+    seqs = [list(c) for c in corpus]
     vocab = {i for seq in seqs for i in seq}
     if not vocab:
         raise ValueError("corpus is empty or has no items")
@@ -341,16 +342,16 @@ class DeepCipRecommender:
         prof = self.profiles.get(u)
         if prof is None or not prof.items:
             return self.profiles.popular(n)
-        last = prof.partition(self.delta)[-1].items
+        last = prof.items[prof.cip_boundaries(self.delta)[-1]:]
         try:
-            ranked = most_similar(self.model, last, n, exclude=prof.pos)
+            ranked = most_similar(self.model, last, n, exclude=prof.items)
         except ValueError:
-            return self.profiles.popular(n, prof.pos)
+            return self.profiles.popular(n, prof.items)
         out = [i for i, _ in ranked]
         if len(out) < n:
             # items outside the co-consumption vocabulary can never rank;
             # pad with popular unconsumed items
-            out.extend(self.profiles.popular(n - len(out), set(out) | set(prof.pos)))
+            out.extend(self.profiles.popular(n - len(out), [*out, *prof.items]))
         return out
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
@@ -358,16 +359,15 @@ class DeepCipRecommender:
         and warm-start the embeddings, one epoch by one worker, on every
         pack they touched. Negatives follow the whole corpus: packs split
         profiles of distinct items, so corpus counts are profile counts."""
-        touched: list[list[int]] = []
-        for u, first_new in self.profiles.extend(batches).items():
-            prof = self.profiles.profiles[u]
-            touched.extend(pack.items for pack in prof.partition(self.delta)
-                           if prof.pos[pack.items[-1]] >= first_new)
-        if touched:
+        before = self.profiles.extend(batches)
+        items, sizes, _ = grown_packs(self.profiles, before, self.delta)
+        if len(sizes):
             model, cfg = self.model, replace(self.model.config, epochs=1, workers=1)
-            model.add_items({i for pack in touched for i in pack}, cfg.seed)
+            model.add_items(set(items.tolist()), cfg.seed)
             model.set_counts(self.profiles.item_counts()[model.item_ids])
-            _fit(model, [[model.row[i] for i in pack] for pack in touched], cfg)
+            rows = [model.row[i] for i in items.tolist()]
+            ends = np.cumsum(sizes).tolist()
+            _fit(model, [rows[b:e] for b, e in zip([0] + ends, ends)], cfg)
 
     @property
     def params(self) -> dict:

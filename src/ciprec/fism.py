@@ -5,22 +5,21 @@ packs V_1..V_L is
 
     b_u + b_i + (|V_1 u ... u V_L|)^(-alpha) * sum_l sum_{j in V_l} p_j . q_i
 
-Packs partition the profile, so this equals the flat sum over all
-consumed items. Empty profiles score as bias only (the normalizer is
-skipped). Factor learning is out of scope here: factors load from a file
-or start from a seeded Gaussian; a minimal SGD fitter exists behind an
-explicit ``experimental`` switch.
+Packs partition the profile, so this is the flat sum over the consumed
+items, and that is how it is computed: the model needs no packs (its
+``delta`` is kept only as a param). Empty profiles score as bias only
+(the normalizer is skipped). Factor learning is out of scope here:
+factors load from a file or start from a seeded Gaussian; a minimal SGD
+fitter exists behind an explicit ``experimental`` switch.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-from ciprec.ingest import Cip, ProfileStore
-
-
-def _pack_items(cips) -> list[list[int]]:
-    return [list(c.items) if isinstance(c, Cip) else list(c) for c in cips]
+from ciprec.ingest import ProfileStore
 
 
 class FismModel:
@@ -72,34 +71,28 @@ class FismModel:
         return self.p.shape[1]
 
     def score(self, cips, u: int, i: int) -> float:
-        """Pack-sum score of item i for user u. Raises ValueError for an
-        already-consumed or unknown item, or an unknown user."""
-        packs = _pack_items(cips)
+        """Score of item i for user u whose profile is the union of the
+        item sequences ``cips`` (its packs, or the whole profile as one).
+        Raises ValueError for an already-consumed or unknown item, or an
+        unknown user."""
         if not (0 <= u < self.num_users):
             raise ValueError(f"unknown user {u}")
         if not (0 <= i < self.num_items):
             raise ValueError(f"unknown item {i}")
-        consumed = set()
-        for pack in packs:
-            consumed.update(pack)
+        consumed = list(chain.from_iterable(cips))
         if i in consumed:
             raise ValueError(f"item {i} is already in user {u}'s profile")
         total = self.b_user[u] + self.b_item[i]
         if consumed:
-            qi = self.q[i]
-            inner = 0.0
-            for pack in packs:
-                if pack:
-                    inner += float((self.p[pack] @ qi).sum())
-            total += len(consumed) ** (-self.alpha) * inner
+            total += len(consumed) ** (-self.alpha) * float(
+                self.p[consumed].sum(axis=0) @ self.q[i])
         return float(total)
 
     def recommend_for_cips(self, cips, u: int, n: int) -> list[int]:
         """Top-n unconsumed items by score, ties by ascending item id."""
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        packs = _pack_items(cips)
-        consumed = {i for pack in packs for i in pack}
+        consumed = set(chain.from_iterable(cips))
         # items folded in after training have no factor row: they add
         # nothing to the sum and are never scored
         rows = sorted(i for i in consumed if i < self.num_items)
@@ -121,9 +114,8 @@ class FismModel:
             raise ValueError("model has no profiles attached")
         prof = self.profiles.get(u)
         if not (0 <= u < self.num_users):
-            return self.profiles.popular(n, prof.pos if prof else ())
-        cips = prof.partition(self.delta) if prof else []
-        return self.recommend_for_cips(cips, u, n)
+            return self.profiles.popular(n, prof.items if prof else ())
+        return self.recommend_for_cips([prof.items] if prof else [], u, n)
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
         """Fold new events into the profiles; the factors keep their
@@ -148,10 +140,11 @@ class FismModel:
                 items = store.profiles[u].items
                 if not items:
                     continue
-                rows = np.asarray(items)
+                rows = np.array(items, dtype=np.int64)
                 negs = rng.integers(0, self.num_items, size=neg_ratio * len(rows))
+                owned = set(items)
                 targets = [(i, 1.0) for i in rows] + [
-                    (int(j), 0.0) for j in negs if int(j) not in store.profiles[u].pos]
+                    (int(j), 0.0) for j in negs if int(j) not in owned]
                 for i, y in targets:
                     others = rows[rows != i]
                     if len(others):

@@ -14,26 +14,28 @@ table of formats (separator, header line, rating column). It converts
 blocks of ``_BLOCK`` lines to column arrays, then numbers users and items
 with one ``np.unique`` each and orders events with one stable sort.
 
-Profiles and packs are built from arrays too, not per event.
-:func:`build_profiles` finds each (user, item) pair's first occurrence
-with one ``np.unique``, groups them by user with one stable sort and
-creates each profile from its user's slice. :func:`pack_arrays` is the
-one pack rule of bulk callers: it concatenates every profile in user
-order and cuts where a user starts or the next timestamp is more than
-``delta`` seconds later, returning the items and the pack sizes. cip-i
-training folds those arrays directly (:func:`pair_positions` lists their
-windowed pairs); :func:`all_cips` makes the same packs into :class:`Cip`
-objects for deepcip's corpus. :meth:`UserProfile.partition` applies the
-same rule to one profile.
+A profile is two typed arrays, its items (``array('i')``) and their
+timestamps (``array('q')``): 12 bytes an event. :func:`build_profiles`
+finds each (user, item) pair's first occurrence with one ``np.unique``,
+groups them by user with one stable sort and fills each profile from
+its user's slice. Code reads profiles through copies
+(:func:`join_profiles`, ``np.array``): a live numpy view blocks appends.
+
+Packs come from one rule, :func:`_pack_starts`: over profiles laid end
+to end, a pack starts where a profile starts or where the next timestamp
+is more than ``delta`` seconds later. :meth:`UserProfile.partition`
+applies it to one profile, :func:`pack_arrays` and :func:`all_cips` to
+all (cip-i training, deepcip's corpus), :func:`grown_packs` to those a
+batch grew (``observe``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,16 +62,6 @@ class ParseError(ValueError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class Event:
-    """One consumption event. Ids are dense internal indices."""
-
-    user: int
-    item: int
-    ts: int
-    rating: float | None = None
 
 
 class EventLog:
@@ -105,12 +97,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.users)
-
-    def __iter__(self) -> Iterator[Event]:
-        for k in range(len(self.users)):
-            r = self.ratings[k]
-            yield Event(int(self.users[k]), int(self.items[k]), int(self.ts[k]),
-                        None if math.isnan(r) else float(r))
 
     def slice(self, lo: int, hi: int) -> "EventLog":
         return EventLog(self.users[lo:hi], self.items[lo:hi], self.ts[lo:hi],
@@ -232,34 +218,31 @@ def temporal_split(log: EventLog, n_train: int, n_valid: int,
     return log.slice(0, a), log.slice(a, b), log.slice(b, total)
 
 
-@dataclass
-class Cip:
-    """One consumed item pack: distinct items consumed in one burst."""
-
-    items: list[int]
-    start_ts: int
-    end_ts: int
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-@dataclass
 class UserProfile:
-    """Time-ordered distinct items one user consumed, with positions."""
+    """Time-ordered distinct items one user consumed: ``items``
+    (``array('i')``) and their timestamps ``ts`` (``array('q')``). A
+    numpy view of either (``np.asarray``) makes the next append raise
+    ``BufferError``, so no view may outlive the call that made it."""
 
-    user: int
-    items: list[int] = field(default_factory=list)
-    ts: list[int] = field(default_factory=list)
-    pos: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("user", "items", "ts")
+
+    def __init__(self, user: int):
+        self.user = user
+        self.items = array("i")
+        self.ts = array("q")
+
+    @property
+    def pos(self) -> dict[int, int]:
+        """Each item's position. Built on every access, never kept: bind
+        it once per call."""
+        return dict(zip(self.items, range(len(self.items))))
 
     def append(self, item: int, t: int) -> bool:
         """Add one consumption; returns False for an already-seen item."""
-        if item in self.pos:
+        if item in self.items:
             return False
         if self.ts and t < self.ts[-1]:
             raise ValueError("events must arrive in timestamp order")
-        self.pos[item] = len(self.items)
         self.items.append(item)
         self.ts.append(t)
         return True
@@ -269,22 +252,14 @@ class UserProfile:
 
     def cip_boundaries(self, delta: int) -> list[int]:
         """Start indices of each pack for gap threshold ``delta`` seconds."""
-        if delta < 0:
-            raise ValueError(f"delta must be >= 0, got {delta}")
-        bounds = [0] if self.items else []
-        for k in range(len(self.ts) - 1):
-            if self.ts[k + 1] > self.ts[k] + delta:
-                bounds.append(k + 1)
-        return bounds
+        return _pack_starts(np.array(self.ts), np.array([len(self)]), delta).tolist()
 
-    def partition(self, delta: int) -> list[Cip]:
-        """Split the profile into packs; consecutive events stay in one
-        pack iff the next timestamp is within ``delta`` seconds."""
+    def partition(self, delta: int) -> list[list[int]]:
+        """The profile's items split into packs; consecutive events stay
+        in one pack iff the next timestamp is within ``delta`` seconds."""
         bounds = self.cip_boundaries(delta)
-        out = []
-        for b, e in zip(bounds, bounds[1:] + [len(self.items)]):
-            out.append(Cip(self.items[b:e], self.ts[b], self.ts[e - 1]))
-        return out
+        items = self.items.tolist()
+        return [items[b:e] for b, e in zip(bounds, bounds[1:] + [len(items)])]
 
 
 class ProfileStore:
@@ -313,19 +288,9 @@ class ProfileStore:
         return self.profiles.get(user)
 
     def add_event(self, user: int, item: int, t: int) -> bool:
-        if item >= self.num_items:
-            self.num_items = item + 1
-            _grow_ids(self.item_ids, item + 1)
-        if user >= self.num_users:
-            self.num_users = user + 1
-            _grow_ids(self.user_ids, user + 1)
-        added = self.profile(user).append(item, t)
-        if added:
-            if self._counts is not None:
-                self._grow_counts()
-                self._counts[item] += 1
-            self._ranking = None
-        return added
+        """Append one event (see :meth:`extend`); returns False for an
+        item already in the profile."""
+        return self.extend({user: [(item, t)]})[user] < len(self.profiles[user])
 
     def extend(self, batches: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
         """Append per-user time-ordered ``(item, ts)`` events, users in
@@ -337,42 +302,51 @@ class ProfileStore:
         a new item is older than its profile's last event (earlier
         events of the batch included).
         """
+        fresh = {}
         for u, events in batches.items():
-            prof = self.profiles.get(u) or UserProfile(u)
-            last = prof.ts[-1] if prof.ts else -math.inf
-            fresh = set()
+            prof = self.profiles.get(u)
+            seen = set(prof.items) if prof else set()
+            last = prof.ts[-1] if prof and prof.ts else -math.inf
+            fresh[u] = new = []
             for item, t in events:
-                if item in prof.pos or item in fresh:
+                if item in seen:
                     continue
                 if t < last:
                     raise ValueError(
                         f"late event for user {u}: item {item} at {t} is older "
                         f"than the event before it at {last}")
-                fresh.add(item)
+                seen.add(item)
                 last = t
-        before = {}
-        for u in sorted(batches):
-            before[u] = len(self.profile(u))
-            for item, t in batches[u]:
-                self.add_event(u, item, t)
+                new.append((item, t))
+        before, added = {}, []
+        for u in sorted(fresh):
+            prof = self.profile(u)
+            before[u] = len(prof)
+            for item, t in fresh[u]:
+                prof.items.append(item)
+                prof.ts.append(t)
+                added.append(item)
+            if fresh[u] and u >= self.num_users:
+                self.num_users = u + 1
+                _grow_ids(self.user_ids, u + 1)
+        if added:
+            if max(added) >= self.num_items:
+                self.num_items = max(added) + 1
+                _grow_ids(self.item_ids, self.num_items)
+            if self._counts is not None:
+                self._counts = self.item_counts() + np.bincount(added, minlength=self.num_items)
+            self._ranking = None
         return before
-
-    def _grow_counts(self) -> None:
-        short = self.num_items - len(self._counts)
-        if short > 0:
-            self._counts = np.concatenate(
-                [self._counts, np.zeros(short, dtype=np.int64)])
 
     def item_counts(self) -> np.ndarray:
         """Number of profiles containing each item. Counted once, then
-        kept up to date by :meth:`add_event`; callers must not
-        mutate the array."""
+        kept up to date by :meth:`extend`; callers must not mutate the
+        array."""
         if self._counts is None:
-            counts = np.zeros(self.num_items, dtype=np.int64)
-            for p in self.profiles.values():
-                counts[p.items] += 1
-            self._counts = counts
-        self._grow_counts()
+            items, _, _ = join_profiles(list(self.profiles.values()))
+            self._counts = np.bincount(items, minlength=self.num_items)
+        if len(self._counts) < self.num_items:      # a catalog grown without events
+            self._counts = np.pad(self._counts, (0, self.num_items - len(self._counts)))
         return self._counts
 
     def popular_ranking(self) -> list[int]:
@@ -387,8 +361,9 @@ class ProfileStore:
         return self._ranking
 
     def popular(self, n: int, exclude=()) -> list[int]:
-        """The ``n`` most popular items not in ``exclude``: every
-        model's cold-start and empty-neighbourhood fallback."""
+        """The ``n`` most popular items not among the ids ``exclude``
+        holds: every model's cold-start and empty-neighbourhood fallback."""
+        exclude = set(exclude)
         return list(islice((i for i in self.popular_ranking() if i not in exclude), n))
 
     def __iter__(self) -> Iterator[UserProfile]:
@@ -424,7 +399,7 @@ def build_profiles(log: EventLog) -> ProfileStore:
     first.sort()
     # group by user, each user's first occurrences still in log order
     first = first[np.argsort(log.users[first], kind="stable")]
-    users, items, ts = log.users[first], log.items[first], log.ts[first]
+    users, items, ts = log.users[first], log.items[first].astype(np.int32), log.ts[first]
     same = users[1:] == users[:-1]
     if np.any(same & (ts[1:] < ts[:-1])):
         raise ValueError("events must arrive in timestamp order")
@@ -432,41 +407,69 @@ def build_profiles(log: EventLog) -> ProfileStore:
     ends = np.append(starts[1:], len(users))
     for k in np.argsort(first[starts]).tolist():
         b, e = int(starts[k]), int(ends[k])
-        u, row = int(users[b]), items[b:e].tolist()
-        store.profiles[u] = UserProfile(u, row, ts[b:e].tolist(),
-                                        dict(zip(row, range(e - b))))
+        prof = store.profiles[int(users[b])] = UserProfile(int(users[b]))
+        prof.items.frombytes(items[b:e].tobytes())
+        prof.ts.frombytes(ts[b:e].tobytes())
     return store
+
+
+def join_profiles(profs: Sequence[UserProfile]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The items (int64) and timestamps of ``profs`` concatenated, and
+    each profile's length: copies, so no view of a profile survives."""
+    lengths = np.fromiter(map(len, profs), dtype=np.int64, count=len(profs))
+    items = np.frombuffer(b"".join(p.items for p in profs), dtype=np.int32)
+    ts = np.frombuffer(b"".join(p.ts for p in profs), dtype=np.int64)
+    return items.astype(np.int64), ts, lengths
+
+
+def _pack_starts(ts: np.ndarray, lengths: np.ndarray, delta: int) -> np.ndarray:
+    """The one pack rule, over the timestamps of profiles of ``lengths``
+    concatenated: a pack starts where a profile starts or where the next
+    timestamp is more than ``delta`` seconds later. Returns the start
+    positions."""
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    cut = np.ones(len(ts), dtype=bool)
+    cut[1:] = np.diff(ts) > delta
+    cut[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
+    return np.flatnonzero(cut)
 
 
 def pack_arrays(store: ProfileStore, delta: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every user's packs in user order, as arrays: the profiles' items
-    and timestamps concatenated (int64), and each pack's size. A pack
-    ends where a user's profile ends or the next timestamp is more than
-    ``delta`` seconds later, the rule of :meth:`UserProfile.partition`."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    profs = [store.profiles[u] for u in sorted(store.profiles)]
-    lengths = np.fromiter(map(len, profs), dtype=np.int64, count=len(profs))
-    n = int(lengths.sum())
-    items = np.fromiter(chain.from_iterable(p.items for p in profs),
-                        dtype=np.int64, count=n)
-    ts = np.fromiter(chain.from_iterable(p.ts for p in profs), dtype=np.int64, count=n)
-    cut = np.ones(n, dtype=bool)
-    cut[1:] = np.diff(ts) > delta
-    cut[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
-    starts = np.flatnonzero(cut)
-    return items, ts, np.diff(np.append(starts, n))
+    and timestamps concatenated (int64), and each pack's size."""
+    items, ts, lengths = join_profiles([store.profiles[u] for u in sorted(store.profiles)])
+    starts = _pack_starts(ts, lengths, delta)
+    return items, ts, np.diff(np.append(starts, len(items)))
 
 
-def all_cips(store: ProfileStore, delta: int) -> list[Cip]:
-    """Every user's packs, in user order (a training corpus)."""
-    items, ts, sizes = pack_arrays(store, delta)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+def grown_packs(store: ProfileStore, before: dict[int, int], delta: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The packs that hold a new item of the profiles of ``before``, the
+    result of :meth:`ProfileStore.extend` (each user's profile length
+    before the batch): their items concatenated (int64), in user order,
+    each pack's size, and each pack's position of its first new item."""
+    items, ts, lengths = join_profiles([store.profiles[u] for u in before])
+    starts = _pack_starts(ts, lengths, delta)
+    sizes = np.diff(np.append(starts, len(items)))
+    ends = np.cumsum(lengths)
+    owner = np.searchsorted(ends, starts, side="right")
+    local = starts - (ends - lengths)[owner]
+    base = np.fromiter(before.values(), dtype=np.int64, count=len(before))[owner]
+    kept = local + sizes > base
+    return (items[np.repeat(kept, sizes)], sizes[kept],
+            np.maximum(base - local, 0)[kept])
+
+
+def all_cips(store: ProfileStore, delta: int) -> list[list[int]]:
+    """Every user's packs as item lists, in user order (a training
+    corpus)."""
+    items, _, sizes = pack_arrays(store, delta)
+    ends = np.cumsum(sizes).tolist()
     row = items.tolist()
-    return [Cip(row[b:e], s, t) for b, e, s, t in
-            zip(starts.tolist(), ends.tolist(), ts[starts].tolist(), ts[ends - 1].tolist())]
+    return [row[b:e] for b, e in zip([0] + ends, ends)]
 
 
 def pair_positions(sizes: np.ndarray, window: int | None = None, first=None

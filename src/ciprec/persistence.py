@@ -124,6 +124,15 @@ def _read_fields(fh, path, *fields) -> list:
         raise FormatError(f"{path}: non-numeric value in {line.strip()!r}") from None
 
 
+def _read_ids(fh, key: str, path) -> list[int]:
+    """The integer ids of a ``key id id ...`` line."""
+    line = _read_kv(fh, key, path)
+    try:
+        return [int(x) for x in line.split()]
+    except ValueError:
+        raise FormatError(f"{path}: non-integer id in the {key} line") from None
+
+
 def _digest(path) -> str:
     """``<size> <sha256>`` of a file's bytes."""
     h, size = hashlib.sha256(), 0
@@ -326,7 +335,7 @@ def _load_deepcip(path, kind: str) -> DeepCipRecommender:
         window, negatives, lr, min_lr, epochs, seed = _read_fields(
             fh, path, ("window", int), ("negatives", int), ("lr", float),
             ("min-lr", float), ("epochs", int), ("seed", int))
-        raw_items = [int(x) for x in _read_kv(fh, "items", path).split()]
+        raw_items = _read_ids(fh, "items", path)
         if len(raw_items) != n:
             raise FormatError(f"{path}: items line has {len(raw_items)} ids, expected {n}")
         marker = fh.readline().decode("utf-8").strip()
@@ -338,6 +347,9 @@ def _load_deepcip(path, kind: str) -> DeepCipRecommender:
     syn0 = np.frombuffer(payload[: n * d * 8], dtype="<f8").reshape(n, d).copy()
     syn1 = np.frombuffer(payload[n * d * 8:], dtype="<f8").reshape(n, d).copy()
     log, store = _load_ref_profiles(path, ref, digest)
+    missing = [i for i in raw_items if i not in log.item_index]
+    if missing:
+        raise FormatError(f"{path}: items {missing[:5]} are not in the events file")
     dense = np.asarray([log.item_index[i] for i in raw_items], dtype=np.int64)
     cfg = TrainConfig(dim=d, window=window, negatives=negatives, lr=lr,
                       min_lr=min_lr, epochs=epochs, seed=seed)
@@ -370,8 +382,8 @@ def _load_fism(path, kind: str) -> FismModel:
         m, n, k, alpha = _read_fields(fh, path, ("m", int), ("n", int), ("k", int),
                                       ("alpha", float))
         [delta] = _read_fields(fh, path, ("delta", int))
-        raw_users = [int(x) for x in _read_kv(fh, "users", path).split()]
-        raw_items = [int(x) for x in _read_kv(fh, "items", path).split()]
+        raw_users = _read_ids(fh, "users", path)
+        raw_items = _read_ids(fh, "items", path)
         if len(raw_users) != m or len(raw_items) != n:
             raise FormatError(f"{path}: id lines do not match m/n")
         marker = fh.readline().decode("utf-8").strip()

@@ -26,7 +26,7 @@ class PopularityModel:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         prof = self.profiles.get(u)
-        return self.profiles.popular(n, prof.pos if prof else ())
+        return self.profiles.popular(n, prof.items if prof else ())
 
     @property
     def params(self) -> dict:

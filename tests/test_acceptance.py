@@ -420,7 +420,7 @@ def _usable_cores() -> int:
                     reason="worker scaling needs at least 2 usable cores")
 def test_acceptance_10_worker_throughput(ml_log):
     packs = all_cips(build_profiles(ml_log), 60)
-    pairs = sum(pair_count(len(p.items), 5) for p in packs)
+    pairs = sum(pair_count(len(p), 5) for p in packs)
     cores = _usable_cores()
     workers = min(4, cores)
     # Amdahl's law with a serial fraction of at most 1/3: 2.0 at 4 workers.

@@ -122,7 +122,7 @@ def test_late_event_rejects_the_whole_batch():
     m.observe({0: [(1, 100)], 1: [(1, 100), (2, 110), (4, 120)]})
     with pytest.raises(ValueError):
         m.observe({0: [(2, 5000), (3, 10)]})   # 3 is older than 2
-    assert m.profiles.get(0).items == [1]
+    assert list(m.profiles.get(0).items) == [1]
     m.observe({0: [(4, 5010)]})
     p0, p1 = m.profiles.get(0), m.profiles.get(1)
     assert m.pair_state(0, 1).hp_count == len(hammock_pairs(p0, p1, 2)) == 1

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ciprec import persistence, synthetic
-from ciprec.cli import main
+from ciprec.cli import _events_from_profiles, main
+from ciprec.ingest import ProfileStore, build_profiles
 from ciprec.persistence import load_events, load_model, peek_kind
 
 
@@ -239,3 +240,20 @@ def test_dataset_flag_supplies_defaults(raw_log, tmp_path):
     assert main(["ingest", "--dataset", "ml-100k", "--path", str(path),
                  "--out", str(out)]) == 0
     assert len(load_events(out)) == 3000
+
+
+def test_events_from_profiles_order_ties_by_user_then_position():
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        store = ProfileStore(0, 0)
+        t = 0
+        for _ in range(int(rng.integers(0, 60))):
+            t += int(rng.integers(0, 3))                  # gaps of 0 tie
+            store.add_event(int(rng.integers(6)), int(rng.integers(12)), t)
+        log = _events_from_profiles(store)
+        want = sorted((t, u, p, i) for u, prof in store.profiles.items()
+                      for p, (i, t) in enumerate(zip(prof.items, prof.ts)))
+        assert (list(zip(log.ts.tolist(), log.users.tolist(), log.items.tolist()))
+                == [(t, u, i) for t, u, _, i in want])
+        assert ({u: (p.items, p.ts) for u, p in build_profiles(log).profiles.items()}
+                == {u: (p.items, p.ts) for u, p in store.profiles.items()})

@@ -255,7 +255,7 @@ def test_recommender_observe_updates_embeddings():
     rec = DeepCipRecommender(emb, store, 60)
     before_1 = emb.syn0[emb.row[1]].copy()
     rec.observe({0: [(3, 30), (4, 40)]})
-    assert store.get(0).items == [1, 2, 3, 4]
+    assert list(store.get(0).items) == [1, 2, 3, 4]
     assert 3 in emb.row and 4 in emb.row
     # the extended pack [1, 2, 3, 4] retrains item 1 as well
     assert not np.array_equal(emb.syn0[emb.row[1]], before_1)

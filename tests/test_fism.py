@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ciprec.fism import FismModel
-from ciprec.ingest import Cip, ProfileStore
+from ciprec.ingest import ProfileStore
 
 from helpers import store_from
 
@@ -48,10 +48,9 @@ def test_score_sums_across_packs_like_flat_profile():
         idx = 0
         while idx < len(items):
             step = int(rng.integers(1, len(items) - idx + 1))
-            cips.append(Cip(items=np.asarray(items[idx:idx + step]),
-                            start_ts=0, end_ts=0))
+            cips.append(np.asarray(items[idx:idx + step]))
             idx += step
-        flat = [Cip(items=np.asarray(items), start_ts=0, end_ts=0)]
+        flat = [np.asarray(items)]
         assert abs(m.score(cips, 1, target) - m.score(flat, 1, target)) < 1e-12
         done += 1
 
@@ -102,7 +101,7 @@ def test_recommend_for_cips_matches_score_ranking():
         m = FismModel.random_init(2, n_items, 3, seed=100 + trial)
         m.b_item = rng.normal(0, 0.1, n_items)
         items = [int(x) for x in rng.permutation(n_items)[:4]]
-        cips = [Cip(items=np.asarray(items), start_ts=0, end_ts=0)]
+        cips = [np.asarray(items)]
         recs = m.recommend_for_cips(cips, 0, 3)
         unconsumed = [i for i in range(n_items) if i not in items]
         want = sorted(unconsumed,
@@ -174,8 +173,7 @@ def test_fit_sgd_reduces_reconstruction_error():
             prof = store.get(u)
             for i in prof.items:
                 rest = [j for j in prof.items if j != i]
-                cips = [Cip(items=np.asarray(rest), start_ts=0, end_ts=0)] \
-                    if rest else []
+                cips = [np.asarray(rest)] if rest else []
                 tot += (1.0 - m.score(cips, u, i)) ** 2
                 cnt += 1
         return tot / cnt

@@ -1,12 +1,15 @@
 """Log parsing, profiles, pack partitioning and temporal splits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ciprec import ingest
-from ciprec.ingest import (EVENTS_HEADER, Cip, Event, EventLog, ParseError,
+from ciprec.ingest import (EVENTS_HEADER, EventLog, ParseError,
                            ProfileStore, UserProfile, all_cips, build_profiles,
-                           pack_arrays, parse_events, temporal_split, window_pairs)
+                           grown_packs, pack_arrays, parse_events, temporal_split,
+                           window_pairs)
 from ciprec.persistence import FormatError, dump_events, load_events
 
 
@@ -155,12 +158,6 @@ def test_parse_from_file(tmp_path):
     assert len(log) == 2 and list(log.ts) == [50, 100]
 
 
-def test_event_iteration():
-    log = parse_events(["1\t10\t5\t100"], "ml-tab")
-    ev = list(log)
-    assert ev == [Event(user=0, item=0, ts=100, rating=5.0)]
-
-
 def test_slice_shares_id_space():
     lines = [f"1\t{i}\t1\t{100 + i}" for i in range(6)]
     log = parse_events(lines, "ml-tab")
@@ -191,7 +188,7 @@ def test_profile_append_dedupes_and_orders():
     assert p.append(1, 10)
     assert not p.append(1, 20)      # repeat consumption is dropped
     assert p.append(2, 20)
-    assert p.items == [1, 2] and p.ts == [10, 20]
+    assert list(p.items) == [1, 2] and list(p.ts) == [10, 20]
     assert p.pos == {1: 0, 2: 1}
     with pytest.raises(ValueError):
         p.append(3, 5)              # timestamps must not go backwards
@@ -203,17 +200,15 @@ def test_pack_boundary_is_inclusive():
     p.append(1, 100)
     p.append(2, 160)
     p.append(3, 221)
-    packs = p.partition(60)
-    assert [tuple(c.items) for c in packs] == [(1, 2), (3,)]
-    assert (packs[0].start_ts, packs[0].end_ts) == (100, 160)
+    assert p.partition(60) == [[1, 2], [3]]
+    assert p.cip_boundaries(60) == [0, 2] and list(p.ts[:2]) == [100, 160]
 
 
 def test_partition_edge_cases():
     assert UserProfile(0).partition(60) == []
     p = UserProfile(0)
     p.append(9, 5)
-    [c] = p.partition(0)
-    assert tuple(c.items) == (9,) and c.start_ts == c.end_ts == 5
+    assert p.partition(0) == [[9]] and list(p.ts) == [5]
     with pytest.raises(ValueError):
         p.partition(-1)
 
@@ -228,13 +223,14 @@ def test_partition_fuzz_covers_profile_exactly():
             p.append(item, t)
         delta = int(rng.integers(0, 160))
         packs = p.partition(delta)
-        flat = [i for c in packs for i in c.items]
-        assert flat == p.items
+        flat = [i for c in packs for i in c]
+        assert flat == list(p.items)
+        pos = p.pos
         for c in packs:
-            span = [p.ts[p.pos[i]] for i in c.items]
+            span = [p.ts[pos[i]] for i in c]
             assert all(b - a <= delta for a, b in zip(span, span[1:]))
         for a, b in zip(packs, packs[1:]):
-            assert b.start_ts - a.end_ts > delta
+            assert p.ts[pos[b[0]]] - p.ts[pos[a[-1]]] > delta
 
 
 def test_build_profiles_and_counts():
@@ -242,7 +238,7 @@ def test_build_profiles_and_counts():
                         "1\t10\t1\t8"], "ml-tab")
     store = build_profiles(log)
     assert len(store) == 2
-    assert store.get(0).items == [0]        # duplicate consumption dropped
+    assert list(store.get(0).items) == [0]  # duplicate consumption dropped
     assert list(store.item_counts()) == [2, 1]
     assert store.popular_ranking() == [0, 1]
 
@@ -291,7 +287,7 @@ def test_build_profiles_matches_per_event_appends():
         want = _append_profiles(log)
         got = build_profiles(log)
         assert _profiles(got) == _profiles(want)     # users in first-event order
-        assert all(type(i) is int for p in got for i in p.items + p.ts)
+        assert all(type(i) is int for p in got for i in [*p.items, *p.ts])
         assert (got.num_users, got.num_items) == (log.num_users, log.num_items)
 
 
@@ -304,7 +300,7 @@ def test_build_profiles_rejects_an_unsorted_log():
         _append_profiles(log)
     with pytest.raises(ValueError, match="timestamp order"):
         build_profiles(log)
-    assert build_profiles(log.slice(0, 4)).get(0).items == [0, 1]
+    assert list(build_profiles(log.slice(0, 4)).get(0).items) == [0, 1]
     rng = np.random.default_rng(6)
     for _ in range(200):
         log = _random_log(rng, 3, 6, 12, 0)
@@ -317,6 +313,74 @@ def test_build_profiles_rejects_an_unsorted_log():
                 build_profiles(log)
         else:
             assert _profiles(build_profiles(log)) == want
+
+
+def _reference_boundaries(ts, delta):
+    """Reference: the pack rule as a loop over one profile's timestamps."""
+    return [k for k in range(len(ts)) if k == 0 or ts[k] > ts[k - 1] + delta]
+
+
+def _check_profiles(store):
+    """What callers outside the package read of a profile."""
+    profs = list(store)
+    for pu in profs:
+        pos = pu.pos
+        assert len(pos) == len(pu) and all(pu.items[k] == i for i, k in pos.items())
+        assert all(type(i) is int and type(t) is int for i, t in zip(pu.items, pu.ts))
+        for pv in profs:
+            same = pu.items == pv.items
+            assert type(same) is bool and same == (list(pu.items) == list(pv.items))
+        for delta in (0, 1, 60):
+            assert pu.cip_boundaries(delta) == _reference_boundaries(list(pu.ts), delta)
+
+
+def test_profiles_keep_their_contract_after_build_and_extend():
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        log = _random_log(rng, int(rng.integers(1, 12)), int(rng.integers(1, 20)),
+                          int(rng.integers(1, 80)), 0)
+        cut = int(rng.integers(0, len(log) + 1))
+        store = build_profiles(log.slice(0, cut))
+        _check_profiles(store)
+        # outputs held across the appends below: none may pin a profile
+        held = [all_cips(store, 60), pack_arrays(store, 60),
+                [p.partition(60) for p in store]]
+        for p in store:
+            with pytest.raises(ValueError) as raised:
+                p.cip_boundaries(-1)
+            held.append(raised)     # with its traceback's frames
+        batches = {}
+        for u, i, t in zip(log.users[cut:].tolist(), log.items[cut:].tolist(),
+                           log.ts[cut:].tolist()):
+            batches.setdefault(u, []).append((i, t))
+        held.append(grown_packs(store, store.extend(batches), 60))
+        _check_profiles(store)
+        assert ({u: (p.items, p.ts) for u, p in store.profiles.items() if len(p)}
+                == {u: (p.items, p.ts) for u, p in build_profiles(log).profiles.items()})
+        for u, prof in list(store.profiles.items()):
+            n, item, t = len(prof), prof.items[-1], prof.ts[-1]
+            assert not store.add_event(u, item, t + 1) and len(prof) == n
+            if len(prof) > 1:       # an item already held never counts as late
+                assert not store.add_event(u, prof.items[0], t - 1)
+            assert store.add_event(u, store.num_items, t) and len(prof) == n + 1
+
+
+def test_build_profiles_keeps_at_most_32_bytes_per_event():
+    rng = np.random.default_rng(13)
+    n_users, n_items, n_events = 500, 2000, 50_000
+    log = EventLog(rng.integers(0, n_users, n_events), rng.integers(0, n_items, n_events),
+                   np.cumsum(rng.integers(0, 90, n_events)), np.full(n_events, np.nan),
+                   list(range(n_users)), list(range(n_items)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        store = build_profiles(log)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    events = sum(map(len, store))
+    assert events > 0.95 * n_events
+    assert kept <= 32 * events, f"{kept / events:.1f} bytes per event"
 
 
 def test_pack_arrays_match_partition():
@@ -334,7 +398,7 @@ def test_pack_arrays_match_partition():
             packs = [c for u in sorted(store.profiles)
                      for c in store.profiles[u].partition(delta)]
             items, ts, sizes = pack_arrays(store, delta)
-            assert items.tolist() == [i for c in packs for i in c.items]
+            assert items.tolist() == [i for c in packs for i in c]
             assert sizes.tolist() == [len(c) for c in packs]
             assert ts.tolist() == [t for u in sorted(store.profiles)
                                    for t in store.profiles[u].ts]
@@ -343,6 +407,31 @@ def test_pack_arrays_match_partition():
     assert [a.tolist() for a in empty] == [[], [], []]
     with pytest.raises(ValueError):
         pack_arrays(store, -1)
+
+
+def test_grown_packs_match_a_walk_over_partition():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        log = _random_log(rng, int(rng.integers(1, 8)), int(rng.integers(1, 15)),
+                          int(rng.integers(1, 60)), 0)
+        cut = int(rng.integers(0, len(log) + 1))
+        store = build_profiles(log.slice(0, cut))
+        batches = {}
+        for u, i, t in zip(log.users[cut:].tolist(), log.items[cut:].tolist(),
+                           log.ts[cut:].tolist()):
+            batches.setdefault(u, []).append((i, t))
+        delta = int(rng.choice([0, 1, 3, 10**12]))
+        before = store.extend(batches)
+        want = ([], [], [])
+        for u, base in before.items():
+            b = 0
+            for pack in store.profiles[u].partition(delta):
+                if b + len(pack) > base:            # the pack holds a new item
+                    want[0].extend(pack)
+                    want[1].append(len(pack))
+                    want[2].append(max(base - b, 0))
+                b += len(pack)
+        assert tuple(a.tolist() for a in grown_packs(store, before, delta)) == want
 
 
 def test_popular_ranking_orders_and_excludes_unseen():
@@ -363,7 +452,7 @@ def test_extend_appends_in_user_order_and_reports_old_lengths():
     # item 5 is already in user 0's profile; 7 repeats within the batch
     before = store.extend({2: [(7, 20), (7, 25)], 0: [(5, 1), (6, 30)]})
     assert before == {0: 1, 2: 0} and list(before) == [0, 2]
-    assert store.get(0).items == [5, 6] and store.get(2).items == [7]
+    assert list(store.get(0).items) == [5, 6] and list(store.get(2).items) == [7]
     assert store.num_users == 3 and store.num_items == 8
     assert ranking == [5] and store.popular_ranking() == [5, 6, 7]
 
@@ -375,10 +464,10 @@ def test_extend_rejects_a_late_batch_before_appending():
                  {0: [(1, 50)], 1: [(2, 200), (3, 150)]}):  # older than the batch
         with pytest.raises(ValueError):
             store.extend(late)
-        assert store.get(0) is None and store.get(1).items == [5]
+        assert store.get(0) is None and list(store.get(1).items) == [5]
     # an already-held item never counts as late
     store.extend({1: [(5, 1), (4, 100)]})
-    assert store.get(1).items == [5, 4]
+    assert list(store.get(1).items) == [5, 4]
 
 
 def test_popular_excludes_and_truncates():
@@ -435,7 +524,7 @@ def test_all_cips_sorted_by_user():
     store.add_event(0, 2, 10)
     store.add_event(0, 3, 500)
     cips = all_cips(store, 60)
-    assert [tuple(c.items) for c in cips] == [(2,), (3,), (1,)]
+    assert cips == [[2], [3], [1]]
 
 
 def test_add_event_gives_new_dense_ids_themselves_as_raw_ids():

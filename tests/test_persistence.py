@@ -286,6 +286,33 @@ def test_cut_or_mislabelled_header_line_raises_format_error(tmp_path, corpus, ki
     load_model(path)
 
 
+def _edit_id_line(path, key: str, edit) -> None:
+    """Rewrite the ``key id id ...`` line of a saved binary model file
+    with ``edit(ids)``."""
+    head, marker, payload = path.read_bytes().partition(b"\nbinary\n")
+    lines = head.decode("utf-8").split("\n")
+    [k] = [k for k, line in enumerate(lines) if line.startswith(key + " ")]
+    lines[k] = " ".join([key] + edit(lines[k].split()[1:]))
+    path.write_bytes("\n".join(lines).encode() + marker + payload)
+
+
+@pytest.mark.parametrize("kind, key", [("deepcip", "items"), ("fism", "users"),
+                                       ("fism", "items")])
+def test_non_integer_id_raises_format_error(tmp_path, corpus, kind, key):
+    path, _ = _saved(tmp_path, corpus, kind)
+    _edit_id_line(path, key, lambda ids: ids[:1] + [ids[1] + "x"] + ids[2:])
+    with pytest.raises(FormatError, match=f"non-integer id in the {key} line"):
+        load_model(path)
+
+
+def test_deepcip_item_missing_from_the_events_raises_format_error(tmp_path, corpus):
+    path, _ = _saved(tmp_path, corpus, "deepcip")
+    # raw item ids of the corpus are 7k + 2, so 1 is in no event
+    _edit_id_line(path, "items", lambda ids: ids[:1] + ["1"] + ids[2:])
+    with pytest.raises(FormatError, match=r"items \[1\] are not in the events file"):
+        load_model(path)
+
+
 def test_any_param_in_a_popularity_file_raises_format_error(tmp_path, corpus):
     path, _ = _saved(tmp_path, corpus, "popularity")
     assert len(path.read_text().splitlines()) == 3      # no params

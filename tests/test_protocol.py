@@ -52,7 +52,7 @@ def test_rejected_batch_leaves_profiles_unchanged(kind):
     last = max(t for _, _, t in head)
     late_user = max(u for u, _, _ in head)
     prof = model.profiles.get(late_user)
-    fresh = next(i for i in range(30) if i not in prof.pos)
+    fresh = next(i for i in range(30) if i not in prof.items)
     batch = {0: [(30, last + 10)], 12: [(5, last + 10)],
              late_user: [(31, last + 20), (fresh, last + 5)]}
     with pytest.raises(ValueError):

@@ -61,7 +61,7 @@ def test_sessions_form_packs():
                                    n_events=600, n_genres=4)
     lines = [f"{u}\t{i}\t{r}\t{t}" for u, i, r, t in ev]
     store = build_profiles(parse_events(lines, "ml-tab"))
-    packs = [len(c.items) for u in store.profiles
+    packs = [len(c) for u in store.profiles
              for c in store.get(u).partition(60)]
     assert np.mean(packs) > 2.0         # sessions survive as multi-item packs
 
