@@ -38,21 +38,30 @@ SHARD_SIZE = 64
 # pairs per sgns_batch call and per push: it bounds how stale concurrent
 # workers get; much larger values destabilize them on small vocabularies
 BATCH_PAIRS = 256
+# the learning rate's floor
+MIN_LR = 1e-4
 
 
 @dataclass
 class TrainConfig:
-    """Knobs for :func:`train`. ``lr`` decays linearly to ``min_lr`` over
-    all scheduled pairs."""
+    """Knobs for :func:`train`. ``lr`` decays linearly to ``MIN_LR`` over
+    all scheduled pairs. Raises ValueError for an out-of-range knob."""
 
     dim: int = 100
     window: int = 5
     negatives: int = 5
     lr: float = 0.025
-    min_lr: float = 1e-4
     epochs: int = 5
     workers: int = 1
     seed: int = 1
+
+    def __post_init__(self):
+        for name in ("dim", "window", "lr", "epochs", "workers"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("negatives", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 class EmbeddingModel:
@@ -62,8 +71,6 @@ class EmbeddingModel:
     ``syn0`` holds input (projection) vectors, used for all queries;
     ``syn1`` holds output vectors, used only by training.
     """
-
-    kind = "deepcip"
 
     def __init__(self, item_ids: np.ndarray, syn0: np.ndarray, syn1: np.ndarray,
                  config: TrainConfig):
@@ -204,7 +211,7 @@ class _Shared:
 
     def lr_now(self) -> float:
         frac = min(1.0, self.done.value / self.total)
-        return max(self.cfg.min_lr, self.cfg.lr * (1.0 - frac))
+        return max(MIN_LR, self.cfg.lr * (1.0 - frac))
 
     def take(self) -> int:
         with self.lock:
@@ -262,8 +269,6 @@ def train(corpus, config: TrainConfig | None = None,
     in ``model.epoch_losses``.
     """
     cfg = config or TrainConfig()
-    if cfg.workers <= 0:
-        raise ValueError(f"workers must be positive, got {cfg.workers}")
     seqs = [list(c) for c in corpus]
     vocab = {i for seq in seqs for i in seq}
     if not vocab:
@@ -332,6 +337,8 @@ class DeepCipRecommender:
     kind = "deepcip"
 
     def __init__(self, model: EmbeddingModel, store, delta: int):
+        if delta < 0:
+            raise ValueError(f"delta must be >= 0, got {delta}")
         self.model = model
         self.profiles = store
         self.delta = delta

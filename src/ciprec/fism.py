@@ -33,6 +33,8 @@ class FismModel:
             raise ValueError(f"P and Q shapes differ: {p.shape} vs {q.shape}")
         if len(b_item) != p.shape[0]:
             raise ValueError("item bias length does not match factor rows")
+        if delta < 0:
+            raise ValueError(f"delta must be >= 0, got {delta}")
         self.p = p
         self.q = q
         self.b_user = b_user

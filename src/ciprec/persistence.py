@@ -1,23 +1,32 @@
 """Versioned on-disk formats for event logs and trained models.
 
 Every file starts with ``CIPREC1 <kind>``; loaders verify both the magic
-and the kind and fail loudly on a mismatch. A model file names the
-canonical events file it was built from (path relative to the model
-file) and records that file's size and SHA-256; loading raises
-``FormatError`` when the events file no longer matches them.
+and the kind and fail loudly on a mismatch. A model file of every kind
+goes on with
 
-cip-u, cip-i and popularity models are functions of their events and
-params, so their files hold only the params, one ``key value`` line
-each, and loading retrains the model from the events file. deepcip and
-fism files add their factors as little-endian float64 binary rows under
-raw ids, so a save/load round trip reproduces their answers exactly even
-though dense internal indices are reassigned on load.
+    events <the canonical events file, relative to the model file>
+    events-digest <size> <sha256 of the events file>
+    <name> <value>            one line per param, in any order
+
+and loading raises ``FormatError`` when the events file no longer
+matches its digest. cip-u, cip-i and popularity models are functions of
+their events and params, so loading retrains them from the events file.
+deepcip and fism files end with their factors:
+
+    rows-digest <sha256 of every byte after this line>
+    users <raw id> ...        fism only
+    items <raw id> ...
+    binary
+    <little-endian float64 rows>
+
+so a save/load round trip reproduces their answers exactly even though
+dense internal indices are reassigned on load.
 """
 
 from __future__ import annotations
 
 import hashlib
-import inspect
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -28,8 +37,8 @@ from ciprec.cip_i import CipIModel
 from ciprec.cip_u import CipUModel
 from ciprec.deepcip import DeepCipRecommender, EmbeddingModel, TrainConfig
 from ciprec.fism import FismModel
-from ciprec.ingest import (EVENTS_HEADER, EventLog, ParseError, ProfileStore,
-                           build_profiles, parse_events)
+from ciprec.ingest import (EVENTS_HEADER, EventLog, ParseError, build_profiles,
+                           parse_events)
 from ciprec.popularity import PopularityModel
 
 MAGIC = "CIPREC1"
@@ -100,132 +109,170 @@ def _resolve_ref(model_path, ref: str) -> Path:
     return (Path(model_path).resolve().parent / ref).resolve()
 
 
-def _read_kv(fh, key: str, path) -> str:
-    line = fh.readline()
-    if isinstance(line, bytes):
-        line = line.decode("utf-8")
-    line = line.strip()
-    if not line.startswith(key + " "):
-        raise FormatError(f"{path}: expected '{key} ...', got {line!r}")
-    return line[len(key) + 1:]
+def _pair(line: bytes) -> tuple[str, str]:
+    """The name and the value of a ``name value`` line."""
+    name, _, value = line.decode("utf-8", errors="replace").strip().partition(" ")
+    return name, value
 
 
-def _read_fields(fh, path, *fields) -> list:
-    """The values of one binary-mode line ``label value label value ...``
-    whose labels and types are the ``(label, type)`` pairs of ``fields``."""
-    line = fh.readline().decode("utf-8")
-    parts = line.split()
-    labels = [label for label, _ in fields]
-    if len(parts) != 2 * len(fields) or parts[0::2] != labels:
-        raise FormatError(f"{path}: expected values labelled {labels}, got {line.strip()!r}")
-    try:
-        return [kind(value) for (_, kind), value in zip(fields, parts[1::2])]
-    except ValueError:
-        raise FormatError(f"{path}: non-numeric value in {line.strip()!r}") from None
+def _expect(line: bytes, key: str, path, hint: str = "") -> str:
+    """The value of ``line``, which must be a ``key value`` line."""
+    name, value = _pair(line)
+    if name != key:
+        raise FormatError(f"{path}: expected '{key} ...', got {line[:80]!r}{hint}")
+    return value
 
 
-def _read_ids(fh, key: str, path) -> list[int]:
-    """The integer ids of a ``key id id ...`` line."""
-    line = _read_kv(fh, key, path)
-    try:
-        return [int(x) for x in line.split()]
-    except ValueError:
-        raise FormatError(f"{path}: non-integer id in the {key} line") from None
-
-
-def _digest(path) -> str:
-    """``<size> <sha256>`` of a file's bytes."""
-    h, size = hashlib.sha256(), 0
+def _digest(path) -> tuple[str, int]:
+    """``<size> <sha256>`` of a file's bytes and its number of newlines,
+    from one read."""
+    h, size, newlines = hashlib.sha256(), 0, 0
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
             size += len(block)
-    return f"{size} {h.hexdigest()}"
+            newlines += block.count(b"\n")
+    return f"{size} {h.hexdigest()}", newlines
 
 
-def _head(kind: str, model_path, events_path) -> str:
-    """The header, events reference and events digest lines of a model
-    file."""
-    return (f"{MAGIC} {kind}\n"
-            f"events {_events_ref(model_path, events_path)}\n"
-            f"events-digest {_digest(events_path)}\n")
-
-
-def _read_ref(fh, path) -> tuple[str, str]:
-    """The events reference and digest that follow a model file's header."""
-    ref = _read_kv(fh, "events", path)
-    try:
-        return ref, _read_kv(fh, "events-digest", path)
-    except FormatError:
-        raise FormatError(f"{path}: no events digest; a model file written "
-                          "before model files recorded one must be retrained "
-                          "with 'ciprec train'") from None
-
-
-def _load_ref_profiles(model_path, ref: str, digest: str, raw_users=(),
-                       raw_items=()) -> tuple[EventLog, ProfileStore]:
+def _checked_events(model_path, ref: str, digest: str) -> EventLog:
     events_path = _resolve_ref(model_path, ref)
     if not events_path.exists():
         raise FormatError(
             f"{model_path}: events reference {ref!r} not found at "
             f"{events_path}; keep the model next to its events file")
-    if _digest(events_path) != digest:
+    if _digest(events_path)[0] != digest:
         raise FormatError(
             f"{model_path}: events file {events_path} changed after the "
             f"model was saved (saved size and sha256: {digest})")
-    log = load_events(events_path)
+    return load_events(events_path)
+
+
+def _split(rows: np.ndarray, *shapes) -> list[np.ndarray]:
+    """Views of ``rows`` cut into arrays of ``shapes``, which use it up."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if sum(sizes) != len(rows):
+        raise ValueError(f"the file holds {len(rows)} floats, its params and "
+                         f"id lines make {sum(sizes)}")
+    ends = np.cumsum(sizes).tolist()
+    return [rows[end - size:end].reshape(shape)
+            for size, end, shape in zip(sizes, ends, shapes)]
+
+
+def _deepcip(log: EventLog, rows, items, delta, dim, **cfg) -> DeepCipRecommender:
+    missing = [i for i in items if i not in log.item_index]
+    if missing:
+        raise ValueError(f"items {missing[:5]} are not in the events file")
+    syn0, syn1 = _split(rows, (len(items), dim), (len(items), dim))
+    dense = np.asarray([log.item_index[i] for i in items], dtype=np.int64)
+    model = EmbeddingModel(dense, syn0, syn1, TrainConfig(dim=dim, **cfg))
+    return DeepCipRecommender(model, build_profiles(log), delta)
+
+
+def _fism(log: EventLog, rows, users, items, k, alpha, delta) -> FismModel:
     # a model may carry catalog rows for ids its events file never
     # mentions (e.g. trained on a split that inherited the full id
     # space); extend the rebuilt dictionaries so every row keeps a slot
-    for raw in raw_users:
-        if raw not in log.user_index:
-            log.user_index[raw] = len(log.user_ids)
-            log.user_ids.append(raw)
-    for raw in raw_items:
-        if raw not in log.item_index:
-            log.item_index[raw] = len(log.item_ids)
-            log.item_ids.append(raw)
-    return log, build_profiles(log)
+    for raw, ids, index in ((users, log.user_ids, log.user_index),
+                            (items, log.item_ids, log.item_index)):
+        for r in raw:
+            if r not in index:
+                index[r] = len(ids)
+                ids.append(r)
+    store = build_profiles(log)
+    m, n = len(users), len(items)
+    b_user_file, b_item_file, p_file, q_file = _split(rows, (m,), (n,), (n, k), (n, k))
+    u_perm = np.asarray([log.user_index[r] for r in users], dtype=np.int64)
+    i_perm = np.asarray([log.item_index[r] for r in items], dtype=np.int64)
+    b_user = np.zeros(store.num_users)
+    b_user[u_perm] = b_user_file
+    b_item = np.zeros(store.num_items)
+    b_item[i_perm] = b_item_file
+    p = np.zeros((store.num_items, k))
+    p[i_perm] = p_file
+    q = np.zeros((store.num_items, k))
+    q[i_perm] = q_file
+    model = FismModel(p, q, b_user, b_item, alpha, delta)
+    model.profiles = store
+    return model
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
-# kinds whose file holds only params: loading retrains them
-_DERIVED = {"cip-u": CipUModel, "cip-i": CipIModel, "popularity": PopularityModel}
+# kind: (the type of each of its params, the raw-id lines of its float
+# rows, its builder); a kind without id lines is retrained from the store
+# of its events, the others are built from the events, rows and ids
+_KINDS = {
+    "cip-u": ({"delta_h": int, "k": int}, (), CipUModel.train),
+    "cip-i": ({"delta": int, "k": int}, (), CipIModel.train),
+    "popularity": ({}, (), PopularityModel.train),
+    "deepcip": ({"delta": int, "dim": int, "window": int, "negatives": int,
+                 "lr": float, "epochs": int, "seed": int}, ("items",), _deepcip),
+    "fism": ({"k": int, "alpha": float, "delta": int}, ("users", "items"), _fism),
+}
 
 
 def save_model(model, path, events_path) -> None:
     """Write any trained model next to its canonical events file,
     atomically: a failed save leaves the previous file as it was."""
-    savers = {**dict.fromkeys(_DERIVED, _save_derived),
-              "deepcip": _save_deepcip, "fism": _save_fism}
     kind = getattr(model, "kind", None)
-    if kind not in savers:
+    if kind not in _KINDS:
         raise FormatError(f"cannot save model of kind {kind!r}")
-    head = _head(kind, path, events_path)
-    _check_events(model, events_path)
+    if getattr(model, "profiles", None) is None:
+        raise FormatError(f"{kind} model has no profiles attached")
+    digest, newlines = _digest(events_path)
+    _check_events(model, events_path, newlines - 1)
+    head = (f"{MAGIC} {kind}\n"
+            f"events {_events_ref(path, events_path)}\n"
+            f"events-digest {digest}\n")
     with _replacing(path) as tmp:
-        savers[kind](model, tmp, head)
+        _write(model, tmp, head)
 
 
-def _check_events(model, events_path) -> None:
-    """Raise FormatError unless the events file holds as many profile
-    events as the model, a cheap guard against saving a model with an
-    events file that is not its own. Re-consumptions collapse in
-    profiles, so a file with another row count is rebuilt and counted."""
-    store = getattr(model, "profiles", None)
-    if store is None:
-        return
-    want = sum(map(len, store.profiles.values()))
-    with open(events_path, "rb") as fh:
-        rows = sum(b.count(b"\n") for b in iter(lambda: fh.read(1 << 20), b"")) - 1
+def _check_events(model, events_path, rows: int) -> None:
+    """Raise FormatError unless the events file, of ``rows`` rows, holds
+    as many profile events as the model, a cheap guard against saving a
+    model with an events file that is not its own. Re-consumptions
+    collapse in profiles, so a file with another row count is rebuilt and
+    counted."""
+    want = sum(map(len, model.profiles.profiles.values()))
     if rows != want:
         rows = sum(map(len, build_profiles(load_events(events_path)).profiles.values()))
     if rows != want:
         raise FormatError(f"{events_path} holds {rows} profile events, the model "
                           f"{want}: it is not the model's events file")
+
+
+def _factors(model) -> tuple[dict, list]:
+    """The raw-id lines and the float arrays of a deepcip or fism model;
+    none for the other kinds."""
+    store = model.profiles
+    if model.kind == "deepcip":
+        emb = model.model
+        return ({"items": [store.item_ids[i] for i in emb.item_ids.tolist()]},
+                [emb.syn0, emb.syn1])
+    if model.kind == "fism":
+        return ({"users": store.user_ids[:model.num_users],
+                 "items": store.item_ids[:model.num_items]},
+                [model.b_user, model.b_item, model.p, model.q])
+    return {}, []
+
+
+def _write(model, path, head: str) -> None:
+    """Write ``head``, one line per param and, for deepcip and fism, the
+    rows digest, the raw-id lines and the float rows."""
+    ids, arrays = _factors(model)
+    with open(path, "wb") as fh:
+        fh.write((head + "".join(f"{key} {value}\n" for key, value
+                                 in model.params.items())).encode("utf-8"))
+        if ids:
+            tail = "".join(f"{key} {' '.join(map(str, raw))}\n"
+                           for key, raw in ids.items()).encode() + b"binary\n"
+            arrays = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
+            h = hashlib.sha256(tail)
+            for a in arrays:
+                h.update(a)
+            fh.write(f"rows-digest {h.hexdigest()}\n".encode() + tail)
+            for a in arrays:
+                fh.write(a)
 
 
 def save_with_events(model, path, log: EventLog) -> None:
@@ -250,8 +297,8 @@ def _events_of(path) -> Path | None:
     try:
         with open(path, "rb") as fh:
             fh.readline()
-            return _resolve_ref(path, _read_kv(fh, "events", path))
-    except (OSError, ValueError):       # FormatError and bad UTF-8 too
+            return _resolve_ref(path, _expect(fh.readline(), "events", path))
+    except (OSError, ValueError):       # FormatError too
         return None
 
 
@@ -260,162 +307,66 @@ def load_model(path):
     reference. The returned object answers queries identically to the
     one that was saved."""
     kind = peek_kind(path)
-    loaders = {**dict.fromkeys(_DERIVED, _load_derived),
-               "deepcip": _load_deepcip, "fism": _load_fism}
-    if kind not in loaders:
+    if kind not in _KINDS:
         raise FormatError(f"{path}: unknown model kind {kind!r}")
-    return loaders[kind](path, kind)
-
-
-def _save_derived(model, path, head: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        fh.writelines(f"{key} {value}\n" for key, value in model.params.items())
-
-
-def _load_derived(path, kind: str):
-    """Retrain a cip-u, cip-i or popularity model from its events file
-    with the params of its file, one integer for each argument of the
-    kind's ``train`` after the store."""
-    cls = _DERIVED[kind]
-    names = list(inspect.signature(cls.train).parameters)[1:]
+    types, keys, build = _KINDS[kind]
+    # a deepcip or fism file of the older labelled-line layout fails on
+    # its param lines
+    hint = (f"; a {kind} file saved before rows digests must be retrained "
+            "with 'ciprec train'") if keys else ""
     params = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         fh.readline()                   # the header, checked by peek_kind
-        ref, digest = _read_ref(fh, path)
-        for line in fh:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] not in names or parts[0] in params:
-                raise FormatError(f"{path}: expected one '<param> <value>' line "
-                                  f"for each of {names}, got {line.strip()!r}")
+        ref = _expect(fh.readline(), "events", path)
+        digest = _expect(fh.readline(), "events-digest", path,
+                         "; a file with no events digest must be retrained "
+                         "with 'ciprec train'")
+        # deepcip and fism params end at the rows digest, the others at EOF
+        for line in [fh.readline() for _ in types] if keys else fh.readlines():
+            name, value = _pair(line)
+            if name not in types or name in params:
+                raise FormatError(f"{path}: expected one '<param> <value>' line for "
+                                  f"each of {list(types)}, got {line[:80]!r}{hint}")
             try:
-                params[parts[0]] = int(parts[1])
+                params[name] = types[name](value)
             except ValueError:
-                raise FormatError(f"{path}: {parts[0]} {parts[1]!r} is not an "
-                                  "integer") from None
-    if len(params) != len(names):
-        raise FormatError(f"{path}: missing params "
-                          f"{[n for n in names if n not in params]}")
-    _, store = _load_ref_profiles(path, ref, digest)
+                raise FormatError(f"{path}: {name} {value!r} is not a valid "
+                                  f"{types[name].__name__}") from None
+        if len(params) != len(types):
+            raise FormatError(f"{path}: missing params "
+                              f"{[n for n in types if n not in params]}")
+        if keys:
+            rows_digest = _expect(fh.readline(), "rows-digest", path, hint)
+            ids, rows = _read_rows(fh, path, keys, rows_digest)
+    log = _checked_events(path, ref, digest)
     try:
-        return cls.train(store, **params)
-    except ValueError as exc:         # out-of-range params
+        if keys:
+            return build(log, rows, *ids, **params)
+        return build(build_profiles(log), **params)
+    except ValueError as exc:         # out-of-range params, rows that do not fit
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _save_deepcip(rec, path, head: str) -> None:
-    model: EmbeddingModel = getattr(rec, "model", rec)
-    delta = getattr(rec, "delta", 60)
-    store = getattr(rec, "profiles", None)
-    if store is not None:
-        raw_ids = [store.item_ids[int(i)] for i in model.item_ids]
-    else:
-        raw_ids = [int(i) for i in model.item_ids]
-    cfg = model.config
-    header = head + (
-        f"delta {delta}\n"
-        f"n {len(model)} d {model.dim}\n"
-        f"window {cfg.window} negatives {cfg.negatives} lr {_fmt_float(cfg.lr)} "
-        f"min-lr {_fmt_float(cfg.min_lr)} epochs {cfg.epochs} seed {cfg.seed}\n"
-        f"items {' '.join(str(i) for i in raw_ids)}\n"
-        "binary\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8"))
-        fh.write(np.ascontiguousarray(model.syn0, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.syn1, dtype="<f8").tobytes())
-
-
-def _load_deepcip(path, kind: str) -> DeepCipRecommender:
-    with open(path, "rb") as fh:
-        fh.readline()                   # the header, checked by peek_kind
-        ref, digest = _read_ref(fh, path)
-        [delta] = _read_fields(fh, path, ("delta", int))
-        n, d = _read_fields(fh, path, ("n", int), ("d", int))
-        window, negatives, lr, min_lr, epochs, seed = _read_fields(
-            fh, path, ("window", int), ("negatives", int), ("lr", float),
-            ("min-lr", float), ("epochs", int), ("seed", int))
-        raw_items = _read_ids(fh, "items", path)
-        if len(raw_items) != n:
-            raise FormatError(f"{path}: items line has {len(raw_items)} ids, expected {n}")
-        marker = fh.readline().decode("utf-8").strip()
-        if marker != "binary":
-            raise FormatError(f"{path}: expected 'binary' marker, got {marker!r}")
-        payload = fh.read(2 * n * d * 8)
-        if len(payload) != 2 * n * d * 8:
-            raise FormatError(f"{path}: truncated binary payload")
-    syn0 = np.frombuffer(payload[: n * d * 8], dtype="<f8").reshape(n, d).copy()
-    syn1 = np.frombuffer(payload[n * d * 8:], dtype="<f8").reshape(n, d).copy()
-    log, store = _load_ref_profiles(path, ref, digest)
-    missing = [i for i in raw_items if i not in log.item_index]
-    if missing:
-        raise FormatError(f"{path}: items {missing[:5]} are not in the events file")
-    dense = np.asarray([log.item_index[i] for i in raw_items], dtype=np.int64)
-    cfg = TrainConfig(dim=d, window=window, negatives=negatives, lr=lr,
-                      min_lr=min_lr, epochs=epochs, seed=seed)
-    model = EmbeddingModel(dense, syn0, syn1, cfg)
-    return DeepCipRecommender(model, store, delta)
-
-
-def _save_fism(model: FismModel, path, head: str) -> None:
-    if model.profiles is None:
-        raise FormatError("fism model has no profiles attached")
-    store = model.profiles
-    header = head + (
-        f"m {model.num_users} n {model.num_items} k {model.k} "
-        f"alpha {_fmt_float(model.alpha)}\n"
-        f"delta {model.delta}\n"
-        f"users {' '.join(str(r) for r in store.user_ids[:model.num_users])}\n"
-        f"items {' '.join(str(r) for r in store.item_ids[:model.num_items])}\n"
-        "binary\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8"))
-        for arr in (model.b_user, model.b_item, model.p, model.q):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _load_fism(path, kind: str) -> FismModel:
-    with open(path, "rb") as fh:
-        fh.readline()                   # the header, checked by peek_kind
-        ref, digest = _read_ref(fh, path)
-        m, n, k, alpha = _read_fields(fh, path, ("m", int), ("n", int), ("k", int),
-                                      ("alpha", float))
-        [delta] = _read_fields(fh, path, ("delta", int))
-        raw_users = _read_ids(fh, "users", path)
-        raw_items = _read_ids(fh, "items", path)
-        if len(raw_users) != m or len(raw_items) != n:
-            raise FormatError(f"{path}: id lines do not match m/n")
-        marker = fh.readline().decode("utf-8").strip()
-        if marker != "binary":
-            raise FormatError(f"{path}: expected 'binary' marker")
-        need = (m + n + 2 * n * k) * 8
-        payload = fh.read(need)
-        if len(payload) != need:
-            raise FormatError(f"{path}: truncated binary payload")
-    off = 0
-
-    def take(count, shape):
-        nonlocal off
-        arr = np.frombuffer(payload[off:off + count * 8], dtype="<f8")
-        off += count * 8
-        return arr.reshape(shape).copy()
-
-    b_user_file = take(m, (m,))
-    b_item_file = take(n, (n,))
-    p_file = take(n * k, (n, k))
-    q_file = take(n * k, (n, k))
-    log, store = _load_ref_profiles(path, ref, digest, raw_users, raw_items)
-    u_perm = np.asarray([log.user_index[r] for r in raw_users])
-    i_perm = np.asarray([log.item_index[r] for r in raw_items])
-    b_user = np.zeros(store.num_users)
-    b_user[u_perm] = b_user_file
-    b_item = np.zeros(store.num_items)
-    b_item[i_perm] = b_item_file
-    p = np.zeros((store.num_items, k))
-    p[i_perm] = p_file
-    q = np.zeros((store.num_items, k))
-    q[i_perm] = q_file
-    model = FismModel(p, q, b_user, b_item, alpha, delta)
-    model.profiles = store
-    return model
+def _read_rows(fh, path, keys, digest: str) -> tuple[list, np.ndarray]:
+    """The raw-id lines ``keys``, the ``binary`` line and the float rows
+    that end a deepcip or fism file, checked against ``digest`` before
+    they are parsed."""
+    lines = [fh.readline() for _ in range(len(keys) + 1)]
+    rows = np.empty((os.fstat(fh.fileno()).st_size - fh.tell()) // 8, dtype="<f8")
+    fh.readinto(rows)
+    h = hashlib.sha256(b"".join(lines))
+    h.update(rows)
+    h.update(fh.read())
+    if h.hexdigest() != digest:
+        raise FormatError(f"{path}: the id lines or float rows do not match "
+                          "the rows digest")
+    if lines.pop() != b"binary\n":
+        raise FormatError(f"{path}: expected a 'binary' line after the id lines")
+    ids = []
+    for key, line in zip(keys, lines):
+        value = _expect(line, key, path)
+        try:
+            ids.append([int(x) for x in value.split()])
+        except ValueError:
+            raise FormatError(f"{path}: non-integer id in the {key} line") from None
+    return ids, rows

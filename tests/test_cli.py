@@ -84,7 +84,7 @@ def test_failed_update_leaves_the_previous_model_loadable(events_file, tmp_path,
     def crash(model, path, head):
         raise OSError("disk full")
 
-    monkeypatch.setattr(persistence, "_save_derived", crash)
+    monkeypatch.setattr(persistence, "_write", crash)
     assert main(["update", "--model-file", str(out), "--events", str(events_file)]) != 0
     assert "disk full" in capsys.readouterr().err
     after = load_model(out)

@@ -187,6 +187,20 @@ def test_train_rejects_empty_corpus():
         train([[], []], TrainConfig())
 
 
+@pytest.mark.parametrize("knob, value", [("dim", 0), ("window", 0), ("lr", 0.0),
+                                         ("epochs", 0), ("workers", 0),
+                                         ("negatives", -1), ("seed", -1)])
+def test_out_of_range_knob_raises(knob, value):
+    with pytest.raises(ValueError, match=knob):
+        TrainConfig(**{knob: value})
+
+
+def test_negative_delta_raises():
+    with pytest.raises(ValueError, match="delta"):
+        DeepCipRecommender(EmbeddingModel.create([1], TrainConfig(dim=2)),
+                           ProfileStore(0, 0), -1)
+
+
 def test_warm_start_extends_vocabulary_and_keeps_cold_rows():
     base = train([[0, 1, 2]] * 10, TrainConfig(dim=8, epochs=2, seed=3))
     frozen = base.syn0.copy()

@@ -82,6 +82,9 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         FismModel(p=np.zeros((3, 2)), q=np.zeros((3, 2)),
                   b_user=np.zeros(1), b_item=np.zeros(4), alpha=0.5)
+    with pytest.raises(ValueError, match="delta"):
+        FismModel(p=np.zeros((3, 2)), q=np.zeros((3, 2)),
+                  b_user=np.zeros(1), b_item=np.zeros(3), alpha=0.5, delta=-1)
 
 
 def test_random_init_is_seeded_and_small():

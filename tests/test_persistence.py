@@ -1,5 +1,7 @@
 """Model and event files: round trips, raw-id remapping, error paths."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -241,59 +243,85 @@ def test_model_file_without_its_events_digest_raises_format_error(tmp_path, corp
         load_model(path)
 
 
-@pytest.mark.parametrize("kind", ["cip-u", "cip-i"])
+def _sections(path, n_params: int) -> tuple[list, list, bytes]:
+    """A saved model file's three head lines, its ``n_params`` param
+    lines, and the bytes after them."""
+    *lines, rest = path.read_bytes().split(b"\n", 3 + n_params)
+    return lines[:3], lines[3:], rest
+
+
+@pytest.mark.parametrize("kind", sorted(_TRAIN))
+def test_each_kind_s_file_holds_its_model_params(tmp_path, corpus, kind):
+    params = _TRAIN[kind](corpus[1]).params
+    assert set(persistence._KINDS[kind][0]) == set(params)
+    path, _ = _saved(tmp_path, corpus, kind)
+    _, rows, rest = _sections(path, len(params))
+    assert rows == [f"{key} {value}".encode() for key, value in params.items()]
+    assert rest.startswith(b"rows-digest ") == (kind in ("deepcip", "fism"))
+
+
+# a value out of range for each param that has one
+_OUT_OF_RANGE = {"delta_h": b"-1", "delta": b"-1", "k": b"0", "dim": b"0",
+                 "window": b"0", "negatives": b"-1", "lr": b"0", "epochs": b"0",
+                 "seed": b"-1"}
+
+
+@pytest.mark.parametrize("kind", ["cip-i", "cip-u", "deepcip", "fism"])
 def test_bad_params_in_a_derived_file_raise_format_error(tmp_path, corpus, kind):
+    params = _TRAIN[kind](corpus[1]).params
     path, _ = _saved(tmp_path, corpus, kind)
-    lines = path.read_text().splitlines(keepends=True)
-    assert lines[3:] == [f"{key} {value}\n"
-                         for key, value in _TRAIN[kind](corpus[1]).params.items()]
-    head, params = lines[:3], lines[3:]
-    k = params.index("k 10\n")
-    bad = {
-        "missing": params[:k] + params[k + 1:],
-        "unknown": params + ["wat 1\n"],
-        "repeated": params + ["k 10\n"],
-        "not an integer": params[:k] + ["k ten\n"] + params[k + 1:],
-        "out of range": params[:k] + ["k 0\n"] + params[k + 1:],
-    }
-    for rows in bad.values():
-        path.write_text("".join(head + rows))
-        with pytest.raises(FormatError):
-            load_model(path)
-    path.write_text("".join(head + params[::-1]))   # any order loads
-    assert load_model(path).params == _TRAIN[kind](corpus[1]).params
-
-
-@pytest.mark.parametrize("kind", ["deepcip", "fism"])
-def test_cut_or_mislabelled_header_line_raises_format_error(tmp_path, corpus, kind):
-    path, _ = _saved(tmp_path, corpus, kind)
-    head, marker, payload = path.read_bytes().partition(b"\nbinary\n")
-    lines = head.decode("utf-8").split("\n")
-    labelled = [k for k, line in enumerate(lines)
-                if line.split()[0] in ("delta", "n", "window", "m")]
-    assert len(labelled) == (3 if kind == "deepcip" else 2)
-    for k in labelled:
-        fields = lines[k].split()
-        bad = [" ".join(fields[:cut]) for cut in range(len(fields))]
-        bad += [" ".join(fields[:j] + [fields[j] + "x"] + fields[j + 1:])
-                for j in range(0, len(fields), 2)]
-        for line in bad:
-            path.write_bytes("\n".join(lines[:k] + [line] + lines[k + 1:]).encode()
-                             + marker + payload)
+    head, rows, rest = _sections(path, len(params))
+    for k, row in enumerate(rows):
+        name, _, value = row.partition(b" ")
+        others = rows[:k] + rows[k + 1:]
+        bad = {
+            "missing": others,
+            "cut": others + [name],
+            "mislabelled": others + [name + b"x " + value],
+            "unknown": [b"wat 1"] + rows,
+            "repeated": rows + [row],
+            "mistyped": others + [name + b" ten"],
+        }
+        if name.decode() in _OUT_OF_RANGE:
+            bad["out of range"] = others + [name + b" " + _OUT_OF_RANGE[name.decode()]]
+        for edit, edited in bad.items():
+            path.write_bytes(b"\n".join(head + edited + [rest]))
             with pytest.raises(FormatError):
                 load_model(path)
-    path.write_bytes(head + marker + payload)
-    load_model(path)
+                pytest.fail(f"{kind}: {name.decode()} {edit} loaded")
+    path.write_bytes(b"\n".join(head + rows[::-1] + [rest]))    # any order loads
+    assert load_model(path).params == params
+
+
+# the param lines of deepcip and fism files before they had a rows digest
+_LABELLED = {
+    "deepcip": b"delta 60\nn 1 d 4\nwindow 5 negatives 5 lr 0.025 min-lr 0.0001 "
+               b"epochs 1 seed 3\nitems 2\nbinary\n",
+    "fism": b"m 1 n 1 k 3 alpha 0.5\ndelta 60\nusers 4\nitems 2\nbinary\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LABELLED))
+def test_a_file_of_labelled_param_lines_must_be_retrained(tmp_path, corpus, kind):
+    path, _ = _saved(tmp_path, corpus, kind)
+    head, _, _ = _sections(path, 0)
+    path.write_bytes(b"\n".join(head) + b"\n" + _LABELLED[kind] + bytes(64))
+    with pytest.raises(FormatError, match="retrained with 'ciprec train'"):
+        load_model(path)
 
 
 def _edit_id_line(path, key: str, edit) -> None:
-    """Rewrite the ``key id id ...`` line of a saved binary model file
-    with ``edit(ids)``."""
-    head, marker, payload = path.read_bytes().partition(b"\nbinary\n")
-    lines = head.decode("utf-8").split("\n")
+    """Rewrite the ``key id id ...`` line of a saved deepcip or fism file
+    with ``edit(ids)``, and give the file the rows digest of its new
+    bytes, so the edit passes the digest and meets the id checks."""
+    head, _, rest = path.read_bytes().partition(b"\nrows-digest ")
+    ids, marker, payload = rest.partition(b"\n")[2].partition(b"\nbinary\n")
+    lines = ids.decode("utf-8").split("\n")
     [k] = [k for k, line in enumerate(lines) if line.startswith(key + " ")]
     lines[k] = " ".join([key] + edit(lines[k].split()[1:]))
-    path.write_bytes("\n".join(lines).encode() + marker + payload)
+    rest = "\n".join(lines).encode() + marker + payload
+    digest = hashlib.sha256(rest).hexdigest().encode()
+    path.write_bytes(head + b"\nrows-digest " + digest + b"\n" + rest)
 
 
 @pytest.mark.parametrize("kind, key", [("deepcip", "items"), ("fism", "users"),
@@ -303,6 +331,31 @@ def test_non_integer_id_raises_format_error(tmp_path, corpus, kind, key):
     _edit_id_line(path, key, lambda ids: ids[:1] + [ids[1] + "x"] + ids[2:])
     with pytest.raises(FormatError, match=f"non-integer id in the {key} line"):
         load_model(path)
+
+
+@pytest.mark.parametrize("kind", sorted(_TRAIN))
+def test_every_byte_edit_of_the_text_raises_format_error_or_loads(tmp_path, corpus,
+                                                                  kind):
+    path, _ = _saved(tmp_path, corpus, kind)
+    data = path.read_bytes()
+    binary = data.find(b"\nbinary\n")
+    if binary < 0:                      # no factors: the whole file is text
+        text, ids = len(data), range(0)
+    else:
+        text = binary + len(b"\nbinary\n")
+        # the id lines: from the line after the rows digest to the binary line
+        ids = range(data.index(b"\n", data.index(b"\nrows-digest ") + 1) + 1, binary + 1)
+    for at in range(text):
+        for byte in b"0-9 x":
+            if data[at] == byte:
+                continue
+            path.write_bytes(data[:at] + bytes([byte]) + data[at + 1:])
+            try:
+                load_model(path)
+            except FormatError:
+                continue
+            assert at not in ids, f"{kind}: {bytes([byte])!r} at byte {at} of " \
+                f"line {data[:at].count(10)} loaded"
 
 
 def test_deepcip_item_missing_from_the_events_raises_format_error(tmp_path, corpus):
@@ -405,7 +458,7 @@ def test_failed_save_leaves_the_previous_file(tmp_path, corpus, monkeypatch):
             fh.write("CIPREC1 cip-i\n")
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr(persistence, "_save_derived", crash)
+    monkeypatch.setattr(persistence, "_write", crash)
     with pytest.raises(RuntimeError, match="disk full"):
         save_model(CipIModel.train(store, 60, 5), path, events_path)
     assert path.read_bytes() == before
