@@ -12,7 +12,10 @@ from xml.dom import minidom
 
 import numpy as np
 
-from ciprec.ingest import EventLog, ProfileStore, window_pairs
+from ciprec.ingest import EventLog, ProfileStore, join_profiles, pair_positions
+
+# profiles whose pairs are counted at a time: bounds the pair arrays
+_GRAPH_BLOCK = 512
 
 
 @dataclass
@@ -44,12 +47,21 @@ def build_item_graph(store: ProfileStore, hop_back: int = 2, hop_fwd: int = 3,
     """
     if hop_back < 0 or hop_fwd < 0:
         raise ValueError("hop window must be non-negative")
-    items, p, q = window_pairs([prof.items for prof in store], max(hop_back, hop_fwd))
-    i, j = items[p], items[q]
-    keys, counts = np.unique((np.minimum(i, j) << 32) | np.maximum(i, j),
-                             return_counts=True)
+    profs = list(store)
+    keys, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    # count pairs a block of profiles at a time, then merge the counts
+    for lo in range(0, len(profs), _GRAPH_BLOCK):
+        items, _, lengths = join_profiles(profs[lo:lo + _GRAPH_BLOCK])
+        p, q = pair_positions(lengths, max(hop_back, hop_fwd))
+        i, j = items[p], items[q]
+        block_keys, block_counts = np.unique((np.minimum(i, j) << 32) | np.maximum(i, j),
+                                             return_counts=True)
+        keys.append(block_keys)
+        counts.append(block_counts)
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    counts = np.bincount(inverse.ravel(), weights=np.concatenate(counts))
     heavy = counts >= min_weight
-    return ItemGraph({divmod(k, 1 << 32): float(w)
+    return ItemGraph({divmod(k, 1 << 32): w
                       for k, w in zip(keys[heavy].tolist(), counts[heavy].tolist())})
 
 

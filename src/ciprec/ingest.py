@@ -10,15 +10,30 @@ seconds.
 
 :func:`parse_events` reads every input format, the canonical events file
 that :func:`ciprec.persistence.dump_events` writes included, through one
-table of formats (separator, header line, rating column). It converts
-blocks of ``_BLOCK`` lines to column arrays, then numbers users and items
-with one ``np.unique`` each and orders events with one stable sort.
+table of formats (separator, header line, rating column). It reads
+blocks of whole lines of ``_BLOCK`` characters or more (a path in text
+mode, so ``\r\n`` and a lone ``\r`` end a line, as ``\n`` does) and
+converts each with one numpy kernel over its bytes,
+:func:`_strict_columns`. The kernel takes a block only when every line is
+in the strict grammar: width - 1 separators, ids and timestamp
+``-?[0-9]{1,18}``, rating ``-?[0-9]{1,15}`` or empty. Any other block
+(blank lines, ``\r``, ``+``, spaces, ``_``, ``.``, non-ASCII characters,
+longer fields, wrong field counts) goes to the fallback, which splits
+its lines and reads them with ``int()`` and ``float()`` and names the
+first bad line. Both give the same values. Users and items are then
+numbered with one ``np.unique`` each and events ordered with one stable
+sort.
+
+Sorts of ids use :func:`_sort_key`: offsets from the minimum in the
+narrowest unsigned type, so numpy's stable sort is a radix sort when the
+range fits 16 bits.
 
 A profile is two typed arrays, its items (``array('i')``) and their
 timestamps (``array('q')``): 12 bytes an event. :func:`build_profiles`
-finds each (user, item) pair's first occurrence with one ``np.unique``,
-groups them by user with one stable sort and fills each profile from
-its user's slice. Code reads profiles through copies
+finds each (user, item) pair's first occurrence with two stable sorts,
+by user and then by item, keeps the first occurrences in the by-user
+order and fills each profile from its user's slice. Code reads profiles
+through copies
 (:func:`join_profiles`, ``np.array``): a live numpy view blocks appends.
 
 Packs come from one rule, :func:`_pack_starts`: over profiles laid end
@@ -50,8 +65,8 @@ _FORMATS = {
 }
 FORMATS = tuple(_FORMATS)
 
-# lines parsed into arrays at a time: bounds the per-line strings alive
-_BLOCK = 2**14
+# characters parsed into arrays at a time: bounds the block's arrays
+_BLOCK = 2**20
 
 
 class ParseError(ValueError):
@@ -113,15 +128,21 @@ def parse_events(source, fmt: str) -> EventLog:
     ``events``, the canonical events file (header ``CIPREC1 events``,
     then ``user,item,timestamp``). Raises :class:`ParseError` with the
     offending line number on malformed input, and on empty input; only a
-    block that fails is read again line by line, to find that line.
+    block outside the strict grammar is read again line by line.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return parse_events(fh, fmt)
-    sep, header, rated = _FORMATS[fmt]
+            return _parse(iter(fh.readline, ""), _text_blocks(fh), fmt)
     lines = iter(source)
+    return _parse(lines, _line_blocks(lines), fmt)
+
+
+def _parse(lines: Iterator[str], blocks, fmt: str) -> EventLog:
+    """Read the header, if ``fmt`` has one, from ``lines``, then the
+    events from ``blocks``, a lazy reader of what ``lines`` leaves."""
+    sep, header, rated = _FORMATS[fmt]
     line_no = 0
     if header is not None:
         for line_no, raw in enumerate(lines, 1):
@@ -129,25 +150,112 @@ def parse_events(source, fmt: str) -> EventLog:
                 if line != header:
                     raise ParseError(f"expected header {header!r}", line_no)
                 break
-    blocks = []
-    while block := list(islice(lines, _BLOCK)):
-        rows = [line for line in (raw.rstrip("\n").rstrip("\r") for raw in block) if line]
-        if rows:
+    cols = []
+    for text, rows in blocks:
+        block = _strict_columns(text, sep, rated)
+        # an iterable's element with a newline inside is one line, not two
+        if block is not None and (rows is None or len(block[0]) == len(rows)):
+            cols.append(block)
+            line_no += len(block[0])
+            continue
+        if rows is None:
+            rows = text.split("\n")[:-1]
+        if nonblank := [row for row in rows if row]:
             try:
-                blocks.append(_columns(rows, sep, rated))
+                cols.append(_columns(nonblank, sep, rated))
             except (ValueError, OverflowError):
-                _raise_first_bad_line(block, line_no + 1, sep, rated)
+                _raise_first_bad_line(rows, line_no + 1, sep, rated)
                 raise
-        line_no += len(block)
-    if not blocks:
+        line_no += len(rows)
+    if not cols:
         raise ParseError("no events in input")
 
-    users, items, ts, ratings = (np.concatenate(col) for col in zip(*blocks))
-    del blocks                      # before np.unique's transient arrays
+    users, items, ts, ratings = (np.concatenate(col) for col in zip(*cols))
+    del cols                        # before np.unique's transient arrays
     order = np.argsort(ts, kind="stable")
     users, user_ids = _dense_ids(users, order)
     items, item_ids = _dense_ids(items, order)
     return EventLog(users, items, ts[order], ratings[order], user_ids, item_ids)
+
+
+def _text_blocks(fh):
+    """A text file's remaining lines, whole lines of ``_BLOCK`` characters
+    or more at a time: ``(text, None)``, every line of ``text`` ending in
+    ``\\n`` (universal newlines: ``\\r\\n`` and a lone ``\\r`` read as
+    ``\\n``)."""
+    rest = ""
+    while chunk := fh.read(_BLOCK):
+        text = rest + chunk
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut], None
+        rest = text[cut:]
+    if rest:
+        yield rest + "\n", None
+
+
+def _line_blocks(lines: Iterator[str]):
+    """An iterable's lines, ``_BLOCK`` characters or more at a time, each
+    without its ``\\n`` and then ``\\r`` ending: ``(text, lines)``, with
+    ``text`` the lines each followed by ``\\n``."""
+    block, size = [], 0
+    for raw in lines:
+        block.append(raw.rstrip("\n").rstrip("\r"))
+        size += len(raw)
+        if size >= _BLOCK:
+            yield "\n".join(block) + "\n", block
+            block, size = [], 0
+    if block:
+        yield "\n".join(block) + "\n", block
+
+
+def _strict_columns(text: str, sep: str, rated: bool):
+    """The user, item, timestamp and rating arrays of ``text``, lines
+    each ending in ``\\n``, when every line is in the strict grammar:
+    width - 1 separators, ids and timestamp ``-?[0-9]{1,18}``, rating
+    ``-?[0-9]{1,15}`` or empty (NaN). Such fields convert exactly, as
+    ``int()`` and ``float()`` would. Returns None for any other text."""
+    b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    width, m = (4 if rated else 3), len(sep)
+    ends = np.flatnonzero(b == ord("\n"))
+    at = np.flatnonzero(b == ord(sep[0]))       # every separator is one char repeated
+    cuts = at[::m]
+    n = len(ends)
+    if (len(cuts) != n * (width - 1) or len(at) != m * len(cuts)
+            or not all(np.array_equal(at[r::m], cuts + r) for r in range(1, m))):
+        return None
+    delim = np.zeros(len(b), dtype=bool)
+    delim[cuts] = delim[ends] = True
+    stops = np.flatnonzero(delim).reshape(n, width)
+    if not np.array_equal(stops[:, -1], ends):
+        return None
+    starts = np.empty_like(stops)
+    starts[:, 0] = np.append(0, ends[:-1] + 1)
+    starts[:, 1:] = stops[:, :-1] + m
+    neg = b[starts] == ord("-")
+    digits = b - ord("0")
+    # every byte not a separator, a newline or a field's leading '-' is a digit
+    if np.count_nonzero(digits < 10) != len(b) - len(at) - n - np.count_nonzero(neg):
+        return None
+    starts += neg
+    cols = []
+    for c, most in enumerate((18, 18, 15, 18) if rated else (18, 18, 18)):
+        first, sign = starts[:, c].copy(), neg[:, c].copy()
+        count = stops[:, c] - first
+        lo, hi = int(count.min()), int(count.max())
+        if hi > most or np.any(count < (sign if rated and c == 2 else 1)):
+            return None
+        # one place-value pass per digit position, left to right
+        value = np.zeros(n, dtype=np.int64)
+        for j in range(hi):
+            step = value * 10 + digits.take(first + j, mode="clip")
+            value = step if j < lo else np.where(count > j, step, value)
+        if c == 2 and rated:
+            value = np.where(count == 0, np.nan, value.astype(np.float64))
+        cols.append(np.where(sign, -value, value))
+    if rated:
+        return cols[0], cols[1], cols[3], cols[2]
+    return (*cols, np.full(n, math.nan))
 
 
 def _columns(rows: list[str], sep: str, rated: bool):
@@ -167,12 +275,11 @@ def _columns(rows: list[str], sep: str, rated: bool):
               for k in (0, 1, width - 1)), ratings)
 
 
-def _raise_first_bad_line(block: list[str], first_no: int, sep: str, rated: bool):
+def _raise_first_bad_line(lines: list[str], first_no: int, sep: str, rated: bool):
     """Raise ParseError for the first malformed line of a block that
-    starts at line ``first_no``."""
+    starts at line ``first_no``; ``lines`` are without their endings."""
     width = 4 if rated else 3
-    for line_no, raw in enumerate(block, first_no):
-        line = raw.rstrip("\n").rstrip("\r")
+    for line_no, line in enumerate(lines, first_no):
         if not line:
             continue
         parts = line.split(sep)
@@ -191,13 +298,23 @@ def _raise_first_bad_line(block: list[str], first_no: int, sep: str, rated: bool
                 raise ParseError(f"non-numeric rating in {line!r}", line_no) from None
 
 
+def _sort_key(a: np.ndarray) -> np.ndarray:
+    """An int64 array's offsets from its minimum, in the narrowest
+    unsigned type that holds them: the same order as ``a``, and numpy's
+    stable sort of a key of 16 bits or fewer is a radix sort. Offsets are
+    taken modulo 2**64, so a range past int64 does not overflow."""
+    u = a.view(np.uint64)
+    off = u - u[np.argmin(a)]
+    return off.astype(np.min_scalar_type(int(off.max())))
+
+
 def _dense_ids(raw: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Dense ids by first appearance in ``raw``: each value's id, taken in
     ``order``, and the raw value of each id."""
-    values, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(_sort_key(raw), return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     dense = np.argsort(by_first)            # the inverse permutation
-    return dense[inverse.ravel()[order]], values[by_first].tolist()
+    return dense[inverse.ravel()[order]], raw[first[by_first]].tolist()
 
 
 def temporal_split(log: EventLog, n_train: int, n_valid: int,
@@ -394,20 +511,29 @@ def build_profiles(log: EventLog) -> ProfileStore:
     store = ProfileStore(log.num_users, log.num_items, log.user_ids, log.item_ids)
     if not len(log):
         return store
-    span = int(log.items.max()) + 1
-    _, first = np.unique(log.users * span + log.items, return_index=True)
-    first.sort()
-    # group by user, each user's first occurrences still in log order
-    first = first[np.argsort(log.users[first], kind="stable")]
-    users, items, ts = log.users[first], log.items[first].astype(np.int32), log.ts[first]
-    same = users[1:] == users[:-1]
+    users, items = _sort_key(log.users), _sort_key(log.items)
+    by_user = np.argsort(users, kind="stable")
+    # events by (item, user), in log order within a pair: each pair's
+    # first occurrence heads its run
+    by = by_user[np.argsort(items[by_user], kind="stable")]
+    u, i = users[by], items[by]
+    head = np.ones(len(by), dtype=bool)
+    head[1:] = (u[1:] != u[:-1]) | (i[1:] != i[:-1])
+    kept = np.zeros(len(by), dtype=bool)
+    kept[by[head]] = True
+    # the first occurrences grouped by user, each user's in log order
+    first = by_user[kept[by_user]]
+    group, ts = users[first], log.ts[first]
+    same = group[1:] == group[:-1]
     if np.any(same & (ts[1:] < ts[:-1])):
         raise ValueError("events must arrive in timestamp order")
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    ends = np.append(starts[1:], len(users))
+    ends = np.append(starts[1:], len(first))
+    items = log.items[first].astype(np.int32)
+    owners = log.users[first[starts]].tolist()
     for k in np.argsort(first[starts]).tolist():
         b, e = int(starts[k]), int(ends[k])
-        prof = store.profiles[int(users[b])] = UserProfile(int(users[b]))
+        prof = store.profiles[owners[k]] = UserProfile(owners[k])
         prof.items.frombytes(items[b:e].tobytes())
         prof.ts.frombytes(ts[b:e].tobytes())
     return store

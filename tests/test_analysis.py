@@ -12,7 +12,7 @@ from ciprec.analysis import (EvalReport, ItemGraph, build_item_graph,
                              modularity, precision_at_n, sweep, write_reports)
 from ciprec.ingest import EventLog, ProfileStore
 
-from helpers import store_from
+from helpers import random_stream, store_from
 
 
 def _graph(edges) -> ItemGraph:
@@ -128,6 +128,17 @@ def test_item_graph_matches_the_triple_loop():
         for min_weight in (1, 3):
             want = _loop_item_graph(store, *hops, min_weight)
             assert build_item_graph(store, *hops, min_weight).edges == want.edges
+
+
+@pytest.mark.parametrize("block", [1, 3, 50])
+def test_item_graph_is_the_same_across_profile_blocks(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    store = store_from(random_stream(rng, 40, 30, 800))
+    want = _loop_item_graph(store, 2, 3, 2).edges
+    monkeypatch.setattr(analysis, "_GRAPH_BLOCK", block)
+    got = build_item_graph(store, 2, 3, 2).edges
+    assert got == want and list(got) == sorted(want)       # in (i, j) order
+    assert build_item_graph(ProfileStore(0, 0)).edges == {}
 
 
 def test_item_graph_min_weight_boundary():

@@ -78,7 +78,7 @@ def _triples(log):
             zip(log.users.tolist(), log.items.tolist(), log.ts.tolist())]
 
 
-@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("block", [1, 2, 7, 40, 300])
 def test_parse_is_the_same_across_block_boundaries(tmp_path, monkeypatch, block):
     monkeypatch.setattr(ingest, "_BLOCK", block)
     rng = np.random.default_rng(block)
@@ -93,12 +93,16 @@ def test_parse_is_the_same_across_block_boundaries(tmp_path, monkeypatch, block)
         for fmt in ("ml-tab", "ml-dcolon", "csv"):
             rows = [_SEPS[fmt].join(map(str, row))
                     for row in zip(users, items, ratings, ts)]
-            log = parse_events(_lines(rng, rows, _HEADERS.get(fmt))[0], fmt)
-            assert _triples(log) == want
-            assert log.user_ids == list(dict.fromkeys(users))
-            assert log.item_ids == list(dict.fromkeys(items))
-            assert np.array_equal(log.ratings, [float(ratings[k] or "nan") for k in order],
-                                  equal_nan=True)
+            lines = _lines(rng, rows, _HEADERS.get(fmt))[0]
+            path = tmp_path / f"{trial}.{fmt}"
+            path.write_text("".join(lines), newline="")
+            for log in (parse_events(lines, fmt), parse_events(path, fmt)):
+                assert _triples(log) == want
+                assert log.user_ids == list(dict.fromkeys(users))
+                assert log.item_ids == list(dict.fromkeys(items))
+                assert np.array_equal(log.ratings,
+                                      [float(ratings[k] or "nan") for k in order],
+                                      equal_nan=True)
         path = tmp_path / f"{trial}.events"
         dump_events(log, path)
         rows = path.read_text().splitlines()[1:]
@@ -110,7 +114,7 @@ def test_parse_is_the_same_across_block_boundaries(tmp_path, monkeypatch, block)
             assert np.isnan(got.ratings).all()
 
 
-@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("block", [1, 2, 7, 40, 300])
 def test_malformed_line_in_a_later_block_names_its_own_line(tmp_path, monkeypatch,
                                                            block):
     monkeypatch.setattr(ingest, "_BLOCK", block)
@@ -134,14 +138,130 @@ def test_malformed_line_in_a_later_block_names_its_own_line(tmp_path, monkeypatc
             edited = list(lines)
             for j, row in rows_at.items():
                 edited[numbers[j] - 1] = row + "\n"
-            with pytest.raises(ParseError) as err:
-                parse_events(edited, fmt)
-            assert err.value.line_no == numbers[k], (fmt, rows_at)
+            path = tmp_path / f"bad.{fmt}"
+            path.write_text("".join(edited), newline="")
+            for source in (edited, path):
+                with pytest.raises(ParseError) as err:
+                    parse_events(source, fmt)
+                assert err.value.line_no == numbers[k], (fmt, rows_at, source)
             if fmt == "events":
-                path = tmp_path / "bad.events"
-                path.write_text("".join(edited))
                 with pytest.raises(FormatError, match=f"line {numbers[k]}: "):
                     load_events(path)
+
+
+def _reference_parse(lines, fmt):
+    """Reference: each line on its own, without its ``\n`` and then ``\r``
+    ending, split and read with ``int()`` and ``float()``. Returns the
+    events and the id lists, or the first bad line's number (None: no
+    events)."""
+    sep, header = _SEPS[fmt], _HEADERS.get(fmt)
+    rated = fmt != "events"
+    width = 4 if rated else 3
+    events = []
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        if header is not None:
+            if line != header:
+                return line_no
+            header = None
+            continue
+        parts = line.split(sep)
+        if len(parts) != width:
+            return line_no
+        try:
+            row = (int(parts[0]), int(parts[1]), int(parts[-1]),
+                   float(parts[2] or "nan") if rated else float("nan"))
+        except ValueError:
+            return line_no
+        if not all(-2**63 <= v < 2**63 for v in row[:3]):
+            return line_no
+        events.append(row)
+    if not events:
+        return None
+    return (sorted(events, key=lambda e: e[2]), list(dict.fromkeys(e[0] for e in events)),
+            list(dict.fromkeys(e[1] for e in events)))
+
+
+# kernel-strict fields, and forms that only int() / float() read, or nothing does
+_ODD_IDS = ["+7", " 7", "7 ", "1_0", "-0", "007", "٣", "７", "x", "", "-", "1.0", "5:", ":5",
+            "9" * 18, "-" + "9" * 18, "1" + "0" * 18, str(2**63 - 1), str(-2**63),
+            str(2**63), str(-2**63 - 1)]
+_ODD_RATINGS = ["4.5", ".5", "4.", "", "nan", "1e3", "-0", "9" * 15, "-" + "9" * 15,
+                "9" * 16, "-", "abc", " 3", "inf"]
+
+
+def _random_field(rng, odd, rating=False):
+    if rng.random() < 0.04:
+        return str(rng.choice(odd))
+    if rating:
+        return str(rng.choice(["", "1", "3", "5", "-2", "0", "12"]))
+    digits = int(rng.choice([1, 2, 3, 4, 9, 18]))
+    value = int(rng.integers(0, 10**digits))
+    return str(-value if rng.random() < 0.1 else value)
+
+
+def _random_file(rng, fmt):
+    """Lines of a random file: mostly strict rows, with blank lines,
+    ``\r\n`` and lone ``\r`` endings, odd fields, wrong field counts and
+    sometimes no final newline."""
+    sep, rated = _SEPS[fmt], fmt != "events"
+    lines = [_HEADERS[fmt] + "\n"] if fmt in _HEADERS else []
+    for _ in range(int(rng.integers(0, 30))):
+        fields = [_random_field(rng, _ODD_IDS) for _ in range(3)]
+        if rated:
+            fields.insert(2, _random_field(rng, _ODD_RATINGS, rating=True))
+        if rng.random() < 0.02:
+            fields = fields[:-1] if rng.random() < 0.5 else fields + ["1"]
+        line = sep.join(fields)
+        if rng.random() < 0.04:                 # one separator character moved
+            line = line.replace(sep[0], "", 1)
+            at = int(rng.integers(len(line) + 1))
+            line = line[:at] + sep[0] + line[at:]
+        end = str(rng.choice(["\n"] * 12 + ["\r\n", "\r"]))
+        if rng.random() < 0.04:
+            end += str(rng.choice(["\n", "\r\n", " \n"]))
+        lines.append(line + end)
+    if lines and rng.random() < 0.3:
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return lines
+
+
+def _check_same_as_reference(source, lines, fmt):
+    want = _reference_parse(lines, fmt)
+    if not isinstance(want, tuple):
+        with pytest.raises(ParseError) as err:
+            parse_events(source, fmt)
+        assert err.value.line_no == want
+        return
+    log = parse_events(source, fmt)
+    events, user_ids, item_ids = want
+    assert (log.user_ids, log.item_ids) == (user_ids, item_ids)
+    assert [(log.user_ids[u], log.item_ids[i], t) for u, i, t in
+            zip(log.users.tolist(), log.items.tolist(), log.ts.tolist())] == \
+        [e[:3] for e in events]
+    assert log.ratings.tobytes() == np.array([e[3] for e in events]).tobytes()
+
+
+@pytest.mark.parametrize("fmt", list(_SEPS))
+def test_parse_matches_a_per_line_reference(tmp_path, monkeypatch, fmt):
+    rng = np.random.default_rng(list(_SEPS).index(fmt))
+    path = tmp_path / "log.txt"
+    for _ in range(60):
+        lines = _random_file(rng, fmt)
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            read_back = list(fh)            # universal newlines, as a path is read
+        # an element holding two rows is one line of an iterable
+        joined = list(lines)
+        if len(joined) > 3 and rng.random() < 0.2:
+            joined[1:3] = [joined[1] + joined[2]]
+        for block in (1, 5, 64, 2**20):
+            monkeypatch.setattr(ingest, "_BLOCK", block)
+            _check_same_as_reference(path, read_back, fmt)
+            _check_same_as_reference(lines, lines, fmt)
+            _check_same_as_reference(joined, joined, fmt)
 
 
 def test_parse_rejects_empty_and_unknown_format():
@@ -289,6 +409,31 @@ def test_build_profiles_matches_per_event_appends():
         assert _profiles(got) == _profiles(want)     # users in first-event order
         assert all(type(i) is int for p in got for i in [*p.items, *p.ts])
         assert (got.num_users, got.num_items) == (log.num_users, log.num_items)
+
+
+@pytest.mark.parametrize("users, items, widths", [
+    # raw ids of 8 bits of range, and past the int64 range
+    (np.arange(-128, 128), [-2**63, 2**63 - 1, -1, 0, 5], ("u1", "u8", "u1", "u1")),
+    # over 65,536 users, 32-bit raw and dense keys; 16-bit item keys
+    (np.arange(70_000) * 3 - 10**12, np.arange(0, 60_000, 7), ("u4", "u2", "u4", "u2")),
+    (np.arange(-3000, 3000) * 7, np.arange(70_000) - 2**62, ("u2", "u4", "u2", "u4")),
+], ids=["8-bit-users", "32-bit-users", "32-bit-items"])
+def test_parse_and_build_profiles_at_every_sort_key_width(users, items, widths):
+    rng = np.random.default_rng(len(users))
+    n = 2 * max(len(users), len(items))
+    # every id at least once, a few events each
+    raw = [np.concatenate([ids, rng.choice(ids, n - len(ids))])[rng.permutation(n)]
+           for ids in (np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64))]
+    ts = rng.integers(0, 1000, n).tolist()                  # many ties
+    raw_u, raw_i = (col.tolist() for col in raw)
+    log = parse_events([f"{u}\t{i}\t1\t{t}" for u, i, t in zip(raw_u, raw_i, ts)], "ml-tab")
+    order = sorted(range(n), key=ts.__getitem__)
+    assert _triples(log) == [(raw_u[k], raw_i[k], ts[k]) for k in order]
+    assert log.user_ids == list(dict.fromkeys(raw_u))
+    assert log.item_ids == list(dict.fromkeys(raw_i))
+    keys = (*raw, log.users, log.items)
+    assert tuple(ingest._sort_key(key).dtype.str[1:] for key in keys) == widths
+    assert _profiles(build_profiles(log)) == _profiles(_append_profiles(log))
 
 
 def test_build_profiles_rejects_an_unsorted_log():
