@@ -19,13 +19,14 @@ dividing by ``2 * ONE * max(card)`` gives the same float as storing
 2 to a pair's score, and int64 holds the scores of about 4 million users.
 
 Both stores come from one fold over packs given as arrays (the items
-concatenated, and each pack's size): :func:`~ciprec.ingest.pair_positions`
-lists the forward pairs of the packs (for :meth:`CipIModel.observe`,
-only pairs ending at a new item), one integer sum over their sorted keys
-``i << 32 | j`` adds up each pair's weights, and one ``np.bincount``
-counts the new items into the cards. :meth:`CipIModel.train` folds the
-packs in runs of whole packs of at most ``_PAIR_BUDGET`` pairs, which
-bounds its transient arrays.
+concatenated, each pack's size and, for :meth:`CipIModel.observe`, a
+mask of the new items): :func:`~ciprec.ingest.pair_positions` lists the
+forward pairs of the packs that end at a new item (in ``train`` every
+item is new), one integer sum over their sorted keys ``i << 32 | j``
+adds up each pair's weights, and one ``np.bincount`` counts the new
+items into the cards. :meth:`CipIModel.train` folds the packs in runs of
+whole packs of at most ``_PAIR_BUDGET`` pairs, which bounds its
+transient arrays.
 
 One kernel ranks rows: :meth:`CipIModel._top_rows` reads any number of
 score rows into flat arrays, computes their similarities and ranks them
@@ -50,7 +51,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ciprec.ingest import ProfileStore, grown_packs, pack_arrays, pair_positions
+from ciprec.ingest import (ProfileStore, grown_packs, pack_arrays, pair_positions,
+                           run_offsets)
 
 ONE = 1 << 40           # fixed-point unit of a score
 _PAIR_BUDGET = 1 << 18  # most pairs one fold of train holds at once
@@ -119,17 +121,14 @@ class CipIModel:
         self._fold(*grown_packs(self.profiles, before, self.delta))
 
     def _fold(self, items: np.ndarray, sizes: np.ndarray,
-              first: np.ndarray | None = None) -> None:
-        """Fold the packs of ``sizes`` concatenated in ``items``: each
-        pack's forward pairs ending at or after its position ``first[s]``
-        into ``score`` and its items from there on into ``card``, then
+              new: np.ndarray | None = None) -> None:
+        """Fold the packs of ``sizes`` concatenated in ``items``: the
+        forward pairs that end at an item of the mask ``new`` (default:
+        every item) into ``score`` and those items into ``card``, then
         drop the cached rows whose top-k set can change."""
-        p, q = pair_positions(sizes, None, first)
-        fresh = items
-        if first is not None:
-            local = np.arange(len(items)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            fresh = items[local >= np.repeat(first, sizes)]
-        counts = np.bincount(fresh)
+        ends = None if new is None else np.flatnonzero(new)
+        p, q = pair_positions(sizes, None, ends)
+        counts = np.bincount(items if new is None else items[new])
         bumped = np.flatnonzero(counts)
         for i in bumped.tolist():
             self.card[i] = self.card.get(i, 0) + int(counts[i])
@@ -184,7 +183,7 @@ class CipIModel:
         j = np.array(cols, dtype=np.int64)
         r = np.arange(len(rows)).repeat(lengths)
         order = np.lexsort((j, -sim, r))      # r is already sorted
-        rank = np.arange(size) - (np.cumsum(lengths) - lengths).repeat(lengths)
+        rank = run_offsets(lengths)
         kept = rank < k
         order = order[kept]
         return lengths, r[kept], rank[kept], j[order], sim[order]

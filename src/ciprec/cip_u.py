@@ -17,7 +17,11 @@ it), and
 
     H += ΔT·T_oldᵀ + T_old·ΔTᵀ + ΔT·ΔTᵀ
 
-reproduces the from-scratch product exactly. Identical profiles that
+reproduces the from-scratch product exactly. T is not stored: the
+profiles determine it. ΔT is the tokens that end at a new position. The
+update needs T_old only at ΔT's keys, and both items of such a token
+belong to a new key, so those old tokens are recounted from the old
+positions that hold such an item. Identical profiles that
 share no token (equal single-item profiles, or any two equal profiles
 when ``delta_h`` is 0) still score 1; they are found through a hash of
 each profile's item sequence, not stored as zero-count pairs.
@@ -30,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from ciprec.ingest import ProfileStore, UserProfile, join_profiles, window_pairs
+from ciprec.ingest import (ProfileStore, UserProfile, join_profiles, pair_positions,
+                           run_offsets)
 
 
 def hammock_distance(profile: UserProfile, i: int, j: int) -> int:
@@ -90,8 +95,8 @@ class CipUModel:
     is H = T·Tᵀ, a symmetric users × users CSR of hammock-pair counts
     with a zero diagonal that holds only non-zero counts. A token {i, j}
     is the int64 key ``min(i, j) << 32 | max(i, j)``, so keys never
-    change when the catalog grows; T is kept in column order as two
-    arrays, the sorted keys and the user holding each. Users with
+    change when the catalog grows. T is not kept: each fold recounts
+    the tokens it needs from the profiles. Users with
     identical non-empty profiles are grouped by the hash of their item
     sequence. Common items and the equality flag are derived from the
     profiles on demand.
@@ -107,8 +112,6 @@ class CipUModel:
         self.delta_h = delta_h
         self.k = k
         self.profiles = ProfileStore(0, 0)
-        self._keys = np.empty(0, dtype=np.int64)     # token keys, sorted
-        self._users = np.empty(0, dtype=np.int32)    # user of each token
         self._h = csr_matrix((0, 0), dtype=np.int32)
         self._seq_hash: dict[int, int] = {}          # user -> sequence hash
         self._same: dict[int, set[int]] = {}         # sequence hash -> users
@@ -138,7 +141,15 @@ class CipUModel:
         n = self.profiles.num_users
         if self._h.shape[0] < n:
             self._h.resize((n, n))
-        keys, users = self._new_tokens(grown)
+        # every profile, the grown ones first: ΔT lies in those runs
+        profs = self.profiles.profiles
+        order = list(grown) + [u for u in profs if u not in grown]
+        items, _, lengths = join_profiles([profs[u] for u in order])
+        owner = np.repeat(np.array(order, dtype=np.int32), lengths)
+        sizes = lengths[:len(grown)]
+        base = np.fromiter(grown.values(), dtype=np.int64, count=len(grown))
+        fresh = np.flatnonzero(run_offsets(sizes) >= np.repeat(base, sizes))
+        keys, users = self._tokens(items, owner, sizes, fresh)    # ΔT
         if not len(keys):
             return
         users = users[np.argsort(keys, kind="stable")]
@@ -149,37 +160,33 @@ class CipUModel:
                           shape=(len(indptr) - 1, n))
         d_t = d_tt.T.tocsr()
         delta = d_t @ d_tt                   # ΔT·ΔTᵀ
-        if len(self._keys):
-            # T_oldᵀ restricted to the new keys: their postings among the
-            # old tokens
-            uniq = keys[indptr[:-1]]
-            lo = np.searchsorted(self._keys, uniq, side="left")
-            cnt = np.searchsorted(self._keys, uniq, side="right") - lo
-            ends = np.cumsum(cnt)
-            at = np.arange(ends[-1]) + np.repeat(lo - (ends - cnt), cnt)
-            o_tt = csr_matrix((np.ones(len(at), dtype=np.int32), self._users[at],
-                               np.append(0, ends)), shape=(len(uniq), n))
+        # T_oldᵀ restricted to the new keys: both items of such a token
+        # belong to new keys, so it ends at an old position of one of them
+        keys = keys[indptr[:-1]]
+        mine = np.zeros(int(items.max()) + 1, dtype=bool)
+        mine[keys >> 32] = mine[keys & 0xFFFFFFFF] = True
+        ends = mine[items]
+        ends[fresh] = False
+        o_keys, o_users = self._tokens(items, owner, lengths, np.flatnonzero(ends))
+        row = np.searchsorted(keys, o_keys).clip(max=len(keys) - 1)
+        hit = keys[row] == o_keys
+        if hit.any():
+            o_tt = csr_matrix((np.ones(int(hit.sum()), dtype=np.int32),
+                               (row[hit], o_users[hit])), shape=(len(keys), n))
             cross = d_t @ o_tt               # ΔT·T_oldᵀ
             delta = delta + cross + cross.T
-            ins = np.searchsorted(self._keys, keys, side="right")
-            keys = np.insert(self._keys, ins, keys)
-            users = np.insert(self._users, ins, users)
-        self._keys, self._users = keys, users
         delta.setdiag(0)
         delta.eliminate_zeros()
         self._h = delta if self._h.nnz == 0 else self._h + delta
 
-    def _new_tokens(self, grown: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and users of ΔT: every item at a position >= the user's
-        length before the batch, paired by :func:`window_pairs` with the
-        up to ``delta_h`` items before it."""
-        lows = {u: max(base - self.delta_h, 0) for u, base in grown.items()}
-        tails = [self.profiles.profiles[u].items[lo:] for u, lo in lows.items()]
-        items, p, q = window_pairs(tails, self.delta_h,
-                                   [grown[u] - lo for u, lo in lows.items()])
+    def _tokens(self, items: np.ndarray, owner: np.ndarray, lengths: np.ndarray,
+                ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and users of the tokens that end at the positions
+        ``ends`` of the profiles of ``lengths`` concatenated in ``items``
+        (``owner``: the user at each position): each such item paired by
+        :func:`pair_positions` with the up to ``delta_h`` items before it."""
+        p, q = pair_positions(lengths, self.delta_h, ends)
         i, j = items[p], items[q]
-        owner = np.repeat(np.fromiter(grown, dtype=np.int32, count=len(grown)),
-                          np.fromiter(map(len, tails), dtype=np.int64, count=len(tails)))
         return (np.minimum(i, j) << 32) | np.maximum(i, j), owner[q]
 
     def _rehash(self, u: int) -> None:

@@ -8,9 +8,8 @@ packs V_1..V_L is
 Packs partition the profile, so this is the flat sum over the consumed
 items, and that is how it is computed: the model needs no packs (its
 ``delta`` is kept only as a param). Empty profiles score as bias only
-(the normalizer is skipped). Factor learning is out of scope here:
-factors load from a file or start from a seeded Gaussian; a minimal SGD
-fitter exists behind an explicit ``experimental`` switch.
+(the normalizer is skipped). Factors load from a file or start from a
+seeded Gaussian.
 """
 
 from __future__ import annotations
@@ -124,48 +123,6 @@ class FismModel:
         trained shapes, so users and items first seen here have none
         (see :meth:`recommend`)."""
         self.profiles.extend(batches)
-
-    def fit_sgd(self, store: ProfileStore, epochs: int = 5, lr: float = 0.01,
-                reg: float = 0.01, neg_ratio: int = 3, seed: int = 1,
-                experimental: bool = False) -> list[float]:
-        """Minimal pointwise squared-error SGD over consumed items plus
-        sampled negatives, leaving the scored item out of its own sum.
-        Unsupported surface; pass ``experimental=True`` to run it."""
-        if not experimental:
-            raise ValueError("fit_sgd is experimental; pass experimental=True")
-        rng = np.random.default_rng(seed)
-        losses = []
-        for _ in range(epochs):
-            se = 0.0
-            count = 0
-            for u in sorted(store.profiles):
-                items = store.profiles[u].items
-                if not items:
-                    continue
-                rows = np.array(items, dtype=np.int64)
-                negs = rng.integers(0, self.num_items, size=neg_ratio * len(rows))
-                owned = set(items)
-                targets = [(i, 1.0) for i in rows] + [
-                    (int(j), 0.0) for j in negs if int(j) not in owned]
-                for i, y in targets:
-                    others = rows[rows != i]
-                    if len(others):
-                        x = self.p[others].sum(axis=0) * len(others) ** (-self.alpha)
-                    else:
-                        x = np.zeros(self.k)
-                    pred = self.b_user[u] + self.b_item[i] + float(x @ self.q[i])
-                    err = y - pred
-                    se += err * err
-                    count += 1
-                    qi = self.q[i].copy()
-                    self.b_user[u] += lr * (err - reg * self.b_user[u])
-                    self.b_item[i] += lr * (err - reg * self.b_item[i])
-                    self.q[i] += lr * (err * x - reg * qi)
-                    if len(others):
-                        g = lr * (err * len(others) ** (-self.alpha))
-                        self.p[others] += g * qi - lr * reg * self.p[others]
-            losses.append(se / max(1, count))
-        return losses
 
     @property
     def params(self) -> dict:

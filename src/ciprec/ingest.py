@@ -42,6 +42,12 @@ is more than ``delta`` seconds later. :meth:`UserProfile.partition`
 applies it to one profile, :func:`pack_arrays` and :func:`all_cips` to
 all (cip-i training, deepcip's corpus), :func:`grown_packs` to those a
 batch grew (``observe``).
+
+Pairs come from one selector, :func:`pair_positions`: the position pairs
+of runs laid end to end (packs or whole profiles) at most a window apart
+that end at given positions, every position by default. An ``observe``
+asks only for the pairs that end at a new item. :func:`run_offsets`
+gives each position's offset in its run.
 """
 
 from __future__ import annotations
@@ -576,17 +582,16 @@ def grown_packs(store: ProfileStore, before: dict[int, int], delta: int
     """The packs that hold a new item of the profiles of ``before``, the
     result of :meth:`ProfileStore.extend` (each user's profile length
     before the batch): their items concatenated (int64), in user order,
-    each pack's size, and each pack's position of its first new item."""
+    each pack's size, and a mask of the new items."""
     items, ts, lengths = join_profiles([store.profiles[u] for u in before])
+    base = np.fromiter(before.values(), dtype=np.int64, count=len(before))
+    new = run_offsets(lengths) >= np.repeat(base, lengths)
     starts = _pack_starts(ts, lengths, delta)
     sizes = np.diff(np.append(starts, len(items)))
-    ends = np.cumsum(lengths)
-    owner = np.searchsorted(ends, starts, side="right")
-    local = starts - (ends - lengths)[owner]
-    base = np.fromiter(before.values(), dtype=np.int64, count=len(before))[owner]
-    kept = local + sizes > base
-    return (items[np.repeat(kept, sizes)], sizes[kept],
-            np.maximum(base - local, 0)[kept])
+    # a profile's new items are its tail, so a pack holds one iff it ends in one
+    kept = new[starts + sizes - 1]
+    held = np.repeat(kept, sizes)
+    return items[held], sizes[kept], new[held]
 
 
 def all_cips(store: ProfileStore, delta: int) -> list[list[int]]:
@@ -598,34 +603,44 @@ def all_cips(store: ProfileStore, delta: int) -> list[list[int]]:
     return [row[b:e] for b, e in zip([0] + ends, ends)]
 
 
-def pair_positions(sizes: np.ndarray, window: int | None = None, first=None
+def run_offsets(sizes) -> np.ndarray:
+    """Each position's offset in its run, over runs of ``sizes`` laid end
+    to end."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return np.arange(len(starts)) - starts
+
+
+def pair_positions(sizes, window: int | None = None, ends=None
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Every position pair (p, q) of one run s of a concatenation of runs
-    of ``sizes`` with 0 < q - p <= ``window`` (``None``: no limit) and
-    q >= ``first[s]`` run positions (default 0).
+    """Every position pair (p, q) of one run of a concatenation of runs
+    of ``sizes`` with 0 < q - p <= ``window`` (``None``: no limit) and q
+    in the sorted positions ``ends`` (``None``: every position).
 
     Returns the flat positions ``(p, q)``, ordered by q, then by q - p.
     Memory is linear in positions plus pairs; no positions x window mask.
     """
     if window is not None and window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    sizes = np.asarray(sizes, dtype=np.int64)
-    at = np.arange(int(sizes.sum()))
-    local = at - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    back = local if window is None else np.minimum(local, window)
-    if first is not None:
-        back = np.where(local >= np.repeat(first, sizes), back, 0)
+    back = run_offsets(sizes)
+    if ends is None:
+        at = np.arange(len(back))
+    else:
+        at = np.asarray(ends, dtype=np.int64)
+        back = back[at]
+    if window is not None:
+        back = np.minimum(back, window)
     q = np.repeat(at, back)
     p = np.repeat(at - 1 + np.cumsum(back) - back, back)
     p -= np.arange(len(p))
     return p, q
 
 
-def window_pairs(seqs, window: int | None = None, first=None
+def window_pairs(seqs, window: int | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`pair_positions` of a list of sequences. Returns ``(items,
     p, q)``: the sequences concatenated into one int64 array and each
     pair's positions in it."""
     sizes = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     items = np.fromiter(chain.from_iterable(seqs), dtype=np.int64)
-    return (items, *pair_positions(sizes, window, first))
+    return (items, *pair_positions(sizes, window))

@@ -15,6 +15,8 @@ Two generators:
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 N_USERS = 943
@@ -34,13 +36,13 @@ _STEP_P = (0.74, 0.16, 0.10)        # forward step of 1, 2 or 3
 # the CDF rng.choice(3, p=_STEP_P) builds on every call; searching it
 # with one rng.random() draw gives the same steps from the same stream
 _STEP_CDF = np.cumsum(_STEP_P)
-_STEP_CDF /= _STEP_CDF[-1]
+_STEP_CDF = (_STEP_CDF / _STEP_CDF[-1]).tolist()
 _DRIFT_P = 0.18                     # per session: retire the oldest taste
 
 
 def _step(rng: np.random.Generator) -> int:
     """A forward step offset 0, 1 or 2 with probabilities ``_STEP_P``."""
-    return int(_STEP_CDF.searchsorted(rng.random(), side="right"))
+    return bisect_right(_STEP_CDF, rng.random())
 
 
 def _genre_blocks(n_items: int, n_genres: int) -> list[np.ndarray]:
@@ -192,6 +194,7 @@ def generate_events(seed: int = 7, n_users: int = N_USERS, n_items: int = N_ITEM
     if len(events) > n_events:
         events = events[:n_events]
     pad_t = events[-1][3] + _SESSION_SPACING
+    rows = [b.tolist() for b in blocks]     # Python ints index faster
     stalls = 0
     while len(events) < n_events:
         u = int(rng.integers(0, n_users))
@@ -199,13 +202,13 @@ def generate_events(seed: int = 7, n_users: int = N_USERS, n_items: int = N_ITEM
             genre = int(rng.choice(prefs[u]))
         else:                       # tastes saturated; roam anywhere
             genre = int(rng.integers(n_genres))
-        block = blocks[genre]
+        block = rows[genre]
         cursor = int(rng.choice(len(block)))
         placed = 0
         for _ in range(2 * len(block)):
             if placed >= min(_SESSION_MAX, n_events - len(events)):
                 break
-            item = int(block[cursor % len(block)])
+            item = block[cursor % len(block)]
             cursor += 1 + _step(rng)
             if item in consumed[u]:
                 continue

@@ -216,3 +216,21 @@ def test_pair_counts_match_brute_force_after_train_and_observe(dh):
                     pu, pv = m.profiles.get(u), m.profiles.get(v)
                     want = len(hammock_pairs(pu, pv, dh))
                     assert m.pair_state(u, v).hp_count == want
+
+
+@pytest.mark.parametrize("dh", [0, 1, 1000])
+def test_streamed_store_equals_train_after_every_batch(dh):
+    # batches keep bringing new users and new item ids; 1000 is longer
+    # than every profile, so each pair of a profile is a token
+    rng = np.random.default_rng(40 + dh)
+    events = [(int(rng.integers(0, 2 + k // 6)), int(rng.integers(0, 3 + k // 3)), 10 * k)
+              for k in range(150)]
+    streamed = CipUModel(dh, 5)
+    pos = 0
+    for chunk in chunked_batches(rng, events, 12):
+        streamed.observe(chunk)
+        pos += sum(map(len, chunk.values()))
+        h = streamed._h
+        want = CipUModel.train(store_from(events[:pos]), dh, 5)._h
+        assert h.shape == want.shape and (h != want).nnz == 0
+        assert (h.data != 0).all() and not h.diagonal().any()

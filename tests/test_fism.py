@@ -149,43 +149,6 @@ def test_recommend_for_a_user_first_seen_in_a_batch_excludes_their_items():
     assert m.recommend(2, 5) == m.profiles.popular(5, exclude={1, 3}) == [0, 2]
 
 
-def test_fit_sgd_requires_explicit_opt_in():
-    store = store_from([(0, 1, 10), (0, 2, 20), (1, 2, 15), (1, 3, 25)])
-    m = FismModel.random_init(store.num_users, store.num_items, 4, seed=3)
-    m.profiles = store
-    with pytest.raises(ValueError):
-        m.fit_sgd(store, epochs=1)
-
-
-def test_fit_sgd_reduces_reconstruction_error():
-    rng = np.random.default_rng(0)
-    events = []
-    t = 0
-    for u in range(6):
-        for i in range(u, u + 4):
-            t += 10
-            events.append((u, i, t))
-    store = store_from(events)
-    m = FismModel.random_init(store.num_users, store.num_items, 4, seed=3)
-    m.profiles = store
-
-    def held_in_error():
-        tot = 0.0
-        cnt = 0
-        for u in range(store.num_users):
-            prof = store.get(u)
-            for i in prof.items:
-                rest = [j for j in prof.items if j != i]
-                cips = [np.asarray(rest)] if rest else []
-                tot += (1.0 - m.score(cips, u, i)) ** 2
-                cnt += 1
-        return tot / cnt
-
-    before = held_in_error()
-    m.fit_sgd(store, epochs=8, lr=0.05, seed=1, experimental=True)
-    assert held_in_error() < before
-
-
 def test_params_reports_hyperparameters():
     m = FismModel.random_init(2, 5, 3, alpha=0.7, seed=1)
     assert m.params["alpha"] == 0.7 and m.params["k"] == 3

@@ -8,8 +8,8 @@ import pytest
 from ciprec import ingest
 from ciprec.ingest import (EVENTS_HEADER, EventLog, ParseError,
                            ProfileStore, UserProfile, all_cips, build_profiles,
-                           grown_packs, pack_arrays, parse_events, temporal_split,
-                           window_pairs)
+                           grown_packs, pack_arrays, pair_positions, parse_events,
+                           run_offsets, temporal_split, window_pairs)
 from ciprec.persistence import FormatError, dump_events, load_events
 
 
@@ -574,7 +574,7 @@ def test_grown_packs_match_a_walk_over_partition():
                 if b + len(pack) > base:            # the pack holds a new item
                     want[0].extend(pack)
                     want[1].append(len(pack))
-                    want[2].append(max(base - b, 0))
+                    want[2].extend(b + k >= base for k in range(len(pack)))
                 b += len(pack)
         assert tuple(a.tolist() for a in grown_packs(store, before, delta)) == want
 
@@ -692,15 +692,16 @@ def test_add_event_never_reuses_a_raw_id():
     assert store.item_ids == [1, 0, 2, 3]
 
 
-def _loop_window_pairs(seqs, window, first):
+def _loop_pairs(seqs, window, ends):
     """Reference: every (p, q) of one sequence with 0 < q - p <= window
-    and q >= first[s], by q, then by ascending q - p, as flat positions."""
+    and flat q in ``ends``, by q, then by ascending q - p, as flat
+    positions."""
     out = []
     base = 0
-    for s, seq in enumerate(seqs):
+    for seq in seqs:
         for q in range(len(seq)):
             for p in range(q - 1, -1, -1):
-                if q >= first[s] and (window is None or q - p <= window):
+                if base + q in ends and (window is None or q - p <= window):
                     out.append((base + p, base + q))
         base += len(seq)
     return out
@@ -711,13 +712,24 @@ def test_window_pairs_matches_a_double_loop():
     for _ in range(100):
         seqs = [rng.integers(0, 40, int(rng.integers(0, 10))).tolist()
                 for _ in range(int(rng.integers(0, 6)))]
-        first = [int(rng.integers(0, len(seq) + 2)) for seq in seqs]
+        every = range(sum(map(len, seqs)))
         for window in (None, 0, 1, 5):
-            for f in (None, first):
-                items, p, q = window_pairs(seqs, window, f)
-                assert items.tolist() == [i for seq in seqs for i in seq]
-                want = _loop_window_pairs(seqs, window, f or [0] * len(seqs))
-                assert list(zip(p.tolist(), q.tolist())) == want
+            items, p, q = window_pairs(seqs, window)
+            assert items.tolist() == [i for seq in seqs for i in seq]
+            assert list(zip(p.tolist(), q.tolist())) == _loop_pairs(seqs, window, every)
+
+
+def test_pair_positions_with_ends_matches_a_double_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        sizes = rng.integers(0, 10, int(rng.integers(0, 6)))
+        seqs = [[0] * int(n) for n in sizes]
+        assert run_offsets(sizes).tolist() == [k for n in sizes for k in range(n)]
+        ends = np.flatnonzero(rng.random(int(sizes.sum())) < rng.random())
+        for window in (None, 0, 1, 5):
+            p, q = pair_positions(sizes, window, ends)
+            want = _loop_pairs(seqs, window, set(ends.tolist()))
+            assert list(zip(p.tolist(), q.tolist())) == want
 
 
 def test_window_pairs_edge_cases():

@@ -1,6 +1,9 @@
 """Synthetic corpora: shape constraints and planted structure."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from ciprec import synthetic
 
@@ -41,6 +44,26 @@ def test_step_draws_equal_weighted_choice_on_the_same_stream():
     want = [int(b.choice(3, p=synthetic._STEP_P)) for _ in range(5000)]
     assert got == want
     assert a.random() == b.random()     # both consumed the same draws
+
+
+@pytest.mark.parametrize("kw, digest", [
+    ({}, "ace0e8890afef0fd7f61c5379b72350f7492df4309cbe849bc75ec55bc07b0c6"),
+    (dict(seed=3, n_users=60, n_items=150, n_events=4000),
+     "d72672c3bf046c70e8959c719e4d9c3b784302907ddbc4a674f0aff2af7ff21c"),
+    (dict(seed=5, n_users=60, n_items=150, n_events=4000),
+     "577f5844cb33eb96bbc068c15cd872ee562341fddc081b82354c982562329f18"),
+    (dict(seed=3, n_users=60, n_items=150, n_events=4000, n_genres=6),
+     "bfbe6cc1c64f415d6eec7d7dc3bfe0681c56d49ebcb4fde759307d0e895c4662"),
+    (dict(seed=5, n_users=60, n_items=150, n_events=4000, n_genres=6),
+     "16f2599b468469aac26b946b9350cca9d0c5eec5622caead734dabec49496740"),
+    (dict(seed=21, n_users=300, n_items=600, n_events=20_000),
+     "ecb9134db1347c24084d58697494da9f432cb9fd395e0d2085b5c8b258ed853b"),
+])
+def test_generated_corpora_are_pinned(kw, digest):
+    # the corpora every test and the bench build on: a faster generator
+    # must give the same events, byte for byte
+    got = hashlib.sha256(repr(synthetic.generate_events(**kw)).encode())
+    assert got.hexdigest() == digest
 
 
 def test_write_ml_tab(tmp_path):
