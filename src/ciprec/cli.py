@@ -134,7 +134,7 @@ def _events_from_profiles(store) -> EventLog:
     items, ts, lengths = join_profiles([store.profiles[u] for u in users])
     order = np.argsort(ts, kind="stable")       # profiles are laid out by user
     return EventLog(np.repeat(users, lengths)[order], items[order], ts[order],
-                    np.full(len(ts), np.nan), store.user_ids, store.item_ids)
+                    store.user_ids, store.item_ids)
 
 
 def cmd_ingest(args) -> int:

@@ -10,19 +10,18 @@ seconds.
 
 :func:`parse_events` reads every input format, the canonical events file
 that :func:`ciprec.persistence.dump_events` writes included, through one
-table of formats (separator, header line, rating column). It reads
+table of formats (separator, header line, rating column) and one
+grammar: a line is blank or holds width - 1 separators, ids and
+timestamp ``-?[0-9]{1,19}`` within int64, and a rating that is empty or
+``-?[0-9]*\\.?[0-9]*`` with a digit. Ratings are checked for form and
+dropped: consumption is implicit feedback. :func:`parse_events` reads
 blocks of whole lines of ``_BLOCK`` characters or more (a path in text
 mode, so ``\r\n`` and a lone ``\r`` end a line, as ``\n`` does) and
 converts each with one numpy kernel over its bytes,
-:func:`_strict_columns`. The kernel takes a block only when every line is
-in the strict grammar: width - 1 separators, ids and timestamp
-``-?[0-9]{1,18}``, rating ``-?[0-9]{1,15}`` or empty. Any other block
-(blank lines, ``\r``, ``+``, spaces, ``_``, ``.``, non-ASCII characters,
-longer fields, wrong field counts) goes to the fallback, which splits
-its lines and reads them with ``int()`` and ``float()`` and names the
-first bad line. Both give the same values. Users and items are then
-numbered with one ``np.unique`` each and events ordered with one stable
-sort.
+:func:`_strict_columns`. A block the kernel refuses holds a bad line;
+:func:`_raise_first_bad_line` reads it line by line only to name that
+line. Users and items are then numbered with one ``np.unique`` each and
+events ordered with one stable sort.
 
 Sorts of ids use :func:`_sort_key`: offsets from the minimum in the
 narrowest unsigned type, so numpy's stable sort is a radix sort when the
@@ -53,8 +52,9 @@ gives each position's offset in its run.
 from __future__ import annotations
 
 import math
+import re
 from array import array
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -88,20 +88,19 @@ class ParseError(ValueError):
 class EventLog:
     """A timestamp-sorted consumption log with dense id dictionaries.
 
-    ``users``, ``items`` and ``ts`` are parallel int64 arrays; ``ratings``
-    is float64 with NaN where the source had no rating. Ratings are kept
-    only as provenance, nothing downstream reads them. ``user_ids`` and
-    ``item_ids`` map dense index -> raw id; the ``*_index`` dicts are the
-    inverse maps. Slices produced by :func:`temporal_split` share the
-    parent's dictionaries so dense ids stay valid across splits.
+    ``users``, ``items`` and ``ts`` are parallel int64 arrays; a log
+    keeps no ratings (the parser checks them for form and drops them).
+    ``user_ids`` and ``item_ids`` map dense index -> raw id; the
+    ``*_index`` dicts are the inverse maps. Slices produced by
+    :func:`temporal_split` share the parent's dictionaries so dense ids
+    stay valid across splits.
     """
 
-    def __init__(self, users, items, ts, ratings, user_ids, item_ids,
+    def __init__(self, users, items, ts, user_ids, item_ids,
                  user_index=None, item_index=None):
         self.users = np.asarray(users, dtype=np.int64)
         self.items = np.asarray(items, dtype=np.int64)
         self.ts = np.asarray(ts, dtype=np.int64)
-        self.ratings = np.asarray(ratings, dtype=np.float64)
         # keep list identity so slices share their parent's id space
         self.user_ids = user_ids if isinstance(user_ids, list) else list(user_ids)
         self.item_ids = item_ids if isinstance(item_ids, list) else list(item_ids)
@@ -121,8 +120,7 @@ class EventLog:
 
     def slice(self, lo: int, hi: int) -> "EventLog":
         return EventLog(self.users[lo:hi], self.items[lo:hi], self.ts[lo:hi],
-                        self.ratings[lo:hi], self.user_ids, self.item_ids,
-                        self.user_index, self.item_index)
+                        self.user_ids, self.item_ids, self.user_index, self.item_index)
 
 
 def parse_events(source, fmt: str) -> EventLog:
@@ -132,9 +130,9 @@ def parse_events(source, fmt: str) -> EventLog:
     ``ml-tab`` (user<TAB>item<TAB>rating<TAB>timestamp), ``ml-dcolon``
     (:: separated), ``csv`` (header ``user,item,rating,timestamp``) or
     ``events``, the canonical events file (header ``CIPREC1 events``,
-    then ``user,item,timestamp``). Raises :class:`ParseError` with the
-    offending line number on malformed input, and on empty input; only a
-    block outside the strict grammar is read again line by line.
+    then ``user,item,timestamp``). Ratings are checked for form and
+    dropped. Raises :class:`ParseError` with the offending line number on
+    malformed input, and on empty input.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
@@ -160,28 +158,20 @@ def _parse(lines: Iterator[str], blocks, fmt: str) -> EventLog:
     for text, rows in blocks:
         block = _strict_columns(text, sep, rated)
         # an iterable's element with a newline inside is one line, not two
-        if block is not None and (rows is None or len(block[0]) == len(rows)):
-            cols.append(block)
-            line_no += len(block[0])
-            continue
-        if rows is None:
-            rows = text.split("\n")[:-1]
-        if nonblank := [row for row in rows if row]:
-            try:
-                cols.append(_columns(nonblank, sep, rated))
-            except (ValueError, OverflowError):
-                _raise_first_bad_line(rows, line_no + 1, sep, rated)
-                raise
-        line_no += len(rows)
-    if not cols:
+        if block is None or rows is not None and len(rows) != block[0]:
+            _raise_first_bad_line(text.split("\n")[:-1] if rows is None else rows,
+                                  line_no + 1, sep, rated)
+        line_no += block[0]
+        cols.append(block[1:])
+    if not sum(len(col[0]) for col in cols):
         raise ParseError("no events in input")
 
-    users, items, ts, ratings = (np.concatenate(col) for col in zip(*cols))
+    users, items, ts = (np.concatenate(col) for col in zip(*cols))
     del cols                        # before np.unique's transient arrays
     order = np.argsort(ts, kind="stable")
     users, user_ids = _dense_ids(users, order)
     items, item_ids = _dense_ids(items, order)
-    return EventLog(users, items, ts[order], ratings[order], user_ids, item_ids)
+    return EventLog(users, items, ts[order], user_ids, item_ids)
 
 
 def _text_blocks(fh):
@@ -216,17 +206,21 @@ def _line_blocks(lines: Iterator[str]):
 
 
 def _strict_columns(text: str, sep: str, rated: bool):
-    """The user, item, timestamp and rating arrays of ``text``, lines
-    each ending in ``\\n``, when every line is in the strict grammar:
-    width - 1 separators, ids and timestamp ``-?[0-9]{1,18}``, rating
-    ``-?[0-9]{1,15}`` or empty (NaN). Such fields convert exactly, as
-    ``int()`` and ``float()`` would. Returns None for any other text."""
+    """The number of lines of ``text``, lines each ending in ``\\n``, and
+    the user, item and timestamp arrays of its non-blank lines, when
+    every line is in the grammar (see the module docstring). Returns None
+    for any other text."""
     b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     width, m = (4 if rated else 3), len(sep)
     ends = np.flatnonzero(b == ord("\n"))
+    lines, heads = len(ends), np.append(0, ends[:-1] + 1)
+    filled = heads < ends
+    heads, ends = heads[filled], ends[filled]           # the non-blank lines
+    n = len(ends)
+    if not n:                                       # blank lines only
+        return (lines, *(np.empty(0, dtype=np.int64),) * 3)
     at = np.flatnonzero(b == ord(sep[0]))       # every separator is one char repeated
     cuts = at[::m]
-    n = len(ends)
     if (len(cuts) != n * (width - 1) or len(at) != m * len(cuts)
             or not all(np.array_equal(at[r::m], cuts + r) for r in range(1, m))):
         return None
@@ -236,54 +230,56 @@ def _strict_columns(text: str, sep: str, rated: bool):
     if not np.array_equal(stops[:, -1], ends):
         return None
     starts = np.empty_like(stops)
-    starts[:, 0] = np.append(0, ends[:-1] + 1)
+    starts[:, 0] = heads
     starts[:, 1:] = stops[:, :-1] + m
     neg = b[starts] == ord("-")
-    digits = b - ord("0")
-    # every byte not a separator, a newline or a field's leading '-' is a digit
-    if np.count_nonzero(digits < 10) != len(b) - len(at) - n - np.count_nonzero(neg):
-        return None
     starts += neg
-    cols = []
-    for c, most in enumerate((18, 18, 15, 18) if rated else (18, 18, 18)):
+    dots = np.flatnonzero(b == ord(".")) if rated else ()
+    digits = b - ord("0")
+    # every byte not a separator, a newline, a field's leading '-' or a
+    # '.' is a digit
+    if (np.count_nonzero(digits < 10)
+            != len(b) - len(at) - lines - np.count_nonzero(neg) - len(dots)):
+        return None
+    if rated:
+        # a rating is empty, or holds a digit and at most one '.'
+        line = np.searchsorted(ends, dots)
+        point = np.zeros(n, dtype=bool)
+        point[line] = True
+        count = stops[:, 2] - starts[:, 2]
+        if (np.count_nonzero(point) != len(dots) or np.any(dots < starts[line, 2])
+                or np.any(dots >= stops[line, 2])
+                or np.any((count == point) & (count + neg[:, 2] > 0))):
+            return None
+    cols = [lines]
+    for c in (0, 1, width - 1):
         first, sign = starts[:, c].copy(), neg[:, c].copy()
         count = stops[:, c] - first
         lo, hi = int(count.min()), int(count.max())
-        if hi > most or np.any(count < (sign if rated and c == 2 else 1)):
+        if lo < 1 or hi > 19:
             return None
-        # one place-value pass per digit position, left to right
-        value = np.zeros(n, dtype=np.int64)
+        # one place-value pass per digit position, left to right; a
+        # magnitude of 19 digits fits in uint64, one of 18 in int64
+        value = np.zeros(n, dtype=np.uint64)
         for j in range(hi):
             step = value * 10 + digits.take(first + j, mode="clip")
             value = step if j < lo else np.where(count > j, step, value)
-        if c == 2 and rated:
-            value = np.where(count == 0, np.nan, value.astype(np.float64))
+        if hi == 19 and np.any(value > np.where(sign, np.uint64(2**63),
+                                                np.uint64(2**63 - 1))):
+            return None
+        value = value.view(np.int64)
         cols.append(np.where(sign, -value, value))
-    if rated:
-        return cols[0], cols[1], cols[3], cols[2]
-    return (*cols, np.full(n, math.nan))
+    return tuple(cols)
 
 
-def _columns(rows: list[str], sep: str, rated: bool):
-    """The user, item, timestamp and rating arrays of non-blank lines.
-    Raises ValueError (or OverflowError) when any line is malformed."""
-    n, width = len(rows), 4 if rated else 3
-    fields = sep.join(rows).split(sep)
-    # with width - 1 separators in every line, the joined fields come in
-    # rows of width; a ':' at a line's edge can shift a "::" split, but
-    # then leaves a ':' in the next line's user id, which int() rejects
-    if (len(fields) != n * width
-            or list(map(str.count, rows, repeat(sep, n))).count(width - 1) != n):
-        raise ValueError("wrong field count")
-    ratings = (np.fromiter(map(float, [r or "nan" for r in fields[2::4]]), np.float64, n)
-               if rated else np.full(n, math.nan))
-    return (*(np.fromiter(map(int, fields[k::width]), np.int64, n)
-              for k in (0, 1, width - 1)), ratings)
+_ID = re.compile(r"-?[0-9]{1,19}")
+_RATING = re.compile(r"(-?([0-9]+\.?[0-9]*|\.[0-9]+))?")
 
 
 def _raise_first_bad_line(lines: list[str], first_no: int, sep: str, rated: bool):
-    """Raise ParseError for the first malformed line of a block that
-    starts at line ``first_no``; ``lines`` are without their endings."""
+    """Raise ParseError for the first line outside the grammar of a block
+    that :func:`_strict_columns` refused, which starts at line
+    ``first_no``; ``lines`` are without their endings."""
     width = 4 if rated else 3
     for line_no, line in enumerate(lines, first_no):
         if not line:
@@ -291,17 +287,15 @@ def _raise_first_bad_line(lines: list[str], first_no: int, sep: str, rated: bool
         parts = line.split(sep)
         if len(parts) != width:
             raise ParseError(f"expected {width} fields, got {len(parts)}", line_no)
-        try:
-            values = [int(parts[0]), int(parts[1]), int(parts[-1])]
-        except ValueError:
-            raise ParseError(f"non-integer id or timestamp in {line!r}", line_no) from None
-        if not all(-2**63 <= v < 2**63 for v in values):
+        ids = parts[0], parts[1], parts[-1]
+        if not all(map(_ID.fullmatch, ids)):
+            raise ParseError(f"non-integer id or timestamp in {line!r}", line_no)
+        if not all(-2**63 <= int(v) < 2**63 for v in ids):
             raise ParseError(f"id or timestamp out of the int64 range in {line!r}", line_no)
-        if rated and parts[2]:
-            try:
-                float(parts[2])
-            except ValueError:
-                raise ParseError(f"non-numeric rating in {line!r}", line_no) from None
+        if rated and not _RATING.fullmatch(parts[2]):
+            raise ParseError(f"non-numeric rating in {line!r}", line_no)
+    raise AssertionError(f"_strict_columns refused a block, from line {first_no}, "
+                         "whose lines all read")
 
 
 def _sort_key(a: np.ndarray) -> np.ndarray:
@@ -549,7 +543,7 @@ def join_profiles(profs: Sequence[UserProfile]
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The items (int64) and timestamps of ``profs`` concatenated, and
     each profile's length: copies, so no view of a profile survives."""
-    lengths = np.fromiter(map(len, profs), dtype=np.int64, count=len(profs))
+    lengths = np.array([len(p.items) for p in profs], dtype=np.int64)
     items = np.frombuffer(b"".join(p.items for p in profs), dtype=np.int32)
     ts = np.frombuffer(b"".join(p.ts for p in profs), dtype=np.int64)
     return items.astype(np.int64), ts, lengths

@@ -92,8 +92,8 @@ def dump_events(log: EventLog, path) -> None:
 
 
 def load_events(path) -> EventLog:
-    """Read a canonical events file; dense ids are assigned by first
-    appearance, ratings are absent."""
+    """Read a canonical events file (``user,item,timestamp`` lines, no
+    rating column); dense ids are assigned by first appearance."""
     try:
         return parse_events(path, "events")
     except ParseError as exc:

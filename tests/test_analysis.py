@@ -200,8 +200,7 @@ def _log(pairs):
     ts = np.arange(1, len(pairs) + 1)
     n_u = int(users.max()) + 1 if len(users) else 0
     n_i = int(items.max()) + 1 if len(items) else 0
-    return EventLog(users, items, ts, np.full(len(pairs), np.nan),
-                    list(range(n_u)), list(range(n_i)))
+    return EventLog(users, items, ts, list(range(n_u)), list(range(n_i)))
 
 
 def test_precision_oracle_fixed_list():

@@ -1,5 +1,6 @@
 """Log parsing, profiles, pack partitioning and temporal splits."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,14 +30,12 @@ def test_parse_ml_dcolon():
     log = parse_events(["7::55::3::200", "7::44::1::100"], "ml-dcolon")
     assert log.user_ids == [7] and log.item_ids == [55, 44]
     assert list(log.ts) == [100, 200]
-    assert list(log.ratings) == [1.0, 3.0]
 
 
 def test_parse_csv_header_required():
     lines = ["user,item,rating,timestamp", "3,9,4.5,100", "3,12,2,90"]
     log = parse_events(lines, "csv")
     assert log.num_users == 1 and log.num_items == 2
-    assert list(log.ratings) == [2.0, 4.5]
     with pytest.raises(ParseError):
         parse_events(["3,9,4.5,100"], "csv")
 
@@ -48,7 +47,8 @@ def test_parse_stable_order_on_tied_timestamps():
 
 
 def test_parse_rejects_malformed():
-    for bad in (["1\t2\t3"], ["a\t2\t3\t4"], ["1\t2\t3\t4\t5"], ["1 2 3 4"]):
+    for bad in (["1\t2\t3"], ["a\t2\t3\t4"], ["1\t2\t3\t4\t5"], ["1 2 3 4"],
+                ["1.5\t2\t35\t4"], ["1\t2\t35\t4.5"]):    # a '.' outside the rating
         with pytest.raises(ParseError) as err:
             parse_events(bad, "ml-tab")
         assert err.value.line_no == 1
@@ -100,9 +100,6 @@ def test_parse_is_the_same_across_block_boundaries(tmp_path, monkeypatch, block)
                 assert _triples(log) == want
                 assert log.user_ids == list(dict.fromkeys(users))
                 assert log.item_ids == list(dict.fromkeys(items))
-                assert np.array_equal(log.ratings,
-                                      [float(ratings[k] or "nan") for k in order],
-                                      equal_nan=True)
         path = tmp_path / f"{trial}.events"
         dump_events(log, path)
         rows = path.read_text().splitlines()[1:]
@@ -111,7 +108,6 @@ def test_parse_is_the_same_across_block_boundaries(tmp_path, monkeypatch, block)
             assert _triples(got) == want
             assert got.user_ids == list(dict.fromkeys(u for u, _, _ in want))
             assert got.item_ids == list(dict.fromkeys(i for _, i, _ in want))
-            assert np.isnan(got.ratings).all()
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 40, 300])
@@ -151,12 +147,14 @@ def test_malformed_line_in_a_later_block_names_its_own_line(tmp_path, monkeypatc
 
 def _reference_parse(lines, fmt):
     """Reference: each line on its own, without its ``\n`` and then ``\r``
-    ending, split and read with ``int()`` and ``float()``. Returns the
-    events and the id lists, or the first bad line's number (None: no
-    events)."""
+    ending, matched whole against one regular expression of the grammar.
+    Returns the events and the id lists, or the first bad line's number
+    (None: no events)."""
     sep, header = _SEPS[fmt], _HEADERS.get(fmt)
-    rated = fmt != "events"
-    width = 4 if rated else 3
+    field = r"(-?[0-9]{1,19})"
+    rating = r"(?:-?(?:[0-9]+\.?[0-9]*|\.[0-9]+))?"
+    grammar = re.compile(re.escape(sep).join(
+        [field, field, rating, field] if fmt != "events" else [field] * 3))
     events = []
     for line_no, raw in enumerate(lines, 1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -167,15 +165,11 @@ def _reference_parse(lines, fmt):
                 return line_no
             header = None
             continue
-        parts = line.split(sep)
-        if len(parts) != width:
+        match = grammar.fullmatch(line)
+        if not match:
             return line_no
-        try:
-            row = (int(parts[0]), int(parts[1]), int(parts[-1]),
-                   float(parts[2] or "nan") if rated else float("nan"))
-        except ValueError:
-            return line_no
-        if not all(-2**63 <= v < 2**63 for v in row[:3]):
+        row = tuple(map(int, match.groups()))
+        if not all(-2**63 <= v < 2**63 for v in row):
             return line_no
         events.append(row)
     if not events:
@@ -184,12 +178,12 @@ def _reference_parse(lines, fmt):
             list(dict.fromkeys(e[1] for e in events)))
 
 
-# kernel-strict fields, and forms that only int() / float() read, or nothing does
+# fields at the edges of the grammar, on either side
 _ODD_IDS = ["+7", " 7", "7 ", "1_0", "-0", "007", "٣", "７", "x", "", "-", "1.0", "5:", ":5",
             "9" * 18, "-" + "9" * 18, "1" + "0" * 18, str(2**63 - 1), str(-2**63),
-            str(2**63), str(-2**63 - 1)]
+            str(2**63), str(-2**63 - 1), "9" * 19, "0" * 19 + "1"]
 _ODD_RATINGS = ["4.5", ".5", "4.", "", "nan", "1e3", "-0", "9" * 15, "-" + "9" * 15,
-                "9" * 16, "-", "abc", " 3", "inf"]
+                "9" * 16, "-", "abc", " 3", "inf", "-.5", ".", "-.", "4.5.", "1..5"]
 
 
 def _random_field(rng, odd, rating=False):
@@ -240,8 +234,7 @@ def _check_same_as_reference(source, lines, fmt):
     assert (log.user_ids, log.item_ids) == (user_ids, item_ids)
     assert [(log.user_ids[u], log.item_ids[i], t) for u, i, t in
             zip(log.users.tolist(), log.items.tolist(), log.ts.tolist())] == \
-        [e[:3] for e in events]
-    assert log.ratings.tobytes() == np.array([e[3] for e in events]).tobytes()
+        events
 
 
 @pytest.mark.parametrize("fmt", list(_SEPS))
@@ -262,6 +255,30 @@ def test_parse_matches_a_per_line_reference(tmp_path, monkeypatch, fmt):
             _check_same_as_reference(path, read_back, fmt)
             _check_same_as_reference(lines, lines, fmt)
             _check_same_as_reference(joined, joined, fmt)
+
+
+@pytest.mark.parametrize("block", [1, 5, 2**20])
+@pytest.mark.parametrize("fmt", list(_SEPS))
+def test_valid_input_never_reaches_the_line_reader(tmp_path, monkeypatch, fmt, block):
+    def line_reader(*args):
+        raise AssertionError("the line reader ran on valid input")
+
+    monkeypatch.setattr(ingest, "_raise_first_bad_line", line_reader)
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    rows = [(1, 10, "4.5", 100), (2**63 - 1, -2**63, ".5", 100), (10**18, 7, "", -3),
+            (0, 10**18 + 1, "4.", 10**18), (1, 7, "-0", 5), (3, 2, "12", 5)]
+    lines = [_HEADERS[fmt] + "\r\n"] if fmt in _HEADERS else []
+    for k, (u, i, r, t) in enumerate(rows):
+        ending = ["\n", "\r\n", "\r"][k % 3]
+        lines += [ending] * (k % 2)                         # blank lines
+        lines.append(_SEPS[fmt].join(map(str, (u, i, r, t) if fmt != "events"
+                                         else (u, i, t))) + ending)
+    lines[-1] = lines[-1].rstrip("\r\n")
+    path = tmp_path / "log.txt"
+    path.write_text("".join(lines), newline="")
+    want = [(u, i, t) for u, i, _, t in sorted(rows, key=lambda row: row[3])]
+    for source in (path, lines):
+        assert _triples(parse_events(source, fmt)) == want
 
 
 def test_parse_rejects_empty_and_unknown_format():
@@ -387,9 +404,7 @@ def _random_log(rng, n_users, n_items, n_events, late_repeats):
         a, b = sorted(rng.choice(len(ks), 2, replace=False))
         items[ks[b]] = items[ks[a]]
         ts[ks[b]] = ts[ks[a]] - int(rng.integers(0, 3))
-    ratings = np.full(n_events, np.nan)
-    return EventLog(users, items, ts, ratings, list(range(n_users)),
-                    list(range(n_items)))
+    return EventLog(users, items, ts, list(range(n_users)), list(range(n_items)))
 
 
 def _profiles(store):
@@ -402,7 +417,7 @@ def test_build_profiles_matches_per_event_appends():
     logs = [_random_log(rng, int(rng.integers(1, 12)), int(rng.integers(1, 20)),
                         int(rng.integers(1, 80)), int(rng.integers(0, 4)))
             for _ in range(300)]
-    logs.append(EventLog([], [], [], [], [], []))
+    logs.append(EventLog([], [], [], [], []))
     for log in logs:
         want = _append_profiles(log)
         got = build_profiles(log)
@@ -440,7 +455,7 @@ def test_build_profiles_rejects_an_unsorted_log():
     # user 1's second item is older than its first; the earlier-ts
     # repeat of item 0 by user 0 is a repeat, never checked
     log = EventLog([0, 1, 0, 0, 1], [0, 1, 1, 0, 2], [10, 20, 30, 5, 15],
-                   [np.nan] * 5, [0, 1], [0, 1, 2])
+                   [0, 1], [0, 1, 2])
     with pytest.raises(ValueError, match="timestamp order"):
         _append_profiles(log)
     with pytest.raises(ValueError, match="timestamp order"):
@@ -514,7 +529,7 @@ def test_build_profiles_keeps_at_most_32_bytes_per_event():
     rng = np.random.default_rng(13)
     n_users, n_items, n_events = 500, 2000, 50_000
     log = EventLog(rng.integers(0, n_users, n_events), rng.integers(0, n_items, n_events),
-                   np.cumsum(rng.integers(0, 90, n_events)), np.full(n_events, np.nan),
+                   np.cumsum(rng.integers(0, 90, n_events)),
                    list(range(n_users)), list(range(n_items)))
     tracemalloc.start()
     try:

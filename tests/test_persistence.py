@@ -407,8 +407,7 @@ def test_model_grown_only_by_observe_saves_and_loads(tmp_path, kind):
         model.observe(batches_from(events[lo:lo + 10]))
     store = model.profiles
     users, items, ts = (np.asarray(col) for col in zip(*events))
-    log = EventLog(users, items, ts, np.full(len(events), np.nan),
-                   store.user_ids, store.item_ids)
+    log = EventLog(users, items, ts, store.user_ids, store.item_ids)
     events_path = tmp_path / "events.ciprec"
     dump_events(log, events_path)
     path = tmp_path / f"model.{kind}"
@@ -426,7 +425,7 @@ def test_observed_new_user_keeps_its_own_raw_id(tmp_path):
     assert len(set(store.user_ids)) == store.num_users == 3
     users = np.array([0, 1, 2])
     full = EventLog(users, np.array([0, 1, 0]), np.array([100, 200, 300]),
-                    np.full(3, np.nan), store.user_ids, store.item_ids)
+                    store.user_ids, store.item_ids)
     events_path = tmp_path / "events.ciprec"
     dump_events(full, events_path)
     save_model(model, tmp_path / "model.pop", events_path)
@@ -472,7 +471,7 @@ def test_failed_dump_events_leaves_the_previous_file(tmp_path):
     dump_events(log, path)
     before = path.read_bytes()
     # a user id table missing the last users fails while writing the rows
-    broken = EventLog(log.users, log.items, log.ts, log.ratings,
+    broken = EventLog(log.users, log.items, log.ts,
                       log.user_ids[:len(log.user_ids) // 2], log.item_ids)
     with pytest.raises(IndexError):
         dump_events(broken, path)
