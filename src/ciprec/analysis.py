@@ -12,7 +12,8 @@ from xml.dom import minidom
 
 import numpy as np
 
-from ciprec.ingest import EventLog, ProfileStore, join_profiles, pair_positions
+from ciprec.ingest import (EventLog, ProfileStore, join_profiles, log_batches,
+                           pair_positions)
 
 # profiles whose pairs are counted at a time: bounds the pair arrays
 _GRAPH_BLOCK = 512
@@ -164,40 +165,50 @@ def write_reports(reports: Iterable[EvalReport], fh) -> None:
         fh.write(",".join(r.to_row()) + "\n")
 
 
-def precision_at_n(recommender, test_log: EventLog, n: int,
+def precision_at_n(recommender, test_log: EventLog, n: int, every: int | None = None,
                    on_event: Callable[[int, int, int], None] | None = None) -> EvalReport:
     """Replay test events in timestamp order; each event counts as a hit
     iff its item is in the top-n recommended for its user at that moment.
 
     precision = hits / (events * n), so a recommender that always puts
-    the one relevant item first scores 1/n. Without ``on_event`` the
-    model is frozen and per-user lists are computed once; with it, the
-    hook runs after every event (incremental replay) and caching is off.
+    the one relevant item first scores 1/n. Without ``every`` the model
+    is frozen and each user's list is computed once. With ``every=q`` the
+    test log replays in windows of ``q`` events: each window is scored
+    from one list per user, then folded in with ``recommender.observe``
+    (the last window too), so the model never changes inside a window,
+    hits equal those of folding in every ``q`` events one event at a
+    time, and afterwards the model holds the whole test log.
+    ``on_event`` is the benchmark's per-event hook: it runs after every
+    event, and each event then gets its own ``recommend`` call.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
+    if every is not None and every < 1:
+        raise ValueError(f"replay window must be at least 1 event, got {every}")
     if len(test_log) == 0:
         raise ValueError("test log is empty")
     t0 = time.perf_counter()
     hits = 0
-    cache: dict[int, list[int]] = {}
-    users = test_log.users
-    items = test_log.items
-    ts = test_log.ts
-    for k in range(len(test_log)):
-        u = int(users[k])
-        i = int(items[k])
-        recs = cache.get(u)
-        if recs is None:
-            recs = recommender.recommend(u, n)
-            cache[u] = recs
-        if i in recs:
-            hits += 1
-        if on_event is not None:
-            on_event(u, i, int(ts[k]))
-            cache.clear()
-    elapsed = time.perf_counter() - t0
     events = len(test_log)
+    users = test_log.users.tolist()
+    items = test_log.items.tolist()
+    step = every or events
+    for lo in range(0, events, step):
+        hi = min(lo + step, events)
+        cache: dict[int, list[int]] = {}
+        for k in range(lo, hi):
+            u = users[k]
+            recs = cache.get(u)
+            if recs is None:
+                recs = cache[u] = recommender.recommend(u, n)
+            if items[k] in recs:
+                hits += 1
+            if on_event is not None:
+                on_event(u, items[k], int(test_log.ts[k]))
+                cache.clear()
+        if every is not None:
+            recommender.observe(log_batches(test_log.slice(lo, hi)))
+    elapsed = time.perf_counter() - t0
     return EvalReport(model=getattr(recommender, "kind", type(recommender).__name__),
                       n=n, params=dict(getattr(recommender, "params", {})),
                       hits=hits, events=events,

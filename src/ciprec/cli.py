@@ -18,8 +18,8 @@ from ciprec.cip_i import CipIModel
 from ciprec.cip_u import CipUModel
 from ciprec.deepcip import DeepCipRecommender, TrainConfig, train as train_embeddings
 from ciprec.fism import FismModel
-from ciprec.ingest import (EventLog, all_cips, build_profiles, join_profiles, parse_events,
-                           temporal_split)
+from ciprec.ingest import (EventLog, all_cips, build_profiles, join_profiles, log_batches,
+                           parse_events, temporal_split)
 from ciprec.popularity import PopularityModel
 
 
@@ -160,27 +160,32 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _to_store_ids(ids: np.ndarray, raw_ids: list, store_ids: list) -> np.ndarray:
+    """Dense ids of a log, whose raw ids are ``raw_ids``, as dense ids of
+    a store, whose raw ids are ``store_ids``. Each raw id is looked up
+    once; an unseen one is appended to ``store_ids`` in order of its
+    first event."""
+    index = {r: k for k, r in enumerate(store_ids)}
+    present, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    mapped = np.empty(len(present), dtype=np.int64)
+    for k in np.argsort(first).tolist():
+        raw = raw_ids[int(present[k])]
+        dense = index.get(raw)
+        if dense is None:
+            dense = len(store_ids)
+            store_ids.append(raw)
+        mapped[k] = dense
+    return mapped[inverse.ravel()]
+
+
 def _remap_batches(log: EventLog, store) -> dict[int, list[tuple[int, int]]]:
-    """Convert a new-events log's dense ids into the store's id space,
-    extending the store's dictionaries for unseen raw ids."""
-    user_index = {r: k for k, r in enumerate(store.user_ids)}
-    item_index = {r: k for k, r in enumerate(store.item_ids)}
-    out: dict[int, list[tuple[int, int]]] = {}
-    for k in range(len(log)):
-        u_raw = log.user_ids[int(log.users[k])]
-        i_raw = log.item_ids[int(log.items[k])]
-        u = user_index.get(u_raw)
-        if u is None:
-            u = user_index[u_raw] = len(store.user_ids)
-            store.user_ids.append(u_raw)
-            store.num_users += 1
-        i = item_index.get(i_raw)
-        if i is None:
-            i = item_index[i_raw] = len(store.item_ids)
-            store.item_ids.append(i_raw)
-            store.num_items += 1
-        out.setdefault(u, []).append((i, int(log.ts[k])))
-    return out
+    """A new-events log's batches in the store's id space, extending the
+    store's dictionaries for unseen raw ids."""
+    users = _to_store_ids(log.users, log.user_ids, store.user_ids)
+    items = _to_store_ids(log.items, log.item_ids, store.item_ids)
+    store.num_users = len(store.user_ids)
+    store.num_items = len(store.item_ids)
+    return log_batches(EventLog(users, items, log.ts, store.user_ids, store.item_ids))
 
 
 def cmd_update(args) -> int:
@@ -203,25 +208,6 @@ def cmd_recommend(args) -> int:
     return 0
 
 
-def _replay_hook(model, cfg: config.RunConfig):
-    buffer: dict[int, list[tuple[int, int]]] = {}
-    count = [0]
-
-    def flush():
-        if not buffer:
-            return
-        model.observe(buffer)
-        buffer.clear()
-
-    def hook(u: int, i: int, t: int) -> None:
-        buffer.setdefault(u, []).append((i, t))
-        count[0] += 1
-        if count[0] % cfg.batch_q == 0:
-            flush()
-
-    return hook
-
-
 def cmd_evaluate(args) -> int:
     cfg = _resolve(args)
     if not args.model:
@@ -235,8 +221,8 @@ def cmd_evaluate(args) -> int:
         raise SystemExit("test split is empty")
     store = build_profiles(train_log)
     model = _build_model(args.model, store, cfg)
-    hook = _replay_hook(model, cfg) if args.replay else None
-    report = analysis.precision_at_n(model, test_log, cfg.top_n, on_event=hook)
+    report = analysis.precision_at_n(model, test_log, cfg.top_n,
+                                     every=cfg.batch_q if args.replay else None)
     _emit_reports([report], args.out)
     return 0
 
@@ -355,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hyper(p)
     p.add_argument("--model", choices=config.MODEL_KINDS)
     p.add_argument("--replay", action="store_true",
-                   help="fold test events into the model as they replay")
+                   help="fold the test split into the model in windows of "
+                        "batch_q events (a config-file key, default 1000)")
     p.add_argument("--out", help="write the report CSV here instead of stdout")
     p.set_defaults(func=cmd_evaluate)
 

@@ -35,6 +35,9 @@ order and fills each profile from its user's slice. Code reads profiles
 through copies
 (:func:`join_profiles`, ``np.array``): a live numpy view blocks appends.
 
+:func:`log_batches` turns a log (or a slice of one) into the per-user
+``(item, ts)`` batches that every model's ``observe`` takes.
+
 Packs come from one rule, :func:`_pack_starts`: over profiles laid end
 to end, a pack starts where a profile starts or where the next timestamp
 is more than ``delta`` seconds later. :meth:`UserProfile.partition`
@@ -333,6 +336,16 @@ def temporal_split(log: EventLog, n_train: int, n_valid: int,
     a = n_train
     b = n_train + n_valid
     return log.slice(0, a), log.slice(a, b), log.slice(b, total)
+
+
+def log_batches(log: EventLog) -> dict[int, list[tuple[int, int]]]:
+    """A log's events as per-user ``(item, ts)`` lists in log order: the
+    ``batches`` that every model's ``observe`` takes. Users enter in
+    order of their first event."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for u, event in zip(log.users.tolist(), zip(log.items.tolist(), log.ts.tolist())):
+        out.setdefault(u, []).append(event)
+    return out
 
 
 class UserProfile:

@@ -43,6 +43,23 @@ def batches_from(events) -> dict[int, list[tuple[int, int]]]:
     return out
 
 
+def fold_every(model, q: int):
+    """Per-event replay hook that buffers events and folds them into
+    ``model`` every ``q`` events: the reference a windowed replay
+    (``precision_at_n(..., every=q)``) must match hit for hit."""
+    buffer: dict[int, list[tuple[int, int]]] = {}
+    count = [0]
+
+    def hook(u: int, i: int, t: int) -> None:
+        buffer.setdefault(u, []).append((i, t))
+        count[0] += 1
+        if count[0] % q == 0:
+            model.observe(buffer)
+            buffer.clear()
+
+    return hook
+
+
 def chunked_batches(rng, events, max_chunk: int = 20):
     """Split a stream into contiguous chunks, each as per-user batches."""
     pos = 0

@@ -1,18 +1,21 @@
 """Item graph, modularity, replay evaluation, parameter sweeps."""
 
+import copy
 import io
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from ciprec import analysis
+from ciprec import analysis, config
 from ciprec.analysis import (EvalReport, ItemGraph, build_item_graph,
                              export_edge_list, export_graphml, load_partition,
                              modularity, precision_at_n, sweep, write_reports)
-from ciprec.ingest import EventLog, ProfileStore
+from ciprec.cli import _build_model
+from ciprec.ingest import EventLog, ProfileStore, build_profiles, parse_events
+from ciprec.synthetic import generate_events
 
-from helpers import random_stream, store_from
+from helpers import fold_every, random_stream, store_from
 
 
 def _graph(edges) -> ItemGraph:
@@ -188,10 +191,14 @@ class _FixedRecommender:
     def __init__(self, items):
         self.items = items
         self.calls = 0
+        self.observed = []
 
     def recommend(self, u, n):
         self.calls += 1
         return self.items[:n]
+
+    def observe(self, batches):
+        self.observed.append(batches)
 
 
 def _log(pairs):
@@ -233,6 +240,61 @@ def test_precision_validation():
         precision_at_n(rec, _log([(0, 0)]), 0)
     with pytest.raises(ValueError):
         precision_at_n(rec, _log([]), 3)
+
+
+@pytest.mark.parametrize("every", [0, -3])
+def test_precision_rejects_a_window_below_one_event(every):
+    rec = _FixedRecommender([0])
+    with pytest.raises(ValueError, match="window"):
+        precision_at_n(rec, _log([(0, 0), (1, 0)]), 1, every=every)
+    assert rec.calls == 0 and rec.observed == []
+
+
+def test_precision_windows_score_once_per_user_then_fold():
+    rec = _FixedRecommender([0])
+    rep = precision_at_n(rec, _log([(0, 0), (0, 1), (1, 0), (0, 2), (1, 1)]), 1,
+                         every=2)
+    assert rep.hits == 2 and rep.events == 5
+    assert rec.calls == 4           # users {0}, {1, 0}, {1}
+    assert rec.observed == [{0: [(0, 1), (1, 2)]},
+                            {1: [(0, 3)], 0: [(2, 4)]},
+                            {1: [(1, 5)]}]
+
+
+_REPLAY_CFG = config.resolve(None, None, dict(delta_h=5, delta=60, k_users=10,
+                                              k_items=10, dim=8, epochs=1, seed=2))
+
+
+@pytest.fixture(scope="module")
+def replay_corpus():
+    """A 40-user / 120-item log, its 300-event test tail, and one
+    trained model of each kind."""
+    rows = generate_events(seed=4, n_users=40, n_items=120, n_events=1500, n_genres=4)
+    log = parse_events((f"{u}\t{i}\t{r}\t{t}\n" for u, i, r, t in rows), "ml-tab")
+    train_log, test_log = log.slice(0, 1200), log.slice(1200, 1500)
+    models = {kind: _build_model(kind, build_profiles(train_log), _REPLAY_CFG)
+              for kind in config.MODEL_KINDS}
+    return log, test_log, models
+
+
+@pytest.mark.parametrize("every", [1, 7, 300])
+@pytest.mark.parametrize("kind", config.MODEL_KINDS)
+def test_windowed_replay_equals_the_per_event_reference(replay_corpus, kind, every):
+    log, test_log, models = replay_corpus
+    reference = copy.deepcopy(models[kind])
+    want = precision_at_n(reference, test_log, 10, on_event=fold_every(reference, every))
+    model = copy.deepcopy(models[kind])
+    calls = []
+    recommend = model.recommend
+    model.recommend = lambda u, n: calls.append(u) or recommend(u, n)
+    got = precision_at_n(model, test_log, 10, every=every)
+    assert got.hits == want.hits
+    users = test_log.users.tolist()
+    assert calls == [u for lo in range(0, len(users), every)
+                     for u in dict.fromkeys(users[lo:lo + every])]
+    # the last window is folded too: the model holds the whole log
+    assert ({u: (list(p.items), list(p.ts)) for u, p in model.profiles.profiles.items()}
+            == {u: (list(p.items), list(p.ts)) for u, p in build_profiles(log).profiles.items()})
 
 
 def test_report_row_and_csv():

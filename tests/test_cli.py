@@ -6,10 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from ciprec import persistence, synthetic
-from ciprec.cli import _events_from_profiles, main
-from ciprec.ingest import ProfileStore, build_profiles
+from ciprec import config, persistence, synthetic
+from ciprec.analysis import precision_at_n
+from ciprec.cli import _build_model, _events_from_profiles, _remap_batches, main
+from ciprec.ingest import EventLog, ProfileStore, build_profiles, temporal_split
 from ciprec.persistence import load_events, load_model, peek_kind
+
+from helpers import fold_every
 
 
 @pytest.fixture(scope="module")
@@ -103,12 +106,48 @@ def test_evaluate_writes_report(events_file, tmp_path):
     assert row[0] == "popularity" and row[1] == "10" and row[4] == "500"
 
 
-def test_evaluate_replay_mode(events_file, tmp_path):
+def _replay_hits(events_file, batch_q: int) -> int:
+    """Hits of a per-event replay of the test split that folds events
+    into a default cip-i model every ``batch_q`` events."""
+    train_log, _, test_log = temporal_split(load_events(events_file), 2000, 500, 500)
+    model = _build_model("cip-i", build_profiles(train_log), config.RunConfig())
+    return precision_at_n(model, test_log, 10, on_event=fold_every(model, batch_q)).hits
+
+
+def _evaluate_replay(events_file, tmp_path, *extra) -> dict[str, str]:
     out = tmp_path / "report.csv"
     assert main(["evaluate", "--model", "cip-i", "--events",
                  str(events_file), *SPLIT, "--top", "10", "--replay",
-                 "--out", str(out)]) == 0
-    assert out.read_text().count("\n") == 2
+                 *extra, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    return dict(zip(lines[0].split(","), lines[1].split(",")))
+
+
+def test_evaluate_replay_mode(events_file, tmp_path):
+    # the default batch_q (1000) spans the whole 500-event test split
+    row = _evaluate_replay(events_file, tmp_path)
+    assert int(row["hits"]) == _replay_hits(events_file, 1000)
+    hits = {}
+    for batch_q in (3, 50):
+        cfg = tmp_path / f"q{batch_q}.json"
+        cfg.write_text(json.dumps({"batch_q": batch_q}))
+        row = _evaluate_replay(events_file, tmp_path, "--config", str(cfg))
+        hits[batch_q] = int(row["hits"])
+        assert hits[batch_q] == _replay_hits(events_file, batch_q)
+    assert hits[3] != hits[50]
+
+
+@pytest.mark.parametrize("batch_q", [0, -4])
+def test_evaluate_replay_rejects_a_window_below_one_event(events_file, tmp_path,
+                                                          capsys, batch_q):
+    cfg = tmp_path / "q.json"
+    cfg.write_text(json.dumps({"batch_q": batch_q}))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", "popularity", "--events", str(events_file),
+                 *SPLIT, "--replay", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "window" in err
 
 
 def test_sweep_emits_one_row_per_grid_point(events_file, tmp_path):
@@ -257,3 +296,17 @@ def test_events_from_profiles_order_ties_by_user_then_position():
                 == [(t, u, i) for t, u, _, i in want])
         assert ({u: (p.items, p.ts) for u, p in build_profiles(log).profiles.items()}
                 == {u: (p.items, p.ts) for u, p in store.profiles.items()})
+
+
+def test_remap_batches_keeps_store_ids_and_numbers_new_ids_by_first_event():
+    store = ProfileStore(2, 3, user_ids=[10, 20], item_ids=[100, 200, 300])
+    # dense ids in file order (55, 20, 99 / 400, 300, 500) differ from the
+    # order of first events: 99, 20, 55 / 500, 400, 300
+    log = EventLog(users=[2, 1, 0, 2], items=[2, 0, 1, 0], ts=[5, 6, 7, 8],
+                   user_ids=[55, 20, 99], item_ids=[400, 300, 500])
+    batches = _remap_batches(log, store)
+    assert store.user_ids == [10, 20, 99, 55]
+    assert store.item_ids == [100, 200, 300, 500, 400]
+    assert (store.num_users, store.num_items) == (4, 5)
+    assert batches == {2: [(3, 5), (4, 8)], 1: [(4, 6)], 3: [(2, 7)]}
+    assert list(batches) == [2, 1, 3]
