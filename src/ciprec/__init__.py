@@ -10,7 +10,6 @@ from ciprec.ingest import (
     pack_arrays,
     parse_events,
     temporal_split,
-    window_pairs,
 )
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "pack_arrays",
     "parse_events",
     "temporal_split",
-    "window_pairs",
 ]
 
 __version__ = "0.1.0"

@@ -55,21 +55,30 @@ class RunConfig:
     batch_q: int = 1000
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+_FIELDS = {f.name: f.type for f in fields(RunConfig)}    # annotations, e.g. "int | None"
+# the JSON values each annotation admits: a float field takes an int
+_JSON_TYPES = {"int": (int,), "float": (float, int), "str": (str,), "None": (type(None),)}
 
 
 def load_config_file(path) -> dict:
     """JSON object of RunConfig fields; ``delta_minutes`` converts to
-    ``delta`` seconds; unknown keys are rejected."""
+    ``delta`` seconds. Unknown keys are rejected, and so is a value its
+    field's type does not admit: an int field refuses a bool or a float,
+    and only a field that may be None takes null."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    if "delta_minutes" in data:
-        data["delta"] = int(data.pop("delta_minutes")) * 60
-    unknown = set(data) - _FIELD_NAMES
+    unknown = set(data) - _FIELDS.keys() - {"delta_minutes"}
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, value in data.items():
+        annotation = _FIELDS["delta" if key == "delta_minutes" else key]
+        types = sum((_JSON_TYPES[t] for t in annotation.split(" | ")), ())
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{path}: config key {key!r} must be {annotation}, got {value!r}")
+    if "delta_minutes" in data:
+        data["delta"] = data.pop("delta_minutes") * 60
     return data
 
 
@@ -87,7 +96,7 @@ def resolve(dataset: str | None = None, file_cfg: dict | None = None,
         merged.update({k: v for k, v in file_cfg.items() if v is not None})
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = RunConfig(**{k: v for k, v in merged.items() if k in _FIELD_NAMES})
+    cfg = RunConfig(**{k: v for k, v in merged.items() if k in _FIELDS})
     if cfg.model is not None and cfg.model not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {cfg.model!r}; expected one of "
                          f"{MODEL_KINDS}")

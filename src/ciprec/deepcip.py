@@ -9,13 +9,13 @@ The loss per example is
 
 with negatives drawn from the unigram distribution raised to 3/4.
 
-Training shards the pack list across workers, forked processes that
-share the weight matrices. For every mini-batch a worker draws
-negatives, pulls just the parameter rows the batch touches (a short
-lock), runs :func:`sgns_batch` on that snapshot, and pushes the row
-deltas back under the same lock — so workers see each other's progress
-after at most one batch, and no delta is lost. One worker runs in the
-calling process; with a fixed seed its run is bit-reproducible.
+Training takes the packs as arrays and shards them across workers,
+forked processes that share the weight matrices. For every mini-batch a
+worker draws negatives, pulls just the parameter rows the batch touches
+(a short lock), runs :func:`sgns_batch` on that snapshot, and pushes the
+row deltas back under the same lock — so workers see each other's
+progress after at most one batch, and no delta is lost. One worker runs
+in the calling process; with a fixed seed its run is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
-from ciprec.ingest import grown_packs, window_pairs
+from ciprec.ingest import grown_packs, pair_positions
 
 
 # packs per worker fetch
@@ -122,13 +122,15 @@ class EmbeddingModel:
             self.row = {int(i): r for r, i in enumerate(self.item_ids)}
 
 
-def gen_pairs(seqs, window: int) -> np.ndarray:
+def gen_pairs(items, sizes, window: int) -> np.ndarray:
     """All ordered (target, context) pairs within ``window`` positions of
-    each sequence, as the rows of an (m, 2) array: sequence by sequence,
-    position by position, offsets ascending (-window .. -1, 1 .. window)."""
+    each pack of ``sizes``, its ``items`` laid end to end, as the rows of
+    an (m, 2) array: pack by pack, position by position, offsets
+    ascending (-window .. -1, 1 .. window)."""
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
-    items, p, q = window_pairs(seqs, window)
+    items = np.asarray(items, dtype=np.int64)
+    p, q = pair_positions(sizes, window)
     target, context = np.concatenate((q, p)), np.concatenate((p, q))
     order = np.lexsort((context - target, target))
     return np.stack((items[target[order]], items[context[order]]), axis=1)
@@ -257,41 +259,40 @@ def _train_shard(shared: _Shared, pairs_t: np.ndarray, pairs_c: np.ndarray,
         shared.loss_pairs.value += len(pairs_t)
 
 
-def train(corpus, config: TrainConfig | None = None,
-          model: EmbeddingModel | None = None) -> EmbeddingModel:
-    """Train (or warm-start) embeddings on a corpus of packs.
+def train(corpus, config: TrainConfig | None = None) -> EmbeddingModel:
+    """Train embeddings on a corpus of packs.
 
     ``corpus`` is a sequence of packs, each a sequence of item ids (see
-    :func:`~ciprec.ingest.all_cips`). With a warm-start ``model``, unseen
-    items get fresh rows and existing rows keep their values until a pair
-    touches them.
-    Negatives follow the corpus's item counts. Mean epoch losses end up
-    in ``model.epoch_losses``.
+    :func:`~ciprec.ingest.all_cips`), turned into pack arrays once. The
+    vocabulary is the corpus's items in ascending id order; negatives
+    follow their counts. Mean epoch losses end up in
+    ``model.epoch_losses``. :meth:`DeepCipRecommender.observe` is the
+    warm start.
     """
     cfg = config or TrainConfig()
-    seqs = [list(c) for c in corpus]
-    vocab = {i for seq in seqs for i in seq}
-    if not vocab:
+    sizes = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
+    items = np.fromiter(chain.from_iterable(corpus), dtype=np.int64, count=int(sizes.sum()))
+    # the vocabulary is sorted, so an item's row is its rank among the ids
+    ids, rows = np.unique(items, return_inverse=True)
+    if not len(ids):
         raise ValueError("corpus is empty or has no items")
-    if model is None:
-        model = EmbeddingModel.create(vocab, cfg)
-    else:
-        cfg = replace(cfg, dim=model.dim)
-        model.add_items(vocab, cfg.seed)
-    model.config = cfg
-    rows = [[model.row[i] for i in seq] for seq in seqs]
-    model.set_counts(np.bincount(np.fromiter(chain.from_iterable(rows), dtype=np.int64),
-                                 minlength=len(model)))
-    _fit(model, rows, cfg)
+    model = EmbeddingModel.create(ids, cfg)
+    model.set_counts(np.bincount(rows, minlength=len(model)))
+    _fit(model, rows, sizes, cfg)
     return model
 
 
-def _fit(model: EmbeddingModel, rows, cfg: TrainConfig) -> None:
-    """Run ``cfg.epochs`` epochs over the row sequences, drawing
-    negatives from the model's current counts."""
-    multi = [r for r in rows if len(r) >= 2]
-    shards = [gen_pairs(multi[i:i + SHARD_SIZE], cfg.window)
-              for i in range(0, len(multi), SHARD_SIZE)]
+def _fit(model: EmbeddingModel, rows: np.ndarray, sizes: np.ndarray, cfg: TrainConfig) -> None:
+    """Run ``cfg.epochs`` epochs over packs of ``sizes``, their model
+    ``rows`` laid end to end, drawing negatives from the model's current
+    counts. Packs of one item are dropped; a shard is the next
+    ``SHARD_SIZE`` packs' pairs."""
+    multi = sizes >= 2
+    rows, sizes = rows[np.repeat(multi, sizes)], sizes[multi]
+    cut = [*range(0, len(sizes), SHARD_SIZE), len(sizes)]   # shard s: packs cut[s]:cut[s + 1]
+    at = np.append(0, np.cumsum(sizes))[cut]
+    shards = [gen_pairs(rows[a:b], sizes[lo:hi], cfg.window)
+              for lo, hi, a, b in zip(cut, cut[1:], at, at[1:])]
     ctx = mp.get_context("fork" if cfg.workers > 1 else None)
     shared = _Shared(model, cfg.epochs * sum(len(s) for s in shards), cfg, ctx)
     if cfg.workers > 1:
@@ -372,9 +373,8 @@ class DeepCipRecommender:
             model, cfg = self.model, replace(self.model.config, epochs=1, workers=1)
             model.add_items(set(items.tolist()), cfg.seed)
             model.set_counts(self.profiles.item_counts()[model.item_ids])
-            rows = [model.row[i] for i in items.tolist()]
-            ends = np.cumsum(sizes).tolist()
-            _fit(model, [rows[b:e] for b, e in zip([0] + ends, ends)], cfg)
+            rows = np.array([model.row[i] for i in items.tolist()], dtype=np.int64)
+            _fit(model, rows, sizes, cfg)
 
     @property
     def params(self) -> dict:

@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -642,12 +642,3 @@ def pair_positions(sizes, window: int | None = None, ends=None
     p -= np.arange(len(p))
     return p, q
 
-
-def window_pairs(seqs, window: int | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`pair_positions` of a list of sequences. Returns ``(items,
-    p, q)``: the sequences concatenated into one int64 array and each
-    pair's positions in it."""
-    sizes = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    items = np.fromiter(chain.from_iterable(seqs), dtype=np.int64)
-    return (items, *pair_positions(sizes, window))

@@ -150,6 +150,18 @@ def test_evaluate_replay_rejects_a_window_below_one_event(events_file, tmp_path,
     assert err.startswith("error:") and "window" in err
 
 
+@pytest.mark.parametrize("key, value", [("batch_q", 2.5), ("k_items", "5"), ("seed", True)])
+def test_config_value_of_the_wrong_type_is_an_error(events_file, tmp_path, capsys,
+                                                    key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({key: value}))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", "cip-i", "--events", str(events_file),
+                 *SPLIT, "--replay", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and str(cfg) in err
+
+
 def test_sweep_emits_one_row_per_grid_point(events_file, tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--model", "cip-i", "--events", str(events_file),

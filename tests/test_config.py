@@ -55,3 +55,21 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     p.write_text(json.dumps([1, 2]))
     with pytest.raises(ValueError):
         config.load_config_file(p)
+
+
+@pytest.mark.parametrize("key, value", [("batch_q", 2.5), ("k_items", "5"), ("seed", True),
+                                        ("delta_minutes", 1.5), ("delta", None),
+                                        ("lr", "0.1"), ("model", 3)])
+def test_config_file_rejects_a_value_of_the_wrong_type(tmp_path, key, value):
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps({key: value}))
+    with pytest.raises(ValueError) as err:
+        config.load_config_file(p)
+    assert repr(key) in str(err.value) and str(p) in str(err.value)
+
+
+def test_config_file_takes_ints_for_floats_and_null_for_optional_fields(tmp_path):
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps({"lr": 1, "min_weight": 2.5, "n_train": None, "model": "cip-i"}))
+    assert config.load_config_file(p) == {"lr": 1, "min_weight": 2.5, "n_train": None,
+                                          "model": "cip-i"}

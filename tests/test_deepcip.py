@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from ciprec import deepcip
 from ciprec.deepcip import (DeepCipRecommender, EmbeddingModel, TrainConfig,
-                            _scatter, cip_vector, draw_negatives, gen_pairs,
+                            _fit, _scatter, cip_vector, draw_negatives, gen_pairs,
                             most_similar, pair_count, sgns_batch, train)
 from ciprec.ingest import ProfileStore, all_cips
 
@@ -17,12 +17,12 @@ from helpers import sgns_gradient_error, store_from
 
 
 def test_gen_pairs_order_window_one():
-    assert gen_pairs([[5, 7, 9]], 1).tolist() == [[5, 7], [7, 5], [7, 9], [9, 7]]
+    assert gen_pairs([5, 7, 9], [3], 1).tolist() == [[5, 7], [7, 5], [7, 9], [9, 7]]
 
 
 def test_gen_pairs_order_window_two():
     # hand-enumerated: each position emits its window left-to-right
-    assert gen_pairs([[5, 7, 9]], 2).tolist() == [
+    assert gen_pairs([5, 7, 9], [3], 2).tolist() == [
         [5, 7], [5, 9], [7, 5], [7, 9], [9, 5], [9, 7]]
 
 
@@ -43,15 +43,16 @@ def test_gen_pairs_matches_the_loop_over_many_sequences():
         seqs = [rng.integers(0, 50, int(rng.integers(0, 9))).tolist()
                 for _ in range(int(rng.integers(0, 6)))]
         window = int(rng.integers(1, 6))
-        assert gen_pairs(seqs, window).tolist() == _loop_pairs(seqs, window)
+        items, sizes = [i for seq in seqs for i in seq], [len(seq) for seq in seqs]
+        assert gen_pairs(items, sizes, window).tolist() == _loop_pairs(seqs, window)
 
 
 def test_gen_pairs_edge_cases():
-    assert gen_pairs([[3]], 5).tolist() == []
-    assert gen_pairs([[]], 5).tolist() == []
-    assert gen_pairs([], 5).tolist() == []
+    assert gen_pairs([3], [1], 5).tolist() == []
+    assert gen_pairs([], [0], 5).tolist() == []
+    assert gen_pairs([], [], 5).tolist() == []
     with pytest.raises(ValueError):
-        gen_pairs([[1, 2]], 0)
+        gen_pairs([1, 2], [2], 0)
 
 
 def test_pair_count_matches_enumeration():
@@ -60,7 +61,7 @@ def test_pair_count_matches_enumeration():
         length = int(rng.integers(0, 12))
         window = int(rng.integers(1, 8))
         items = list(range(100, 100 + length))
-        assert pair_count(length, window) == len(gen_pairs([items], window))
+        assert pair_count(length, window) == len(gen_pairs(items, [length], window))
 
 
 def test_zero_init_loss_is_log2_per_output():
@@ -145,8 +146,8 @@ def test_worker_processes_account_every_pair():
     packs = [[0, 1, 2, 3], [2, 3, 4], [0, 4, 1]] * 40
     emb = EmbeddingModel(np.arange(5), np.zeros((5, 8)), np.zeros((5, 8)),
                          TrainConfig(dim=8))
-    train(packs, TrainConfig(dim=8, window=2, negatives=3, epochs=3, workers=4),
-          model=emb)
+    _fit(emb, np.array([r for p in packs for r in p]), np.array([len(p) for p in packs]),
+         TrainConfig(dim=8, window=2, negatives=3, epochs=3, workers=4))
     assert len(emb.epoch_losses) == 3
     for loss in emb.epoch_losses:
         assert abs(loss - 4.0 * math.log(2.0)) < 1e-12
@@ -201,16 +202,20 @@ def test_negative_delta_raises():
                            ProfileStore(0, 0), -1)
 
 
-def test_warm_start_extends_vocabulary_and_keeps_cold_rows():
-    base = train([[0, 1, 2]] * 10, TrainConfig(dim=8, epochs=2, seed=3))
-    frozen = base.syn0.copy()
-    row0 = base.row[0]
-    m = train([[7, 8]] * 5, TrainConfig(dim=8, epochs=1, seed=3), model=base)
-    assert m is base
-    assert 7 in m.row and 8 in m.row
-    # items absent from the new corpus keep their input vectors
-    assert np.array_equal(m.syn0[row0], frozen[row0])
-    assert not np.array_equal(m.syn0[m.row[7]], np.zeros(8))
+def test_observe_extends_vocabulary_and_keeps_cold_rows():
+    store = store_from([(0, 0, 10), (0, 1, 20), (0, 2, 30), (1, 5, 10), (1, 6, 20)])
+    emb = train(all_cips(store, 60), TrainConfig(dim=8, epochs=2, seed=3))
+    frozen = {i: emb.syn0[emb.row[i]].copy() for i in (0, 1, 2, 5)}
+    rec = DeepCipRecommender(emb, store, 60)
+    rec.observe({1: [(7, 30), (8, 40)]})
+    assert rec.model is emb
+    assert emb.item_ids.tolist() == [0, 1, 2, 5, 6, 7, 8]
+    # items no grown pack holds keep their input vectors to the bit; the
+    # grown pack [5, 6, 7, 8] trains item 5 as well
+    for i in (0, 1, 2):
+        assert np.array_equal(emb.syn0[emb.row[i]], frozen[i])
+    assert not np.array_equal(emb.syn0[emb.row[5]], frozen[5])
+    assert not np.array_equal(emb.syn0[emb.row[7]], np.zeros(8))
 
 
 def test_cip_vector_and_most_similar():
