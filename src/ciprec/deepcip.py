@@ -5,9 +5,16 @@ within ``window`` positions is a (target, context) training example.
 The loss per example is
 
     -log sigmoid(v_in(target) . v_out(context))
-    - sum_neg log sigmoid(-v_in(target) . v_out(neg))
+    - sum_neg w * log sigmoid(-v_in(target) . v_out(neg))
 
-with negatives drawn from the unigram distribution raised to 3/4.
+with negatives drawn from the unigram distribution raised to 3/4. The
+pairs of a mini-batch share one draw of ``NEGATIVE_SHARE * negatives``
+negatives (the HogBatch scheme of Ji et al., arXiv:1604.04661): a shared
+negative equal to a pair's own context is masked out for that pair, and
+its other negatives weigh ``w = negatives / kept`` each, so every pair's
+negatives weigh ``negatives`` in all. The negative dot products and
+their gradients are then dense matrix products, which training runs on
+one BLAS thread.
 
 Training takes the packs as arrays and shards them across workers,
 forked processes that share the weight matrices. For every mini-batch a
@@ -15,16 +22,23 @@ worker draws negatives, pulls just the parameter rows the batch touches
 (a short lock), runs :func:`sgns_batch` on that snapshot, and pushes the
 row deltas back under the same lock — so workers see each other's
 progress after at most one batch, and no delta is lost. One worker runs
-in the calling process; with a fixed seed its run is bit-reproducible.
+in the calling process; with a fixed seed its run is bit-reproducible on
+one BLAS kernel (another may round the products differently).
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import mmap
 import multiprocessing as mp
 import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import chain
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -40,6 +54,9 @@ SHARD_SIZE = 64
 BATCH_PAIRS = 256
 # the learning rate's floor
 MIN_LR = 1e-4
+# a mini-batch shares NEGATIVE_SHARE * negatives draws, 25 at the defaults;
+# sharing only ``negatives`` of them lost 4-5 % precision@10 at ML-100K shape
+NEGATIVE_SHARE = 5
 
 
 @dataclass
@@ -140,48 +157,47 @@ def pair_count(length: int, window: int) -> int:
     return sum(min(t, window) + min(length - 1 - t, window) for t in range(length))
 
 
-def draw_negatives(cum: np.ndarray, context: np.ndarray, k: int, rng) -> np.ndarray:
-    """(len(context), k) negative rows from the cumulative unigram^(3/4)
-    weights ``cum``, re-drawing collisions with each pair's positive
-    context row a few times before giving up."""
-    neg = np.searchsorted(cum, rng.random((len(context), k)) * cum[-1])
-    for _ in range(10):
-        bad = neg == context[:, None]
-        if not bad.any():
-            break
-        neg[bad] = np.searchsorted(cum, rng.random(int(bad.sum())) * cum[-1])
-    return neg
+def draw_negatives(cum: np.ndarray, size: int, rng) -> np.ndarray:
+    """``size`` rows drawn from the cumulative unigram^(3/4) weights ``cum``."""
+    return np.searchsorted(cum, rng.random(size) * cum[-1])
 
 
 def sgns_batch(base0: np.ndarray, base1: np.ndarray, t_c: np.ndarray, c_c: np.ndarray,
-               n_c: np.ndarray, lr: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """One SGD step of skip-gram with negative sampling on a mini-batch.
+               n_c: np.ndarray, k: float, lr: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """One SGD step of skip-gram with negative sampling on a mini-batch
+    whose pairs share their negatives.
 
-    Pair b has input vector ``base0[t_c[b]]``, positive output vector
-    ``base1[c_c[b]]`` and negative output vectors ``base1[n_c[b]]``; rows
-    may repeat. Returns the batch loss at ``base0`` / ``base1`` and the
-    summed row deltas ``(acc0, acc1)`` to add to them, which are
-    ``-lr`` times the loss gradients.
+    Pair b has input vector ``base0[t_c[b]]`` and positive output vector
+    ``base1[c_c[b]]``. The output vectors ``base1[n_c]`` are the negatives
+    of every pair, except that pair b drops those with ``n_c[j] ==
+    c_c[b]`` and weighs each one it keeps ``k / kept``, so that its
+    negatives weigh ``k`` in all (none, where it keeps none); rows may
+    repeat. Returns the batch loss at ``base0`` / ``base1`` and the summed
+    row deltas ``(acc0, acc1)`` to add to them, which are ``-lr`` times
+    the loss gradients.
     """
     vin = base0[t_c]
     pos = base1[c_c]
     nvec = base1[n_c]
+    keep = n_c != c_c[:, None]
+    w = keep * (k / np.maximum(keep.sum(axis=1), 1))[:, None]
     pos_dot = np.einsum("bd,bd->b", vin, pos)
-    neg_dot = np.einsum("bd,bkd->bk", vin, nvec)
+    neg_dot = vin @ nvec.T
     loss = float(np.logaddexp(0.0, -pos_dot).sum()
-                 + np.logaddexp(0.0, neg_dot).sum())
+                 + (w * np.logaddexp(0.0, neg_dot)).sum())
     g_pos = (1.0 - expit(pos_dot)) * lr
-    g_neg = -expit(neg_dot) * lr
-    g_in = g_pos[:, None] * pos + np.einsum("bk,bkd->bd", g_neg, nvec)
-    # input row t_c[b] gains g_in[b]; output row c_c[b] gains
-    # g_pos[b] * vin[b] and output row n_c[b, j] gains g_neg[b, j] * vin[b]:
-    # one CSR product over the input rows stacked on the output rows
+    g_neg = -lr * w * expit(neg_dot)
+    g_in = g_pos[:, None] * pos + g_neg @ nvec
+    # input row t_c[b] gains g_in[b], output row c_c[b] gains
+    # g_pos[b] * vin[b] and output row n_c[j] gains column j of
+    # g_neg.T @ vin: one CSR product over the input rows stacked on the
+    # output rows
     m, n0 = len(t_c), len(base0)
     b = np.arange(m)
-    acc = _scatter(np.concatenate([t_c, n0 + c_c, n0 + n_c.ravel()]),
-                   np.concatenate([b, m + b, m + np.repeat(b, n_c.shape[1])]),
-                   np.concatenate([np.ones(m), g_pos, g_neg.ravel()]),
-                   np.concatenate([g_in, vin]), n0 + len(base1))
+    acc = _scatter(np.concatenate([t_c, n0 + c_c, n0 + n_c]),
+                   np.concatenate([b, m + b, 2 * m + np.arange(len(n_c))]),
+                   np.concatenate([np.ones(m), g_pos, np.ones(len(n_c))]),
+                   np.concatenate([g_in, vin, g_neg.T @ vin]), n0 + len(base1))
     return loss, acc[:n0], acc[n0:]
 
 
@@ -197,19 +213,53 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
                       shape=(n, len(vecs))) @ vecs
 
 
+@cache
+def _openblas(name: str, restype, *argtypes):
+    """The function ``name`` (``get_num_threads``, say) of the OpenBLAS
+    that numpy bundles, typed, under the symbol names its builds use; None
+    where no such library or symbol is found."""
+    for lib in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for sym in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, argtypes
+                return fn
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one BLAS thread, then restore the previous count.
+    A mini-batch's products are too small to gain from more threads, and
+    forked workers would each start their own; without OpenBLAS, a no-op."""
+    get = _openblas("get_num_threads", ctypes.c_int)
+    put = _openblas("set_num_threads", None, ctypes.c_int)
+    if get is None or put is None:
+        yield
+        return
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 class _Shared:
     """Run state the workers share: the lock, the pairs done (for the
-    learning-rate schedule), the epoch's loss sums and the next shard."""
+    learning-rate schedule), the epoch's loss sums and the next shard.
+    ``ctx`` is the multiprocessing context of forked workers, or None for
+    one worker in this process, which keeps plain counters."""
 
     def __init__(self, model, total_pairs, cfg, ctx):
         self.model = model
         self.total = max(1, total_pairs)
         self.cfg = cfg
-        self.lock = ctx.Lock()
-        self.done = ctx.Value("q", 0, lock=False)
-        self.loss_sum = ctx.Value("d", 0.0, lock=False)
-        self.loss_pairs = ctx.Value("q", 0, lock=False)
-        self.next_shard = ctx.Value("q", 0, lock=False)
+        self.lock = ctx.Lock() if ctx else nullcontext()
+        self.done, self.loss_sum, self.loss_pairs, self.next_shard = (
+            ctx.Value(code, 0, lock=False) if ctx else SimpleNamespace(value=0)
+            for code in "qdqq")
 
     def lr_now(self) -> float:
         frac = min(1.0, self.done.value / self.total)
@@ -230,16 +280,15 @@ def _shared_copy(a: np.ndarray) -> np.ndarray:
 
 def _train_shard(shared: _Shared, pairs_t: np.ndarray, pairs_c: np.ndarray,
                  rng) -> None:
-    model = shared.model
+    model, k = shared.model, shared.cfg.negatives
     shard_loss = 0.0
     for lo in range(0, len(pairs_t), BATCH_PAIRS):
         t_rows = pairs_t[lo:lo + BATCH_PAIRS]
         c_rows = pairs_c[lo:lo + BATCH_PAIRS]
         m = len(t_rows)
-        neg = draw_negatives(model._cum, c_rows, shared.cfg.negatives, rng)
+        neg = draw_negatives(model._cum, NEGATIVE_SHARE * k, rng)
         rows0, t_c = np.unique(t_rows, return_inverse=True)
-        rows1, out_c = np.unique(np.concatenate([c_rows, neg.ravel()]),
-                                 return_inverse=True)
+        rows1, out_c = np.unique(np.concatenate([c_rows, neg]), return_inverse=True)
         # pull: snapshot only the rows this mini-batch touches, so the
         # staleness other workers see is bounded by one batch
         with shared.lock:
@@ -247,8 +296,7 @@ def _train_shard(shared: _Shared, pairs_t: np.ndarray, pairs_c: np.ndarray,
             base1 = model.syn1[rows1]
             lr = shared.lr_now()
             shared.done.value += m
-        loss, acc0, acc1 = sgns_batch(base0, base1, t_c, out_c[:m],
-                                      out_c[m:].reshape(neg.shape), lr)
+        loss, acc0, acc1 = sgns_batch(base0, base1, t_c, out_c[:m], out_c[m:], k, lr)
         shard_loss += loss
         # push: add this batch's deltas onto whatever the store holds now
         with shared.lock:
@@ -293,34 +341,35 @@ def _fit(model: EmbeddingModel, rows: np.ndarray, sizes: np.ndarray, cfg: TrainC
     at = np.append(0, np.cumsum(sizes))[cut]
     shards = [gen_pairs(rows[a:b], sizes[lo:hi], cfg.window)
               for lo, hi, a, b in zip(cut, cut[1:], at, at[1:])]
-    ctx = mp.get_context("fork" if cfg.workers > 1 else None)
+    ctx = mp.get_context("fork") if cfg.workers > 1 else None
     shared = _Shared(model, cfg.epochs * sum(len(s) for s in shards), cfg, ctx)
     if cfg.workers > 1:
         if threading.active_count() > 1:    # a child gets only this thread's locks
             raise RuntimeError("workers > 1 forks: call train with no other threads")
         model.syn0, model.syn1 = _shared_copy(model.syn0), _shared_copy(model.syn1)
     model.epoch_losses = []
-    for epoch in range(cfg.epochs):
-        shared.loss_sum.value = shared.loss_pairs.value = shared.next_shard.value = 0
+    with _one_blas_thread():
+        for epoch in range(cfg.epochs):
+            shared.loss_sum.value = shared.loss_pairs.value = shared.next_shard.value = 0
 
-        def work():
-            while (s_idx := shared.take()) < len(shards):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([cfg.seed, epoch, s_idx]))
-                _train_shard(shared, shards[s_idx][:, 0], shards[s_idx][:, 1], rng)
+            def work():
+                while (s_idx := shared.take()) < len(shards):
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence([cfg.seed, epoch, s_idx]))
+                    _train_shard(shared, shards[s_idx][:, 0], shards[s_idx][:, 1], rng)
 
-        if cfg.workers == 1:
-            work()              # shards in order in this process: reproducible
-        else:
-            procs = [ctx.Process(target=work) for _ in range(cfg.workers)]
-            for pr in procs:
-                pr.start()
-            for pr in procs:
-                pr.join()
-            if any(pr.exitcode for pr in procs):
-                raise RuntimeError("a deepcip training worker failed")
-        if shared.loss_pairs.value:
-            model.epoch_losses.append(shared.loss_sum.value / shared.loss_pairs.value)
+            if cfg.workers == 1:
+                work()              # shards in order in this process: reproducible
+            else:
+                procs = [ctx.Process(target=work) for _ in range(cfg.workers)]
+                for pr in procs:
+                    pr.start()
+                for pr in procs:
+                    pr.join()
+                if any(pr.exitcode for pr in procs):
+                    raise RuntimeError("a deepcip training worker failed")
+            if shared.loss_pairs.value:
+                model.epoch_losses.append(shared.loss_sum.value / shared.loss_pairs.value)
 
 
 def cip_vector(model: EmbeddingModel, items) -> np.ndarray:

@@ -73,15 +73,19 @@ def sgns_gradient_error(rng, draws: int, eps: float = 1e-6) -> float:
     """Worst relative gap between :func:`sgns_batch`'s deltas at lr 1,
     which are minus the loss gradient, and central differences of its
     own loss on every input and output row entry. Each draw is a random
-    mini-batch whose pairs share rows."""
+    mini-batch whose pairs share rows and share negatives, one of which
+    is always some pair's own context, so the mask and the reweighting
+    of the kept negatives are in every draw."""
     worst = 0.0
     for _ in range(draws):
         d = int(rng.integers(2, 10))
-        m, k = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        m, kk = int(rng.integers(2, 6)), int(rng.integers(1, 7))
         base0 = rng.normal(0.0, 0.8, (int(rng.integers(1, 4)), d))
         base1 = rng.normal(0.0, 0.8, (int(rng.integers(1, 5)), d))
-        batch = (rng.integers(0, len(base0), m), rng.integers(0, len(base1), m),
-                 rng.integers(0, len(base1), (m, k)))
+        t_c, c_c = rng.integers(0, len(base0), m), rng.integers(0, len(base1), m)
+        n_c = rng.integers(0, len(base1), kk)
+        n_c[0] = c_c[int(rng.integers(m))]
+        batch = (t_c, c_c, n_c, float(rng.integers(1, 4)))
         _, acc0, acc1 = sgns_batch(base0, base1, *batch, 1.0)
         for base, acc in ((base0, acc0), (base1, acc1)):
             for idx in np.ndindex(base.shape):

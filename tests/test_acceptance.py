@@ -235,7 +235,8 @@ def test_acceptance_05_sgns_gradient_check():
     _verdict(5, worst < 1e-4 and elapsed < 5.0,
              f"training kernel sgns_batch: worst relative gap between its "
              f"deltas and central differences {worst:.2e} over 100 "
-             f"mini-batches with shared rows (< 1e-4), {elapsed:.2f}s (< 5 s)")
+             f"mini-batches with shared rows and negatives (< 1e-4), "
+             f"{elapsed:.2f}s (< 5 s)")
 
 
 # --------------------------------------------------------------------------

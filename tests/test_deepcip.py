@@ -1,5 +1,6 @@
 """Skip-gram embeddings over item packs: pairs, gradients, training."""
 
+import ctypes
 import math
 import threading
 
@@ -65,15 +66,20 @@ def test_pair_count_matches_enumeration():
 
 
 def test_zero_init_loss_is_log2_per_output():
-    # hand-derived: every dot is 0, so each of the 1 + k outputs of every
-    # pair contributes ln 2 to the loss
+    # hand-derived: every dot is 0, so the positive and the k weight of
+    # negatives of every pair contribute ln 2 each to the loss
     base0, base1 = np.zeros((2, 12)), np.zeros((7, 12))
     loss, _, _ = sgns_batch(base0, base1, np.array([0]), np.array([1]),
-                            np.array([[2, 3, 4, 5]]), 0.025)
+                            np.array([2, 3, 4, 5]), 4, 0.025)
     assert abs(loss - 5.0 * math.log(2.0)) < 1e-12   # 1 positive + 4 negatives
     loss, _, _ = sgns_batch(base0, base1, np.array([0, 1, 0]), np.array([1, 2, 1]),
-                            np.ones((3, 5), dtype=np.int64), 0.025)
+                            np.full(5, 4), 5, 0.025)
     assert abs(loss - 18.0 * math.log(2.0)) < 1e-12  # 3 pairs x (1 + 5)
+    # the third pair's context is two of the shared negatives: it keeps
+    # the other three at weight 5/3 each
+    loss, _, _ = sgns_batch(base0, base1, np.array([0, 1, 0]), np.array([1, 2, 3]),
+                            np.array([3, 4, 5, 3, 6]), 5, 0.025)
+    assert abs(loss - 18.0 * math.log(2.0)) < 1e-12
 
 
 def test_gradients_match_central_differences():
@@ -96,7 +102,7 @@ def test_sgns_batch_steps_decrease_pair_loss():
     rng = np.random.default_rng(7)
     base0 = rng.normal(0.0, 0.1, (1, 8))
     base1 = np.zeros((2, 8))
-    batch = (np.array([0]), np.array([0]), np.array([[1]]))
+    batch = (np.array([0]), np.array([0]), np.array([1]), 1)
     losses = []
     for _ in range(60):
         loss, acc0, acc1 = sgns_batch(base0, base1, *batch, 0.5)
@@ -122,12 +128,22 @@ def test_negative_sampling_respects_exclusion_and_range():
     m = EmbeddingModel.create(list(range(50)), TrainConfig(dim=4, seed=2))
     m.set_counts(np.arange(1, 51, dtype=float))
     rng = np.random.default_rng(0)
-    draws = draw_negatives(m._cum, np.full(200, 7), 5, rng)
-    assert draws.shape == (200, 5)
+    draws = draw_negatives(m._cum, 1000, rng)
+    assert draws.shape == (1000,)
     assert draws.min() >= 0 and draws.max() < 50
-    assert np.count_nonzero(draws == 7) == 0
     # unigram^(3/4) weighting: the most popular half dominates the draws
     assert np.mean(draws >= 25) > 0.6
+    # a shared negative equal to a pair's context is masked for that pair
+    # alone. At all-zero outputs every sigmoid is 1/2, so at lr 0.1 a
+    # positive adds 0.05 vin and a negative of weight w adds -0.05 w vin:
+    # pair 0 (context 7) keeps negative 3 at weight 2, pair 1 (context 3)
+    # keeps both 7s at weight 1
+    base0, base1 = rng.normal(0.0, 1.0, (2, 4)), np.zeros((8, 4))
+    _, _, acc1 = sgns_batch(base0, base1, np.array([0, 1]), np.array([7, 3]),
+                            np.array([7, 3, 7]), 2, 0.1)
+    assert_allclose(acc1[7], 0.05 * base0[0] - 2 * 0.05 * base0[1])
+    assert_allclose(acc1[3], 0.05 * base0[1] - 0.05 * 2 * base0[0])
+    assert not acc1[[0, 1, 2, 4, 5, 6]].any()
 
 
 def test_train_single_worker_is_bit_reproducible():
@@ -160,6 +176,43 @@ def test_failed_worker_process_raises(monkeypatch):
     monkeypatch.setattr(deepcip, "_train_shard", broken)
     with pytest.raises(RuntimeError, match="worker failed"):
         train([[0, 1, 2]] * 10, TrainConfig(dim=4, epochs=1, workers=2))
+
+
+_GET_THREADS = deepcip._openblas("get_num_threads", ctypes.c_int)
+_SET_THREADS = deepcip._openblas("set_num_threads", None, ctypes.c_int)
+
+
+@pytest.mark.skipif(_GET_THREADS is None or _SET_THREADS is None,
+                    reason="no OpenBLAS thread-count symbols found")
+def test_training_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    get, put = _GET_THREADS, _SET_THREADS
+    original = get()
+    put(2)          # a count other than 1, so that a missed restore shows
+    try:
+        seen = []
+        real = deepcip._train_shard
+
+        def recording(*args):
+            seen.append(get())
+            real(*args)
+
+        def broken(*args):
+            raise ValueError("broken shard")
+
+        monkeypatch.setattr(deepcip, "_train_shard", recording)
+        emb = train([[0, 1, 2]] * 10, TrainConfig(dim=4, epochs=2))
+        assert seen and set(seen) == {1} and get() == 2
+        seen.clear()
+        rec = DeepCipRecommender(emb, store_from([(0, 0, 10), (0, 1, 20)]), 60)
+        rec.observe({0: [(2, 30)]})
+        assert seen == [1] and get() == 2
+        monkeypatch.setattr(deepcip, "_train_shard", broken)
+        for workers, error in ((1, ValueError), (2, RuntimeError)):
+            with pytest.raises(error):
+                train([[0, 1, 2]] * 10, TrainConfig(dim=4, epochs=1, workers=workers))
+            assert get() == 2
+    finally:
+        put(original)
 
 
 def test_worker_processes_refuse_a_threaded_caller():
@@ -291,9 +344,8 @@ def test_observe_draws_negatives_from_the_whole_corpus():
     assert emb.counts.tolist() == store.item_counts()[emb.item_ids].tolist()
     assert dict(zip(emb.item_ids.tolist(), emb.counts.tolist())) == {
         1: 1, 2: 2, 3: 1, 4: 2, 5: 1, 6: 2}
-    neg = draw_negatives(emb._cum, np.full(500, emb.row[2]), 5,
-                         np.random.default_rng(0))
-    assert set(emb.item_ids[np.unique(neg)]) == {1, 3, 4, 5, 6}
+    neg = draw_negatives(emb._cum, 2500, np.random.default_rng(0))
+    assert set(emb.item_ids[np.unique(neg)]) == {1, 2, 3, 4, 5, 6}
 
 
 def test_observe_keeps_the_trained_config():

@@ -7,15 +7,18 @@ The digests were recorded with the code as it stood before the shared
 pair enumerator (``ciprec.ingest.pair_positions``) replaced each
 model's own pair loops. A change that reorders any list or edge, or
 rounds any score differently, fails here; if the change is intended,
-record the new digests and say why. The deepcip digests were recorded
-with the code as it stood before training and the gradient checks shared
-one batched SGNS kernel. The cip-i digests were recorded again when cip-i
-scores became exact integer sums in fixed point: the scores digest hashes
-those integers, and the lists of this corpus kept their digest. The
-deepcip ``observe`` digests were recorded with the code as it stood
-before deepcip trained on pack arrays instead of lists of packs.
+record the new digests and say why. The cip-i digests were recorded
+again when cip-i scores became exact integer sums in fixed point: the
+scores digest hashes those integers, and the lists of this corpus kept
+their digest. The deepcip digests were recorded again when the pairs of
+each mini-batch came to share their negatives. deepcip's products run
+through BLAS dgemm, and OpenBLAS's AVX-512 and AVX2 kernels round their
+sums differently, so its embeddings have one digest per kernel, keyed by
+the OpenBLAS core name, and the check is skipped on a kernel with none;
+its lists agree on both.
 """
 
+import ctypes
 import hashlib
 
 import pytest
@@ -23,7 +26,7 @@ import pytest
 from ciprec.analysis import build_item_graph, export_edge_list
 from ciprec.cip_i import CipIModel
 from ciprec.cip_u import CipUModel
-from ciprec.deepcip import DeepCipRecommender, TrainConfig, train
+from ciprec.deepcip import DeepCipRecommender, TrainConfig, _openblas, train
 from ciprec.ingest import all_cips
 from ciprec.synthetic import generate_events
 
@@ -32,10 +35,15 @@ from helpers import batches_from, store_from
 CIP_I_LISTS = "4a8bfb6f13df02231d927318b187ea5403d7473e87f0b2b186d7a122d4be02e1"
 CIP_I_SCORES = "a5f44bfe610d05af71129082fa4a6c41048c87f7d7235ee102754f0a44e515f5"
 CIP_U_LISTS = "c43ace23e310438c830cc60501630896db8e98236ede0914ee8f6b2f7f8b3df3"
-DEEPCIP_EMBEDDINGS = "e3b59139a72d435ead1157396a1b58c06c18e4b85725e00a0a2fa3a78a17fde1"
-DEEPCIP_LISTS = "3f9e4f5d34c742ff9e29ea3edbd6ddbd117be81401a1b90b33752455300febb3"
-DEEPCIP_OBSERVE_EMBEDDINGS = "07a686543701fd6e2d6f8ff0e042d019699e01a1a593e35446f811d810a03d89"
-DEEPCIP_OBSERVE_LISTS = "92e8e4b2c81b760a09f82a0f376db05977a81d6cb0312d05d7d7d756793c5037"
+_AVX512, _AVX2 = ("SkylakeX", "Cooperlake", "SapphireRapids"), ("Haswell", "Zen")
+DEEPCIP_EMBEDDINGS = (
+    dict.fromkeys(_AVX512, "9b552ae375dd48bb409aa572ea416738e343af1c70a5fc1b2975d55e98fe47da")
+    | dict.fromkeys(_AVX2, "cd2104162aeef530572a91885dd55ac4aabf601de049be6bf9a60c0ebbda7ed8"))
+DEEPCIP_LISTS = "ba315b95c32730ba744635d2ec798e7310586f32254fc3df73dcc2c5e4f64874"
+DEEPCIP_OBSERVE_EMBEDDINGS = (
+    dict.fromkeys(_AVX512, "f19cbffb48e4a6dc30d9fb26dcb818ada0c7d0047c0afd98bcaba14dac0f85c1")
+    | dict.fromkeys(_AVX2, "29c3882d6747d2035d16ce30ed41d15a7cef3096039b53bf12270cceace75fe2"))
+DEEPCIP_OBSERVE_LISTS = "f5d44a42c0b183272ffaccfc0ce693e78697df7c0c811084002e847b5cfbfaeb"
 EDGE_LIST = "bb377b17cba1eebfe7793e5e8ceb4672056ed26a1b30f5855e70c84319679565"
 
 
@@ -92,6 +100,16 @@ def deepcip_observe_digests(events) -> tuple[str, str]:
     return _digest(weights), _lists(rec, store)
 
 
+def for_blas_kernel(digests: dict) -> str:
+    """The digest recorded for the OpenBLAS kernel this host runs; skips
+    the test where none is."""
+    corename = _openblas("get_corename", ctypes.c_char_p)
+    core = corename().decode() if corename else None
+    if core not in digests:
+        pytest.skip(f"no deepcip embeddings digest recorded for BLAS kernel {core}")
+    return digests[core]
+
+
 def edge_list_digest(store, path) -> str:
     export_edge_list(build_item_graph(store, 2, 3, 5), path)
     return _digest(path.read_bytes())
@@ -106,12 +124,15 @@ def test_cip_u_lists_are_unchanged(store):
 
 
 def test_deepcip_embeddings_and_lists_are_unchanged(store):
-    assert deepcip_digests(store) == (DEEPCIP_EMBEDDINGS, DEEPCIP_LISTS)
+    weights, lists = deepcip_digests(store)
+    assert lists == DEEPCIP_LISTS
+    assert weights == for_blas_kernel(DEEPCIP_EMBEDDINGS)
 
 
 def test_deepcip_observe_embeddings_and_lists_are_unchanged(events):
-    assert deepcip_observe_digests(events) == (DEEPCIP_OBSERVE_EMBEDDINGS,
-                                               DEEPCIP_OBSERVE_LISTS)
+    weights, lists = deepcip_observe_digests(events)
+    assert lists == DEEPCIP_OBSERVE_LISTS
+    assert weights == for_blas_kernel(DEEPCIP_OBSERVE_EMBEDDINGS)
 
 
 def test_item_graph_edge_list_is_unchanged(store, tmp_path):
