@@ -228,16 +228,32 @@ def _openblas(name: str, restype, *argtypes):
     return None
 
 
+def _blas_thread_count():
+    """OpenBLAS's ``(get, set)`` thread-count functions, or None where
+    either is missing."""
+    get = _openblas("get_num_threads", ctypes.c_int)
+    put = _openblas("set_num_threads", None, ctypes.c_int)
+    return None if get is None or put is None else (get, put)
+
+
+def blas_guard_report() -> str:
+    """One line: whether training can pin OpenBLAS to one thread, and
+    which OpenBLAS kernel this host runs."""
+    core = _openblas("get_corename", ctypes.c_char_p)
+    found = ("OpenBLAS thread-count symbols found" if _blas_thread_count()
+             else "no OpenBLAS thread-count symbols, a no-op")
+    return f"deepcip BLAS guard: {found} | OpenBLAS core: {core().decode() if core else None}"
+
+
 @contextmanager
 def _one_blas_thread():
     """Run the body on one BLAS thread, then restore the previous count.
     A mini-batch's products are too small to gain from more threads, and
     forked workers would each start their own; without OpenBLAS, a no-op."""
-    get = _openblas("get_num_threads", ctypes.c_int)
-    put = _openblas("set_num_threads", None, ctypes.c_int)
-    if get is None or put is None:
+    if (count := _blas_thread_count()) is None:
         yield
         return
+    get, put = count
     before = get()
     put(1)
     try:

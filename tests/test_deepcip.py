@@ -1,6 +1,5 @@
 """Skip-gram embeddings over item packs: pairs, gradients, training."""
 
-import ctypes
 import math
 import threading
 
@@ -178,14 +177,10 @@ def test_failed_worker_process_raises(monkeypatch):
         train([[0, 1, 2]] * 10, TrainConfig(dim=4, epochs=1, workers=2))
 
 
-_GET_THREADS = deepcip._openblas("get_num_threads", ctypes.c_int)
-_SET_THREADS = deepcip._openblas("set_num_threads", None, ctypes.c_int)
-
-
-@pytest.mark.skipif(_GET_THREADS is None or _SET_THREADS is None,
+@pytest.mark.skipif(deepcip._blas_thread_count() is None,
                     reason="no OpenBLAS thread-count symbols found")
 def test_training_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
-    get, put = _GET_THREADS, _SET_THREADS
+    get, put = deepcip._blas_thread_count()
     original = get()
     put(2)          # a count other than 1, so that a missed restore shows
     try:
