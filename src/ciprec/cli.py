@@ -8,6 +8,7 @@ The CIPREC_THREADS environment variable caps training worker counts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -21,6 +22,8 @@ from ciprec.fism import FismModel
 from ciprec.ingest import (EventLog, all_cips, build_profiles, join_profiles, log_batches,
                            parse_events, temporal_split)
 from ciprec.popularity import PopularityModel
+
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(config.RunConfig)}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -39,8 +42,9 @@ def _add_input(p: argparse.ArgumentParser) -> None:
 
 def _add_hyper(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dh", type=int, dest="delta_h", help="hammock distance threshold")
-    p.add_argument("--delta", type=int, help="pack gap threshold, seconds")
-    p.add_argument("--delta-minutes", type=int, help="pack gap threshold, minutes")
+    gap = p.add_mutually_exclusive_group()
+    gap.add_argument("--delta", type=int, help="pack gap threshold, seconds")
+    gap.add_argument("--delta-minutes", type=int, help="pack gap threshold, minutes")
     p.add_argument("--k", type=int, help="neighborhood size")
     p.add_argument("--window", type=int, help="skip-gram window")
     p.add_argument("--top", type=int, dest="top_n", help="recommendation list size")
@@ -54,21 +58,14 @@ def _add_hyper(p: argparse.ArgumentParser) -> None:
 
 
 def _overrides(args) -> dict:
-    keys = ("delta_h", "delta", "window", "top_n", "dim", "negatives", "lr",
-            "epochs", "workers", "seed", "alpha", "model")
-    out = {k: getattr(args, k, None) for k in keys}
-    if getattr(args, "delta_minutes", None) is not None:
-        out["delta"] = args.delta_minutes * 60
-    k = getattr(args, "k", None)
-    if k is not None:
-        out["k_users"] = k
-        out["k_items"] = k
-    if getattr(args, "min_weight", None) is not None:
-        out["min_weight"] = args.min_weight
-    if getattr(args, "hop_back", None) is not None:
-        out["hop_back"] = args.hop_back
-    if getattr(args, "hop_fwd", None) is not None:
-        out["hop_fwd"] = args.hop_fwd
+    """The flags given that set a RunConfig field: ``--k`` sets k_users
+    and k_items, ``--delta-minutes`` sets delta in seconds."""
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    out = {k: v for k, v in flags.items() if k in _CONFIG_KEYS}
+    if "k" in flags:
+        out["k_users"] = out["k_items"] = flags["k"]
+    if "delta_minutes" in flags:
+        out["delta"] = flags["delta_minutes"] * 60
     return out
 
 
@@ -84,13 +81,11 @@ def _resolve(args) -> config.RunConfig:
 def _load_log(args, cfg: config.RunConfig) -> EventLog:
     if getattr(args, "events", None):
         return persistence.load_events(args.events)
-    path = getattr(args, "path", None) or cfg.path
-    if not path:
+    if not cfg.path:
         raise SystemExit("need --events or --path/--format")
-    fmt = getattr(args, "fmt", None) or cfg.fmt
-    if not fmt:
+    if not cfg.fmt:
         raise SystemExit("need --format (or --dataset) for a raw log")
-    return parse_events(path, fmt)
+    return parse_events(cfg.path, cfg.fmt)
 
 
 def _split(args, cfg: config.RunConfig, log: EventLog):
@@ -183,8 +178,6 @@ def _remap_batches(log: EventLog, store) -> dict[int, list[tuple[int, int]]]:
     store's dictionaries for unseen raw ids."""
     users = _to_store_ids(log.users, log.user_ids, store.user_ids)
     items = _to_store_ids(log.items, log.item_ids, store.item_ids)
-    store.num_users = len(store.user_ids)
-    store.num_items = len(store.item_ids)
     return log_batches(EventLog(users, items, log.ts, store.user_ids, store.item_ids))
 
 

@@ -62,9 +62,10 @@ _JSON_TYPES = {"int": (int,), "float": (float, int), "str": (str,), "None": (typ
 
 def load_config_file(path) -> dict:
     """JSON object of RunConfig fields; ``delta_minutes`` converts to
-    ``delta`` seconds. Unknown keys are rejected, and so is a value its
-    field's type does not admit: an int field refuses a bool or a float,
-    and only a field that may be None takes null."""
+    ``delta`` seconds, and a file may not give both. Unknown keys are
+    rejected, and so is a value its field's type does not admit: an int
+    field refuses a bool or a float, and only a field that may be None
+    takes null."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -78,6 +79,9 @@ def load_config_file(path) -> dict:
         if isinstance(value, bool) or not isinstance(value, types):
             raise ValueError(f"{path}: config key {key!r} must be {annotation}, got {value!r}")
     if "delta_minutes" in data:
+        if "delta" in data:
+            raise ValueError(f"{path}: config gives both 'delta' and 'delta_minutes'; "
+                             "give one pack gap")
         data["delta"] = data.pop("delta_minutes") * 60
     return data
 

@@ -8,20 +8,20 @@ consumed; a profile splits into consumed item packs (short bursts of
 activity) wherever the gap between consecutive events exceeds ``delta``
 seconds.
 
-:func:`parse_events` reads every input format, the canonical events file
-that :func:`ciprec.persistence.dump_events` writes included, through one
-table of formats (separator, header line, rating column) and one
-grammar: a line is blank or holds width - 1 separators, ids and
-timestamp ``-?[0-9]{1,19}`` within int64, and a rating that is empty or
-``-?[0-9]*\\.?[0-9]*`` with a digit. Ratings are checked for form and
-dropped: consumption is implicit feedback. :func:`parse_events` reads
-blocks of whole lines of ``_BLOCK`` characters or more (a path in text
-mode, so ``\r\n`` and a lone ``\r`` end a line, as ``\n`` does) and
-converts each with one numpy kernel over its bytes,
-:func:`_strict_columns`. A block the kernel refuses holds a bad line;
-:func:`_raise_first_bad_line` reads it line by line only to name that
-line. Users and items are then numbered with one ``np.unique`` each and
-events ordered with one stable sort.
+:func:`parse_events` reads a log file in every input format, the
+canonical events file that :func:`ciprec.persistence.dump_events` writes
+included, through one table of formats (separator, header line, rating
+column) and one grammar: a line is blank or holds width - 1 separators,
+ids and timestamp ``-?[0-9]{1,19}`` within int64, and a rating that is
+empty or ``-?[0-9]*\\.?[0-9]*`` with a digit. Ratings are checked for
+form and dropped: consumption is implicit feedback. :func:`parse_events`
+opens the file in text mode, so ``\r\n`` and a lone ``\r`` end a line,
+as ``\n`` does, reads it in blocks of whole lines of ``_BLOCK``
+characters or more and converts each with one numpy kernel over its
+bytes, :func:`_strict_columns`. A block the kernel refuses holds a bad
+line; :func:`_raise_first_bad_line` reads it line by line only to name
+that line. Users and items are then numbered with one ``np.unique`` each
+and events ordered with one stable sort.
 
 Sorts of ids use :func:`_sort_key`: offsets from the minimum in the
 narrowest unsigned type, so numpy's stable sort is a radix sort when the
@@ -58,7 +58,6 @@ import math
 import re
 from array import array
 from itertools import islice
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -126,12 +125,12 @@ class EventLog:
                         self.user_ids, self.item_ids, self.user_index, self.item_index)
 
 
-def parse_events(source, fmt: str) -> EventLog:
-    """Parse a consumption log file into an :class:`EventLog`.
+def parse_events(path, fmt: str) -> EventLog:
+    """Parse the consumption log file at ``path`` into an :class:`EventLog`.
 
-    ``source`` is a path or an iterable of lines. ``fmt`` is one of
-    ``ml-tab`` (user<TAB>item<TAB>rating<TAB>timestamp), ``ml-dcolon``
-    (:: separated), ``csv`` (header ``user,item,rating,timestamp``) or
+    The file is read as UTF-8 text. ``fmt`` is one of ``ml-tab``
+    (user<TAB>item<TAB>rating<TAB>timestamp), ``ml-dcolon`` (::
+    separated), ``csv`` (header ``user,item,rating,timestamp``) or
     ``events``, the canonical events file (header ``CIPREC1 events``,
     then ``user,item,timestamp``). Ratings are checked for form and
     dropped. Raises :class:`ParseError` with the offending line number on
@@ -139,33 +138,22 @@ def parse_events(source, fmt: str) -> EventLog:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _parse(iter(fh.readline, ""), _text_blocks(fh), fmt)
-    lines = iter(source)
-    return _parse(lines, _line_blocks(lines), fmt)
-
-
-def _parse(lines: Iterator[str], blocks, fmt: str) -> EventLog:
-    """Read the header, if ``fmt`` has one, from ``lines``, then the
-    events from ``blocks``, a lazy reader of what ``lines`` leaves."""
     sep, header, rated = _FORMATS[fmt]
     line_no = 0
-    if header is not None:
-        for line_no, raw in enumerate(lines, 1):
-            if line := raw.rstrip("\n").rstrip("\r"):
-                if line != header:
-                    raise ParseError(f"expected header {header!r}", line_no)
-                break
     cols = []
-    for text, rows in blocks:
-        block = _strict_columns(text, sep, rated)
-        # an iterable's element with a newline inside is one line, not two
-        if block is None or rows is not None and len(rows) != block[0]:
-            _raise_first_bad_line(text.split("\n")[:-1] if rows is None else rows,
-                                  line_no + 1, sep, rated)
-        line_no += block[0]
-        cols.append(block[1:])
+    with open(path, "r", encoding="utf-8") as fh:
+        if header is not None:
+            for line_no, raw in enumerate(iter(fh.readline, ""), 1):
+                if line := raw.rstrip("\n"):
+                    if line != header:
+                        raise ParseError(f"expected header {header!r}", line_no)
+                    break
+        for text in _text_blocks(fh):
+            block = _strict_columns(text, sep, rated)
+            if block is None:
+                _raise_first_bad_line(text.split("\n")[:-1], line_no + 1, sep, rated)
+            line_no += block[0]
+            cols.append(block[1:])
     if not sum(len(col[0]) for col in cols):
         raise ParseError("no events in input")
 
@@ -179,33 +167,17 @@ def _parse(lines: Iterator[str], blocks, fmt: str) -> EventLog:
 
 def _text_blocks(fh):
     """A text file's remaining lines, whole lines of ``_BLOCK`` characters
-    or more at a time: ``(text, None)``, every line of ``text`` ending in
-    ``\\n`` (universal newlines: ``\\r\\n`` and a lone ``\\r`` read as
-    ``\\n``)."""
+    or more at a time, every line ending in ``\\n`` (universal newlines:
+    ``\\r\\n`` and a lone ``\\r`` read as ``\\n``)."""
     rest = ""
     while chunk := fh.read(_BLOCK):
         text = rest + chunk
         cut = text.rfind("\n") + 1
         if cut:
-            yield text[:cut], None
+            yield text[:cut]
         rest = text[cut:]
     if rest:
-        yield rest + "\n", None
-
-
-def _line_blocks(lines: Iterator[str]):
-    """An iterable's lines, ``_BLOCK`` characters or more at a time, each
-    without its ``\\n`` and then ``\\r`` ending: ``(text, lines)``, with
-    ``text`` the lines each followed by ``\\n``."""
-    block, size = [], 0
-    for raw in lines:
-        block.append(raw.rstrip("\n").rstrip("\r"))
-        size += len(raw)
-        if size >= _BLOCK:
-            yield "\n".join(block) + "\n", block
-            block, size = [], 0
-    if block:
-        yield "\n".join(block) + "\n", block
+        yield rest + "\n"
 
 
 def _strict_columns(text: str, sep: str, rated: bool):
@@ -393,20 +365,28 @@ class UserProfile:
 
 
 class ProfileStore:
-    """All user profiles plus catalog sizes and popularity counts. Every
-    model folds events in through :meth:`extend` and falls back to
-    :meth:`popular`."""
+    """All user profiles, the dense -> raw id maps ``user_ids`` and
+    ``item_ids``, whose lengths are the catalog sizes, and popularity
+    counts. ``num_users`` and ``num_items`` size the id maps only when
+    none are given. Every model folds events in through :meth:`extend`
+    and falls back to :meth:`popular`."""
 
     def __init__(self, num_users: int, num_items: int,
                  user_ids: Sequence | None = None,
                  item_ids: Sequence | None = None):
-        self.num_users = num_users
-        self.num_items = num_items
         self.user_ids = list(user_ids) if user_ids is not None else list(range(num_users))
         self.item_ids = list(item_ids) if item_ids is not None else list(range(num_items))
         self.profiles: dict[int, UserProfile] = {}
         self._counts: np.ndarray | None = None
         self._ranking: list[int] | None = None
+
+    @property
+    def num_users(self) -> int:
+        return len(self.user_ids)
+
+    @property
+    def num_items(self) -> int:
+        return len(self.item_ids)
 
     def profile(self, user: int) -> UserProfile:
         p = self.profiles.get(user)
@@ -457,12 +437,10 @@ class ProfileStore:
                 prof.ts.append(t)
                 added.append(item)
             if fresh[u] and u >= self.num_users:
-                self.num_users = u + 1
                 _grow_ids(self.user_ids, u + 1)
         if added:
             if max(added) >= self.num_items:
-                self.num_items = max(added) + 1
-                _grow_ids(self.item_ids, self.num_items)
+                _grow_ids(self.item_ids, max(added) + 1)
             if self._counts is not None:
                 self._counts = self.item_counts() + np.bincount(added, minlength=self.num_items)
             self._ranking = None

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from ciprec.deepcip import sgns_batch
-from ciprec.ingest import ProfileStore
+from ciprec.ingest import EventLog, ProfileStore, parse_events
 
 
 def random_stream(rng, n_users: int, n_items: int, n_events: int,
@@ -27,6 +30,17 @@ def random_stream(rng, n_users: int, n_items: int, n_events: int,
         t += int(rng.integers(1, max_gap))
         events.append((u, i, t))
     return events
+
+
+def parse_lines(lines, fmt: str) -> EventLog:
+    """:func:`parse_events` of a temporary file holding ``lines``, each
+    written as given (``newline=""``) and followed by ``\\n`` where it
+    does not end in one."""
+    text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        return parse_events(path, fmt)
 
 
 def store_from(events) -> ProfileStore:

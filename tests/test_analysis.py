@@ -12,10 +12,10 @@ from ciprec.analysis import (EvalReport, ItemGraph, build_item_graph,
                              export_edge_list, export_graphml, load_partition,
                              modularity, precision_at_n, sweep, write_reports)
 from ciprec.cli import _build_model
-from ciprec.ingest import EventLog, ProfileStore, build_profiles, parse_events
+from ciprec.ingest import EventLog, ProfileStore, build_profiles
 from ciprec.synthetic import generate_events
 
-from helpers import fold_every, random_stream, store_from
+from helpers import fold_every, parse_lines, random_stream, store_from
 
 
 def _graph(edges) -> ItemGraph:
@@ -270,7 +270,7 @@ def replay_corpus():
     """A 40-user / 120-item log, its 300-event test tail, and one
     trained model of each kind."""
     rows = generate_events(seed=4, n_users=40, n_items=120, n_events=1500, n_genres=4)
-    log = parse_events((f"{u}\t{i}\t{r}\t{t}\n" for u, i, r, t in rows), "ml-tab")
+    log = parse_lines([f"{u}\t{i}\t{r}\t{t}" for u, i, r, t in rows], "ml-tab")
     train_log, test_log = log.slice(0, 1200), log.slice(1200, 1500)
     models = {kind: _build_model(kind, build_profiles(train_log), _REPLAY_CFG)
               for kind in config.MODEL_KINDS}

@@ -1,5 +1,6 @@
 """Command-line frontend: each subcommand end to end, plus exit codes."""
 
+import argparse
 import json
 import os
 
@@ -216,6 +217,14 @@ def test_config_file_and_flag_precedence(events_file, tmp_path):
     assert load_model(out).params["delta"] == 90    # flag beats file
 
 
+def test_both_pack_gap_flags_are_a_usage_error(events_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--model", "cip-i", "--events", str(events_file), *SPLIT,
+              "--delta", "90", "--delta-minutes", "2", "--out", str(tmp_path / "m")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_deepcip_and_fism_and_cipu_train_paths(events_file, tmp_path, capsys):
     for model, extra in (("deepcip", ["--dim", "16", "--epochs", "1"]),
                          ("fism", ["--dim", "8"]),
@@ -260,16 +269,8 @@ def test_update_brings_a_new_user_and_item_to_a_fism_model(raw_log, events_file,
 def test_thread_cap_env(events_file, tmp_path, monkeypatch):
     from ciprec import cli
 
-    class Args:
-        config = None
-        dataset = None
-
     monkeypatch.setenv("CIPREC_THREADS", "2")
-    args = Args()
-    for k in ("delta_h", "delta", "delta_minutes", "k", "window", "top_n",
-              "dim", "negatives", "lr", "epochs", "seed", "alpha", "model"):
-        setattr(args, k, None)
-    args.workers = 8
+    args = argparse.Namespace(config=None, dataset=None, workers=8)
     cfg = cli._resolve(args)
     assert cfg.workers == 2
 

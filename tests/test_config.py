@@ -47,6 +47,13 @@ def test_config_file_delta_minutes(tmp_path):
     assert config.resolve(None, data).delta == 120
 
 
+def test_config_file_refuses_both_pack_gaps(tmp_path):
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps({"delta": 90, "delta_minutes": 2}))
+    with pytest.raises(ValueError, match=r"run\.json.*'delta' and 'delta_minutes'"):
+        config.load_config_file(p)
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     p = tmp_path / "run.json"
     p.write_text(json.dumps({"wat": 1}))

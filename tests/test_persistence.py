@@ -10,12 +10,12 @@ from ciprec.cip_i import CipIModel
 from ciprec.cip_u import CipUModel
 from ciprec.deepcip import DeepCipRecommender, TrainConfig, train
 from ciprec.fism import FismModel
-from ciprec.ingest import EventLog, ProfileStore, all_cips, build_profiles, parse_events
+from ciprec.ingest import EventLog, ProfileStore, all_cips, build_profiles
 from ciprec.persistence import (FormatError, dump_events, load_events,
                                 load_model, peek_kind, save_model)
 from ciprec.popularity import PopularityModel
 
-from helpers import batches_from, random_stream
+from helpers import batches_from, parse_lines, random_stream
 
 
 def _gappy_log(rng, n_users=25, n_items=50, n_events=350):
@@ -31,7 +31,7 @@ def _gappy_log(rng, n_users=25, n_items=50, n_events=350):
         seen.add((u, i))
         t += int(rng.integers(5, 200))
         rows.append(f"{u}\t{i}\t3\t{t}")
-    return parse_events(rows, "ml-tab")
+    return parse_lines(rows, "ml-tab")
 
 
 def _raw_triples(log):
@@ -418,7 +418,7 @@ def test_model_grown_only_by_observe_saves_and_loads(tmp_path, kind):
 
 
 def test_observed_new_user_keeps_its_own_raw_id(tmp_path):
-    log = parse_events(["5\t10\t3\t100", "2\t20\t3\t200"], "ml-tab")
+    log = parse_lines(["5\t10\t3\t100", "2\t20\t3\t200"], "ml-tab")
     model = PopularityModel(build_profiles(log))
     model.observe({2: [(0, 300)]})              # dense user 2: new
     store = model.profiles

@@ -79,11 +79,12 @@ def test_write_ml_tab(tmp_path):
 
 def test_sessions_form_packs():
     # within-session gaps stay below 60s, between-session gaps far above
-    from ciprec.ingest import parse_events, build_profiles
+    from ciprec.ingest import build_profiles
+    from helpers import parse_lines
     ev = synthetic.generate_events(seed=4, n_users=15, n_items=80,
                                    n_events=600, n_genres=4)
     lines = [f"{u}\t{i}\t{r}\t{t}" for u, i, r, t in ev]
-    store = build_profiles(parse_events(lines, "ml-tab"))
+    store = build_profiles(parse_lines(lines, "ml-tab"))
     packs = [len(c) for u in store.profiles
              for c in store.get(u).partition(60)]
     assert np.mean(packs) > 2.0         # sessions survive as multi-item packs
