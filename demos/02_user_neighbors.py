@@ -8,15 +8,14 @@ Run:  python3 demos/02_user_neighbors.py
 """
 
 from ciprec.cip_u import CipUModel, hammock_distance, hammock_pairs
-from ciprec.ingest import ProfileStore, UserProfile
+from ciprec.ingest import ProfileStore
 from ciprec.synthetic import generate_events
 
 
 def profile_of(user, items):
-    prof = UserProfile(user)
-    for pos, item in enumerate(items):
-        prof.append(item, 100 + pos)
-    return prof
+    store = ProfileStore(0, 0)
+    store.extend({user: [(item, 100 + pos) for pos, item in enumerate(items)]})
+    return store.get(user)
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ def main() -> None:
     print("one pack [0, 1, 2] scores (0, 1) and (1, 2) as 1 + 1/1 = 2.0,")
     print("and the two-hop pair (0, 2) as 1 + 1/2 = 1.5:")
     model = CipIModel(delta=60, k=5)
-    model.update_scores([0, 1, 2])
+    model.observe({0: [(0, 100), (1, 110), (2, 120)]})   # one user, one pack
     for pair in ((0, 1), (1, 2), (0, 2)):
         print(f"    score{pair} / ONE = {model.score[pair[0]][pair[1]] / ONE}")
     print("    sim(0, 1) =", model.similarity(0, 1),

@@ -11,16 +11,18 @@ Run:  python3 demos/05_factor_scoring.py
 import numpy as np
 
 from ciprec.fism import FismModel
-from ciprec.ingest import ProfileStore, UserProfile
+from ciprec.ingest import ProfileStore
 from ciprec.synthetic import generate_events
 
 
 def main() -> None:
     model = FismModel.random_init(num_users=5, num_items=30, k=8,
                                   alpha=0.5, seed=42, delta=60)
-    profile = UserProfile(0)
-    for pos, item in enumerate([3, 11, 7, 19, 2]):
-        profile.append(item, 100 + pos * 40)      # 40s gaps -> one pack
+    one_user = ProfileStore(0, 0)
+    # 40s gaps -> one pack
+    one_user.extend({0: [(item, 100 + pos * 40)
+                         for pos, item in enumerate([3, 11, 7, 19, 2])]})
+    profile = one_user.get(0)
     target = 25
 
     items = list(profile.items)

@@ -35,19 +35,17 @@ and the cache both call it.
 
 ``recommend`` tallies the ids of each profile item's top-k successors
 with one ``np.bincount``. Those ids are cached in one ``(items, k)``
-array and a fold (:meth:`CipIModel.update_scores`,
-:meth:`CipIModel.observe`) drops only the rows whose top-k *set* can
-change. The tally reads a row as a set, and a card bump only lowers
-similarities, so a row is dropped when one of its scores changed, or
-when it has more than k entries and its own card or the card of an item
-in its cached set changed. A row of at most k entries holds all of them
-whatever their order.
+array and a fold (:meth:`CipIModel.observe`) drops only the rows whose
+top-k *set* can change. The tally reads a row as a set, and a card bump
+only lowers similarities, so a row is dropped when one of its scores
+changed, or when it has more than k entries and its own card or the
+card of an item in its cached set changed. A row of at most k entries
+holds all of them whatever their order.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Sequence
 
 import numpy as np
 
@@ -102,15 +100,6 @@ class CipIModel:
             model._fold(items[ends[a]:ends[b]], sizes[a:b])
             a = b
         return model
-
-    def update_scores(self, items: Sequence[int]) -> None:
-        """Fold one pack into the score and cardinality stores.
-
-        Raises ValueError if the pack repeats an item.
-        """
-        if len(set(items)) != len(items):
-            raise ValueError("pack repeats an item")
-        self._fold(np.asarray(items, dtype=np.int64), np.array([len(items)]))
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
         """Fold new events into the profiles (see
@@ -213,14 +202,16 @@ class CipIModel:
         self._valid = np.concatenate((self._valid, np.zeros(n - have, dtype=bool)))
         self._long = np.concatenate((self._long, np.zeros(n - have, dtype=bool)))
 
-    def recommend_for_profile(self, items: Sequence[int], n: int) -> list[int]:
-        """Top-n items tallied over each profile item's neighbor list,
-        never containing profile items; ties by ascending id. Empty
-        tallies (and empty profiles) fall back to global popularity."""
+    def recommend(self, u: int, n: int) -> list[int]:
+        """Top-n items tallied over each of u's items' neighbor lists,
+        never containing u's items; ties by ascending id. Unknown users
+        and empty tallies fall back to global popularity."""
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        if len(items) == 0:
+        prof = self.profiles.get(u)
+        if prof is None:
             return self.profiles.popular(n)
+        items = prof.items
         owned = np.asarray(items, dtype=np.int64)
         self._grow(int(owned.max()) + 1)
         missing = np.unique(owned[~self._valid[owned]])
@@ -241,10 +232,6 @@ class CipIModel:
             return self.profiles.popular(n, set(items))
         ranked = ids[np.lexsort((ids, -counts[ids]))]
         return ranked[:n].tolist()
-
-    def recommend(self, u: int, n: int) -> list[int]:
-        prof = self.profiles.get(u)
-        return self.recommend_for_profile(prof.items if prof else [], n)
 
     @property
     def params(self) -> dict:

@@ -96,10 +96,9 @@ class CipUModel:
     with a zero diagonal that holds only non-zero counts. A token {i, j}
     is the int64 key ``min(i, j) << 32 | max(i, j)``, so keys never
     change when the catalog grows. T is not kept: each fold recounts
-    the tokens it needs from the profiles. Users with
-    identical non-empty profiles are grouped by the hash of their item
-    sequence. Common items and the equality flag are derived from the
-    profiles on demand.
+    the tokens it needs from the profiles. Users with identical profiles
+    are grouped by the hash of their item sequence. Common items and the
+    equality flag are derived from the profiles on demand.
     """
 
     kind = "cip-u"
@@ -122,16 +121,14 @@ class CipUModel:
         model adopts ``store``."""
         model = cls(delta_h, k)
         model.profiles = store
-        model._add({u: 0 for u, p in store.profiles.items() if len(p)})
+        model._add(dict.fromkeys(store.profiles, 0))
         return model
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
         """Apply one batch of new events, given as per-user time-ordered
         ``(item, ts)`` lists (see :meth:`ProfileStore.extend`). The result
         is identical to rebuilding the store from the final profiles."""
-        profs = self.profiles.profiles
-        self._add({u: base for u, base in self.profiles.extend(batches).items()
-                   if len(profs[u]) > base})
+        self._add(self.profiles.extend(batches))
 
     def _add(self, grown: dict[int, int]) -> None:
         """Fold in the tokens of each user's profile from position
@@ -235,7 +232,7 @@ class CipUModel:
         id; zero-similarity pairs excluded; unknown user gives []."""
         k = self.k if k is None else k
         prof = self.profiles.get(u)
-        if prof is None or not prof.items:
+        if prof is None:
             return []
         vs, hps = self._row(u)
         sims = 1.0 - np.exp(-hps)
@@ -255,7 +252,7 @@ class CipUModel:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         prof = self.profiles.get(u)
-        if prof is None or len(prof) == 0:
+        if prof is None:
             return self.profiles.popular(n)
         neighbors = self.top_k_users(u)
         if not neighbors:

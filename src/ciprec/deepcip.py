@@ -413,7 +413,7 @@ class DeepCipRecommender:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         prof = self.profiles.get(u)
-        if prof is None or not prof.items:
+        if prof is None:
             return self.profiles.popular(n)
         last = prof.items[prof.cip_boundaries(self.delta)[-1]:]
         try:

@@ -6,10 +6,10 @@ packs V_1..V_L is
     b_u + b_i + (|V_1 u ... u V_L|)^(-alpha) * sum_l sum_{j in V_l} p_j . q_i
 
 Packs partition the profile, so this is the flat sum over the consumed
-items, and that is how it is computed: the model needs no packs (its
-``delta`` is kept only as a param). Empty profiles score as bias only
-(the normalizer is skipped). Factors load from a file or start from a
-seeded Gaussian.
+items, and that is how :meth:`FismModel.recommend` computes it: the
+model needs no packs (its ``delta`` is kept only as a param). A user
+who consumed nothing scores as bias only (the normalizer is skipped).
+Factors load from a file or start from a seeded Gaussian.
 """
 
 from __future__ import annotations
@@ -89,11 +89,18 @@ class FismModel:
                 self.p[consumed].sum(axis=0) @ self.q[i])
         return float(total)
 
-    def recommend_for_cips(self, cips, u: int, n: int) -> list[int]:
-        """Top-n unconsumed items by score, ties by ascending item id."""
+    def recommend(self, u: int, n: int) -> list[int]:
+        """Top-n unconsumed items for user u by score, ties by ascending
+        item id. A user without a bias row (first seen after training)
+        gets the popularity fallback without their own items."""
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        consumed = set(chain.from_iterable(cips))
+        if self.profiles is None:
+            raise ValueError("model has no profiles attached")
+        prof = self.profiles.get(u)
+        consumed = prof.items if prof else ()
+        if not (0 <= u < self.num_users):
+            return self.profiles.popular(n, consumed)
         # items folded in after training have no factor row: they add
         # nothing to the sum and are never scored
         rows = sorted(i for i in consumed if i < self.num_items)
@@ -106,17 +113,6 @@ class FismModel:
         idx = np.nonzero(keep)[0]
         order = np.lexsort((idx, -scores[idx]))[:n]
         return [int(i) for i in idx[order]]
-
-    def recommend(self, u: int, n: int) -> list[int]:
-        """Top-n unconsumed items for user u. A user without a bias row
-        (first seen after training) gets the popularity fallback
-        without their own items."""
-        if self.profiles is None:
-            raise ValueError("model has no profiles attached")
-        prof = self.profiles.get(u)
-        if not (0 <= u < self.num_users):
-            return self.profiles.popular(n, prof.items if prof else ())
-        return self.recommend_for_cips([prof.items] if prof else [], u, n)
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
         """Fold new events into the profiles; the factors keep their

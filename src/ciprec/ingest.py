@@ -31,9 +31,9 @@ A profile is two typed arrays, its items (``array('i')``) and their
 timestamps (``array('q')``): 12 bytes an event. :func:`build_profiles`
 finds each (user, item) pair's first occurrence with two stable sorts,
 by user and then by item, keeps the first occurrences in the by-user
-order and fills each profile from its user's slice. Code reads profiles
-through copies
-(:func:`join_profiles`, ``np.array``): a live numpy view blocks appends.
+order and fills each profile from its user's slice; only
+:meth:`ProfileStore.extend` grows one. Code reads profiles through copies
+(:func:`join_profiles`, ``np.array``): a live numpy view blocks extends.
 
 :func:`log_batches` turns a log (or a slice of one) into the per-user
 ``(item, ts)`` batches that every model's ``observe`` takes.
@@ -322,9 +322,11 @@ def log_batches(log: EventLog) -> dict[int, list[tuple[int, int]]]:
 
 class UserProfile:
     """Time-ordered distinct items one user consumed: ``items``
-    (``array('i')``) and their timestamps ``ts`` (``array('q')``). A
-    numpy view of either (``np.asarray``) makes the next append raise
-    ``BufferError``, so no view may outlive the call that made it."""
+    (``array('i')``) and their timestamps ``ts`` (``array('q')``), never
+    empty. Only :func:`build_profiles` and :meth:`ProfileStore.extend`
+    make or grow one. A numpy view of either (``np.asarray``) makes the
+    next extend of the profile raise ``BufferError``, so no view may
+    outlive the call that made it."""
 
     __slots__ = ("user", "items", "ts")
 
@@ -338,16 +340,6 @@ class UserProfile:
         """Each item's position. Built on every access, never kept: bind
         it once per call."""
         return dict(zip(self.items, range(len(self.items))))
-
-    def append(self, item: int, t: int) -> bool:
-        """Add one consumption; returns False for an already-seen item."""
-        if item in self.items:
-            return False
-        if self.ts and t < self.ts[-1]:
-            raise ValueError("events must arrive in timestamp order")
-        self.items.append(item)
-        self.ts.append(t)
-        return True
 
     def __len__(self) -> int:
         return len(self.items)
@@ -388,25 +380,21 @@ class ProfileStore:
     def num_items(self) -> int:
         return len(self.item_ids)
 
-    def profile(self, user: int) -> UserProfile:
-        p = self.profiles.get(user)
-        if p is None:
-            p = self.profiles[user] = UserProfile(user)
-        return p
-
     def get(self, user: int) -> UserProfile | None:
         return self.profiles.get(user)
 
     def add_event(self, user: int, item: int, t: int) -> bool:
         """Append one event (see :meth:`extend`); returns False for an
         item already in the profile."""
-        return self.extend({user: [(item, t)]})[user] < len(self.profiles[user])
+        return user in self.extend({user: [(item, t)]})
 
     def extend(self, batches: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
         """Append per-user time-ordered ``(item, ts)`` events, users in
         ascending order; items already in a profile (or earlier in the
-        batch) are dropped. Returns each batch user's profile length
-        before the batch.
+        batch) are dropped. This is the only code that creates or grows
+        a profile, and a user whose events are all dropped gets none.
+        Returns each grown user's profile length before the batch, users
+        in ascending order.
 
         All or nothing: raises ValueError, before appending anything, if
         a new item is older than its profile's last event (earlier
@@ -416,8 +404,8 @@ class ProfileStore:
         for u, events in batches.items():
             prof = self.profiles.get(u)
             seen = set(prof.items) if prof else set()
-            last = prof.ts[-1] if prof and prof.ts else -math.inf
-            fresh[u] = new = []
+            last = prof.ts[-1] if prof else -math.inf
+            new = []
             for item, t in events:
                 if item in seen:
                     continue
@@ -428,15 +416,19 @@ class ProfileStore:
                 seen.add(item)
                 last = t
                 new.append((item, t))
+            if new:
+                fresh[u] = new
         before, added = {}, []
         for u in sorted(fresh):
-            prof = self.profile(u)
+            prof = self.profiles.get(u)
+            if prof is None:
+                prof = self.profiles[u] = UserProfile(u)
             before[u] = len(prof)
             for item, t in fresh[u]:
                 prof.items.append(item)
                 prof.ts.append(t)
                 added.append(item)
-            if fresh[u] and u >= self.num_users:
+            if u >= self.num_users:
                 _grow_ids(self.user_ids, u + 1)
         if added:
             if max(added) >= self.num_items:
@@ -565,9 +557,9 @@ def pack_arrays(store: ProfileStore, delta: int
 def grown_packs(store: ProfileStore, before: dict[int, int], delta: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The packs that hold a new item of the profiles of ``before``, the
-    result of :meth:`ProfileStore.extend` (each user's profile length
-    before the batch): their items concatenated (int64), in user order,
-    each pack's size, and a mask of the new items."""
+    result of :meth:`ProfileStore.extend` (each grown user's profile
+    length before the batch): their items concatenated (int64), in user
+    order, each pack's size, and a mask of the new items."""
     items, ts, lengths = join_profiles([store.profiles[u] for u in before])
     base = np.fromiter(before.values(), dtype=np.int64, count=len(before))
     new = run_offsets(lengths) >= np.repeat(base, lengths)

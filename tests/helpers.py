@@ -50,6 +50,14 @@ def store_from(events) -> ProfileStore:
     return store
 
 
+def store_of_packs(packs) -> ProfileStore:
+    """One user per pack, every event of a pack at one timestamp, so
+    each profile is one pack whatever the gap threshold."""
+    store = ProfileStore(0, 0)
+    store.extend({u: [(int(i), 0) for i in pack] for u, pack in enumerate(packs)})
+    return store
+
+
 def batches_from(events) -> dict[int, list[tuple[int, int]]]:
     out: dict[int, list[tuple[int, int]]] = {}
     for u, i, t in events:

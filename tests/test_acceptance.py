@@ -25,14 +25,14 @@ from ciprec.cip_i import ONE, CipIModel
 from ciprec.cip_u import CipUModel, pair_similarity
 from ciprec.deepcip import DeepCipRecommender, TrainConfig, pair_count, train
 from ciprec.fism import FismModel
-from ciprec.ingest import (UserProfile, all_cips, build_profiles,
+from ciprec.ingest import (ProfileStore, all_cips, build_profiles,
                            parse_events, temporal_split)
 from ciprec.persistence import dump_events, load_model, save_model
 from ciprec.popularity import PopularityModel
 from ciprec.synthetic import generate_events, planted_clusters, write_ml_tab
 
 from helpers import (chunked_batches, random_stream, sgns_gradient_error,
-                     store_from)
+                     store_from, store_of_packs)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -198,9 +198,7 @@ def test_acceptance_04_item_similarity_boundaries_exhaustive():
     t0 = perf_counter()
     checked = 0
     for packs in corpora:
-        model = CipIModel(60, 5)
-        for pack in packs:
-            model.update_scores(list(pack))
+        model = CipIModel.train(store_of_packs(packs), 60, 5)
         per_pack = [stats[p] for p in packs]
         items = sorted(set().union(*(m for m, _, _ in per_pack)))
         for a in items:
@@ -300,12 +298,12 @@ def test_acceptance_07_fism_partition_invariance():
         order = rng.permutation(n_items)
         consumed = [int(x) for x in order[:length]]
         target = int(order[length])
-        profile = UserProfile(u)
+        store = ProfileStore(0, 0)
         t = 0
         for item in consumed:
             t += int(rng.integers(1, 120))
-            profile.append(item, t)
-        cips = profile.partition(delta)
+            store.add_event(u, item, t)
+        cips = store.get(u).partition(delta)
         got = model.score(cips, u, target)
         flat = (model.b_user[u] + model.b_item[target]
                 + len(consumed) ** -alpha

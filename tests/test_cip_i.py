@@ -5,27 +5,15 @@ import pytest
 
 from ciprec import cip_i
 from ciprec.cip_i import ONE, CipIModel
-from ciprec.ingest import ProfileStore, all_cips
+from ciprec.ingest import all_cips
 
-from helpers import chunked_batches, random_stream, store_from
-
-
-def _store_of_packs(packs, gap=10_000):
-    """One user per pack, packs separated far beyond any delta."""
-    store = ProfileStore(0, 0)
-    t = 0
-    for u, pack in enumerate(packs):
-        for i in pack:
-            t += 10
-            store.add_event(u, int(i), t)
-        t += gap
-    return store
+from helpers import chunked_batches, random_stream, store_from, store_of_packs
 
 
 def test_single_pack_scores_frozen():
     # hand-derived for pack [a, b, c]: adjacent pairs score 1 + 1/1,
     # the distance-2 pair scores 1 + 1/2, in units of ONE
-    m = CipIModel.train(_store_of_packs([[0, 1, 2]]), 60, 5)
+    m = CipIModel.train(store_of_packs([[0, 1, 2]]), 60, 5)
     assert m.score[0][1] == 2 * ONE
     assert m.score[1][2] == 2 * ONE
     assert m.score[0][2] == 3 * ONE // 2
@@ -38,31 +26,25 @@ def test_single_pack_scores_frozen():
 def test_two_pack_similarity_frozen():
     # hand-derived: packs [a, b] and [a, c, b] give score(a,b) = 2 + 1.5,
     # both cards 2, so similarity 3.5 / 4
-    m = CipIModel.train(_store_of_packs([[0, 1], [0, 2, 1]]), 60, 5)
+    m = CipIModel.train(store_of_packs([[0, 1], [0, 2, 1]]), 60, 5)
     assert m.similarity(0, 1) == 0.875
 
 
 def test_similarity_one_iff_always_immediately_after():
-    one = CipIModel.train(_store_of_packs([[0, 1], [2, 0, 1], [0, 1, 3]]), 60, 5)
+    one = CipIModel.train(store_of_packs([[0, 1], [2, 0, 1], [0, 1, 3]]), 60, 5)
     assert one.similarity(0, 1) == 1.0
     # a pack where 0 appears without 1 right after breaks the ceiling
-    broken = CipIModel.train(_store_of_packs([[0, 1], [0, 2]]), 60, 5)
+    broken = CipIModel.train(store_of_packs([[0, 1], [0, 2]]), 60, 5)
     assert broken.similarity(0, 1) < 1.0
     # symmetric direction does not count: [1, 0] gives score to (1, 0) only
-    rev = CipIModel.train(_store_of_packs([[1, 0]]), 60, 5)
+    rev = CipIModel.train(store_of_packs([[1, 0]]), 60, 5)
     assert rev.similarity(0, 1) == 0.0 and rev.similarity(1, 0) == 1.0
 
 
 def test_unrelated_items_score_zero():
-    m = CipIModel.train(_store_of_packs([[0, 1], [2, 3]]), 60, 5)
+    m = CipIModel.train(store_of_packs([[0, 1], [2, 3]]), 60, 5)
     assert m.similarity(0, 2) == 0.0
     assert m.similarity(9, 17) == 0.0   # never-seen items
-
-
-def test_repeated_item_in_one_pack_rejected():
-    m = CipIModel(60, 5)
-    with pytest.raises(ValueError):
-        m.update_scores([4, 5, 4])
 
 
 def test_streaming_equals_one_shot():
@@ -88,14 +70,14 @@ def test_train_from_pack_arrays_equals_folding_all_cips_pack_by_pack():
     for _ in range(100):
         events = random_stream(rng, 6, 15, int(rng.integers(0, 60)), max_gap=80)
         store = store_from(events)
-        store.profile(7)                               # an empty profile
         for delta in (0, 60, 10**12):
             trained = CipIModel.train(store, delta, 3)
+            # every pack its own user, folded one user at a time
             folded = CipIModel(delta, 3)
-            folded.profiles = store
-            for items in all_cips(store, delta):
-                folded.update_scores(items)
+            for u, items in enumerate(all_cips(store, delta)):
+                folded.observe({u: [(i, 0) for i in items]})
             assert trained.score == folded.score and trained.card == folded.card
+            folded.profiles = store
             for u in store.profiles:
                 assert trained.recommend(u, 5) == folded.recommend(u, 5)
 
@@ -136,7 +118,7 @@ def test_late_event_rejects_the_whole_batch():
 
 def test_top_k_ordering_and_ties():
     # item 0 pairs equally with 1 and 2; ascending id breaks the tie
-    m = CipIModel.train(_store_of_packs([[0, 1], [0, 2]]), 60, 5)
+    m = CipIModel.train(store_of_packs([[0, 1], [0, 2]]), 60, 5)
     top = m.top_k(0)
     assert [j for j, _ in top] == [1, 2]
     assert top[0][1] == top[1][1] == 0.5
@@ -146,14 +128,14 @@ def test_top_k_ordering_and_ties():
 
 def test_recommend_tallies_neighbor_lists():
     # user 9's profile is [0]; 0's strongest successor is 1, then 2
-    m = CipIModel.train(_store_of_packs([[0, 1], [0, 1, 2], [0, 2]]), 60, 5)
-    m.profiles.add_event(9, 0, 10_000_000)
+    m = CipIModel.train(store_of_packs([[0, 1], [0, 1, 2], [0, 2]]), 60, 5)
+    m.observe({9: [(0, 10_000_000)]})
     recs = m.recommend(9, 3)
     assert recs[0] in (1, 2) and set(recs) == {1, 2}
 
 
 def test_recommend_falls_back_to_popularity():
-    m = CipIModel.train(_store_of_packs([[0, 1], [0, 2]]), 60, 5)
+    m = CipIModel.train(store_of_packs([[0, 1], [0, 2]]), 60, 5)
     pops = m.profiles.popular_ranking()
     assert m.recommend(999, 2) == pops[:2]   # unknown user
 
@@ -173,22 +155,22 @@ _FLIP_PACKS = [[0, 1], [0, 2], [1], [1], [0]]
 
 
 def test_card_bump_from_another_user_reorders_a_cached_row():
-    m = CipIModel.train(_store_of_packs(_FLIP_PACKS), 60, 1)
+    m = CipIModel.train(store_of_packs(_FLIP_PACKS), 60, 1)
     assert m.recommend(4, 3) == [1]        # row 0 is now cached
     # user 5 consumes only item 1: no score changes, card(1) becomes 4,
     # which drops similarity(0, 1) to 2 / 8 below similarity(0, 2)
     m.observe({5: [(1, 10_000_000)]})
-    assert m.score == CipIModel.train(_store_of_packs(_FLIP_PACKS), 60, 1).score
+    assert m.score == CipIModel.train(store_of_packs(_FLIP_PACKS), 60, 1).score
     assert not m._valid[0]                 # a long row holding the bumped item
     want = CipIModel.train(m.profiles, 60, 1)
     assert m.recommend(4, 3) == want.recommend(4, 3) == [2]
 
 
-def test_update_scores_after_recommend_is_served():
-    m = CipIModel.train(_store_of_packs(_FLIP_PACKS), 60, 1)
+def test_observe_of_a_new_pack_after_recommend_is_served():
+    m = CipIModel.train(store_of_packs(_FLIP_PACKS), 60, 1)
     assert m.recommend(4, 3) == [1]
-    m.update_scores([0, 2])
-    want = CipIModel.train(_store_of_packs(_FLIP_PACKS + [[0, 2]]), 60, 1)
+    m.observe({5: [(0, 0), (2, 0)]})       # user 5's one pack [0, 2]
+    want = CipIModel.train(store_of_packs(_FLIP_PACKS + [[0, 2]]), 60, 1)
     assert m.recommend(4, 3) == want.recommend(4, 3) == [2]
 
 
@@ -239,10 +221,13 @@ def test_cached_lists_equal_a_cold_cache_after_every_step():
         events = random_stream(rng, n_users, n_items, int(rng.integers(10, 60)),
                                max_gap=60, unique_per_user=True)
         m = CipIModel(40, int(rng.integers(1, 4)))
+        pack_user = n_users                # users past the stream's own
         for batch in chunked_batches(rng, events, 5):
             if rng.random() < 0.3:
                 size = int(rng.integers(1, 5))
-                m.update_scores(rng.choice(n_items, size, replace=False).tolist())
+                pack = rng.choice(n_items, size, replace=False).tolist()
+                m.observe({pack_user: [(i, 0) for i in pack]})
+                pack_user += 1
             m.observe(batch)
             cold = _cold(m)
             for u in sorted(m.profiles.profiles):
@@ -250,36 +235,37 @@ def test_cached_lists_equal_a_cold_cache_after_every_step():
 
 
 def test_short_row_keeps_its_cached_set_across_a_member_bump():
-    # row 0 holds 1 and 2, fewer than k = 5, so a card bump of 1 cannot
-    # change which ids it holds
-    m = CipIModel.train(_store_of_packs([[0, 1], [0, 2], [0, 2]]), 60, 5)
-    assert m.recommend_for_profile([0], 3) == [1, 2]
+    # user 3's profile is [0]; row 0 holds 1 and 2, fewer than k = 5, so
+    # a card bump of 1 cannot change which ids it holds
+    m = CipIModel.train(store_of_packs([[0, 1], [0, 2], [0, 2], [0]]), 60, 5)
+    assert m.recommend(3, 3) == [1, 2]
     cached = m._top[0].copy()
-    m.observe({3: [(1, 10_000_000)]})
+    m.observe({4: [(1, 10_000_000)]})
     assert m._valid[0] and np.array_equal(m._top[0], cached)
-    assert m.recommend_for_profile([0], 3) == _cold(m).recommend_for_profile([0], 3)
+    assert m.recommend(3, 3) == _cold(m).recommend(3, 3)
 
 
 def test_short_row_is_dropped_when_it_gains_an_entry():
-    m = CipIModel.train(_store_of_packs([[0, 1]]), 60, 5)
-    assert m.recommend_for_profile([0], 3) == [1]
-    m.update_scores([0, 2])                # row 0 stays short: rescored only
+    # user 1's profile is [0]
+    m = CipIModel.train(store_of_packs([[0, 1], [0]]), 60, 5)
+    assert m.recommend(1, 3) == [1]
+    m.observe({2: [(0, 0), (2, 0)]})       # row 0 stays short: rescored only
     assert not m._valid[0]
-    assert m.recommend_for_profile([0], 3) == [1, 2]
+    assert m.recommend(1, 3) == [1, 2]
 
 
 # row 0 with k = 1: score(0, 1) = 2 with card(1) = 1, score(0, 2) = 4 with
-# card(2) = 7 and card(0) = 3, so similarity 2/6 beats 4/14; card(0) = 4
-# turns that into 2/8 against 4/14
-_OWN_PACKS = [[0, 1], [0, 2], [0, 2], [2], [2], [2], [2], [2]]
+# card(2) = 9 and card(0) = 4, so similarity 2/8 beats 4/18; card(0) = 5
+# turns that into 2/10 against 4/18. User 10's profile is [0].
+_OWN_PACKS = [[0, 1], [0, 2], [0, 2], [2], [2], [2], [2], [2], [2], [2], [0]]
 
 
 def test_long_row_is_dropped_when_its_own_card_is_bumped():
-    m = CipIModel.train(_store_of_packs(_OWN_PACKS), 60, 1)
-    assert m.recommend_for_profile([0], 3) == [1]
-    m.observe({8: [(0, 10_000_000)]})      # card(0): 3 -> 4, no score change
+    m = CipIModel.train(store_of_packs(_OWN_PACKS), 60, 1)
+    assert m.recommend(10, 3) == [1]
+    m.observe({11: [(0, 10_000_000)]})     # card(0): 4 -> 5, no score change
     assert not m._valid[0]
-    assert m.recommend_for_profile([0], 3) == [2]
+    assert m.recommend(10, 3) == [2]
 
 
 def test_top_k_equals_a_brute_force_sort_of_similarities():

@@ -7,16 +7,15 @@ import pytest
 
 from ciprec.cip_u import (CipUModel, UserPairState, hammock_distance,
                           hammock_pairs, pair_similarity)
-from ciprec.ingest import ProfileStore, UserProfile
+from ciprec.ingest import ProfileStore
 
 from helpers import batches_from, chunked_batches, random_stream, store_from
 
 
 def _profile(user, items, t0=100):
-    p = UserProfile(user)
-    for k, i in enumerate(items):
-        p.append(i, t0 + k)
-    return p
+    store = ProfileStore(0, 0)
+    store.extend({user: [(i, t0 + k) for k, i in enumerate(items)]})
+    return store.get(user)
 
 
 def test_hammock_distance():

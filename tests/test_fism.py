@@ -97,7 +97,7 @@ def test_random_init_is_seeded_and_small():
     assert not np.array_equal(a.p, c.p)
 
 
-def test_recommend_for_cips_matches_score_ranking():
+def test_recommend_matches_score_ranking():
     rng = np.random.default_rng(8)
     for trial in range(25):
         n_items = 10
@@ -105,7 +105,8 @@ def test_recommend_for_cips_matches_score_ranking():
         m.b_item = rng.normal(0, 0.1, n_items)
         items = [int(x) for x in rng.permutation(n_items)[:4]]
         cips = [np.asarray(items)]
-        recs = m.recommend_for_cips(cips, 0, 3)
+        m.profiles = _consumed_store(items, n_items=n_items)
+        recs = m.recommend(0, 3)
         unconsumed = [i for i in range(n_items) if i not in items]
         want = sorted(unconsumed,
                       key=lambda i: (-m.score(cips, 0, i), i))[:3]

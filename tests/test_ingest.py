@@ -314,31 +314,23 @@ def test_temporal_split_validation():
         temporal_split(log, -1, 1, 0)
 
 
-def test_profile_append_dedupes_and_orders():
-    p = UserProfile(0)
-    assert p.append(1, 10)
-    assert not p.append(1, 20)      # repeat consumption is dropped
-    assert p.append(2, 20)
-    assert list(p.items) == [1, 2] and list(p.ts) == [10, 20]
-    assert p.pos == {1: 0, 2: 1}
-    with pytest.raises(ValueError):
-        p.append(3, 5)              # timestamps must not go backwards
+def _profile_of(events):
+    """The profile of user 0 after one :meth:`ProfileStore.extend`."""
+    store = ProfileStore(0, 0)
+    store.extend({0: events})
+    return store.get(0)
 
 
 def test_pack_boundary_is_inclusive():
     # a gap of exactly delta stays in the same pack; delta+1 opens a new one
-    p = UserProfile(0)
-    p.append(1, 100)
-    p.append(2, 160)
-    p.append(3, 221)
+    p = _profile_of([(1, 100), (2, 160), (3, 221)])
     assert p.partition(60) == [[1, 2], [3]]
     assert p.cip_boundaries(60) == [0, 2] and list(p.ts[:2]) == [100, 160]
 
 
 def test_partition_edge_cases():
     assert UserProfile(0).partition(60) == []
-    p = UserProfile(0)
-    p.append(9, 5)
+    p = _profile_of([(9, 5)])
     assert p.partition(0) == [[9]] and list(p.ts) == [5]
     with pytest.raises(ValueError):
         p.partition(-1)
@@ -347,11 +339,11 @@ def test_partition_edge_cases():
 def test_partition_fuzz_covers_profile_exactly():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        p = UserProfile(0)
-        t = 0
+        events, t = [], 0
         for item in range(int(rng.integers(1, 30))):
             t += int(rng.integers(1, 150))
-            p.append(item, t)
+            events.append((item, t))
+        p = _profile_of(events)
         delta = int(rng.integers(0, 160))
         packs = p.partition(delta)
         flat = [i for c in packs for i in c]
@@ -375,10 +367,10 @@ def test_build_profiles_and_counts():
 
 
 def _append_profiles(log):
-    """Reference: one ``UserProfile.append`` per event, in log order."""
+    """Reference: one ``ProfileStore.add_event`` per event, in log order."""
     store = ProfileStore(log.num_users, log.num_items, log.user_ids, log.item_ids)
     for u, i, t in zip(log.users.tolist(), log.items.tolist(), log.ts.tolist()):
-        store.profile(u).append(i, t)
+        store.add_event(u, i, t)
     return store
 
 
@@ -450,7 +442,7 @@ def test_build_profiles_rejects_an_unsorted_log():
     # repeat of item 0 by user 0 is a repeat, never checked
     log = EventLog([0, 1, 0, 0, 1], [0, 1, 1, 0, 2], [10, 20, 30, 5, 15],
                    [0, 1], [0, 1, 2])
-    with pytest.raises(ValueError, match="timestamp order"):
+    with pytest.raises(ValueError, match="late event for user 1: item 2"):
         _append_profiles(log)
     with pytest.raises(ValueError, match="timestamp order"):
         build_profiles(log)
@@ -509,7 +501,7 @@ def test_profiles_keep_their_contract_after_build_and_extend():
             batches.setdefault(u, []).append((i, t))
         held.append(grown_packs(store, store.extend(batches), 60))
         _check_profiles(store)
-        assert ({u: (p.items, p.ts) for u, p in store.profiles.items() if len(p)}
+        assert ({u: (p.items, p.ts) for u, p in store.profiles.items()}
                 == {u: (p.items, p.ts) for u, p in build_profiles(log).profiles.items()})
         for u, prof in list(store.profiles.items()):
             n, item, t = len(prof), prof.items[-1], prof.ts[-1]
@@ -546,8 +538,6 @@ def test_pack_arrays_match_partition():
                                   np.cumsum(rng.integers(0, 90, 40)).tolist()),
                               key=lambda e: e[2]):
             store.add_event(u, i, t)
-        for u in rng.integers(0, 12, 3).tolist():
-            store.profile(u)                          # possibly empty
         for delta in (0, 60, 10**12):
             packs = [c for u in sorted(store.profiles)
                      for c in store.profiles[u].partition(delta)]
@@ -609,6 +599,21 @@ def test_extend_appends_in_user_order_and_reports_old_lengths():
     assert list(store.get(0).items) == [5, 6] and list(store.get(2).items) == [7]
     assert store.num_users == 3 and store.num_items == 8
     assert ranking == [5] and store.popular_ranking() == [5, 6, 7]
+
+
+def test_extend_makes_no_profile_of_dropped_events():
+    store = ProfileStore(0, 0)
+    assert store.extend({5: []}) == {}
+    assert store.get(5) is None and store.profiles == {}
+    assert (store.num_users, store.num_items) == (0, 0)
+    store.add_event(1, 5, 100)
+    profiles = {u: (list(p.items), list(p.ts)) for u, p in store.profiles.items()}
+    # a batch of held items only, one repeated, and a user with no events
+    assert store.extend({1: [(5, 200), (5, 300)], 3: []}) == {}
+    assert {u: (list(p.items), list(p.ts)) for u, p in store.profiles.items()} == profiles
+    assert (store.num_users, store.num_items) == (2, 6)
+    assert not store.add_event(1, 5, 400)
+    assert store.add_event(1, 6, 400) and list(store.get(1).items) == [5, 6]
 
 
 def test_extend_rejects_a_late_batch_before_appending():

@@ -71,3 +71,16 @@ def test_batch_users_get_lists_without_their_own_items(kind):
         owned = model.profiles.get(u).pos
         assert len(set(recs)) == len(recs) <= 10
         assert not any(i in owned for i in recs)
+
+
+@pytest.mark.parametrize("kind", config.MODEL_KINDS)
+def test_recommend_refuses_a_non_positive_n_for_every_user(kind):
+    head, tail = _events()
+    model = _build_model(kind, store_from(head), CFG)
+    model.observe(batches_from(tail))
+    # a trained user, a user first seen in the batch (no fism bias row)
+    # and a user with no profile
+    for u in (0, 12, 99):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be positive"):
+                model.recommend(u, n)
