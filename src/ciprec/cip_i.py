@@ -18,15 +18,16 @@ dividing by ``2 * ONE * max(card)`` gives the same float as storing
 ``score / ONE``. A profile holds distinct items, so each user adds at most
 2 to a pair's score, and int64 holds the scores of about 4 million users.
 
-Both stores come from one fold over packs given as arrays (the items
-concatenated, each pack's size and, for :meth:`CipIModel.observe`, a
-mask of the new items): :func:`~ciprec.ingest.pair_positions` lists the
-forward pairs of the packs that end at a new item (in ``train`` every
-item is new), one integer sum over their sorted keys ``i << 32 | j``
-adds up each pair's weights, and one ``np.bincount`` counts the new
-items into the cards. :meth:`CipIModel.train` folds the packs in runs of
-whole packs of at most ``_PAIR_BUDGET`` pairs, which bounds its
-transient arrays.
+Both stores come from packs given as arrays (the items concatenated,
+each pack's size and, for :meth:`CipIModel.observe`, a mask of the new
+items): :func:`~ciprec.ingest.pair_positions` lists the forward pairs of
+the packs that end at a new item (in ``train`` every item is new), one
+integer sum over their sorted keys ``i << 32 | j`` adds up each pair's
+weights, and one ``np.bincount`` counts the new items into the cards.
+:meth:`CipIModel.train` sums the pairs in runs of whole packs of at most
+``_PAIR_BUDGET`` pairs, which bounds its transient arrays, sums the
+runs' keys once more, and then builds each score row with one ``dict``
+call, its columns ascending; ``observe`` adds its sums key by key.
 
 One kernel ranks rows: :meth:`CipIModel._top_rows` reads any number of
 score rows into flat arrays, computes their similarities and ranks them
@@ -92,13 +93,31 @@ class CipIModel:
         # pairs[s], ends[s]: the pairs and the items of the first s packs
         pairs = np.concatenate(([0], np.cumsum(sizes * (sizes - 1) // 2)))
         ends = np.concatenate(([0], np.cumsum(sizes)))
+        keys, sums = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         a = 0
         while a < len(sizes):
             # whole packs up to the budget, and at least one
             b = max(int(np.searchsorted(pairs, pairs[a] + _PAIR_BUDGET, "right")) - 1,
                     a + 1)
-            model._fold(items[ends[a]:ends[b]], sizes[a:b])
+            run_keys, run_sums = _pair_sums(items[ends[a]:ends[b]], sizes[a:b])
+            keys.append(run_keys)
+            sums.append(run_sums)
             a = b
+        # the keys of one run are distinct already
+        keys, sums = ((keys[-1], sums[-1]) if len(keys) <= 2
+                      else _sum_keys(np.concatenate(keys), np.concatenate(sums)))
+        # one dict per score row, from that row's slice of the sorted keys
+        rows = keys >> 32
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        starts = np.flatnonzero(first)
+        cols, sums = (keys & 0xFFFFFFFF).tolist(), sums.tolist()
+        bounds = [*starts.tolist(), len(cols)]
+        model.score = {i: dict(zip(cols[lo:hi], sums[lo:hi]))
+                       for i, lo, hi in zip(rows[starts].tolist(), bounds, bounds[1:])}
+        counts = np.bincount(items)
+        held = np.flatnonzero(counts)
+        model.card = dict(zip(held.tolist(), counts[held].tolist()))
         return model
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
@@ -109,29 +128,16 @@ class CipIModel:
         before = self.profiles.extend(batches)
         self._fold(*grown_packs(self.profiles, before, self.delta))
 
-    def _fold(self, items: np.ndarray, sizes: np.ndarray,
-              new: np.ndarray | None = None) -> None:
+    def _fold(self, items: np.ndarray, sizes: np.ndarray, new: np.ndarray) -> None:
         """Fold the packs of ``sizes`` concatenated in ``items``: the
-        forward pairs that end at an item of the mask ``new`` (default:
-        every item) into ``score`` and those items into ``card``, then
-        drop the cached rows whose top-k set can change."""
-        ends = None if new is None else np.flatnonzero(new)
-        p, q = pair_positions(sizes, None, ends)
-        counts = np.bincount(items if new is None else items[new])
+        forward pairs that end at an item of the mask ``new`` into
+        ``score`` and those items into ``card``, then drop the cached
+        rows whose top-k set can change."""
+        counts = np.bincount(items[new])
         bumped = np.flatnonzero(counts)
         for i in bumped.tolist():
             self.card[i] = self.card.get(i, 0) + int(counts[i])
-        if not len(p):
-            self._drop(bumped, bumped[:0])
-            return
-        pairs = (items[p] << 32) | items[q]
-        h = q - p
-        weights = ONE + (2 * ONE + h) // (2 * h)      # ONE + round(ONE / h)
-        order = np.argsort(pairs)
-        keys = pairs[order]
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        sums = np.add.reduceat(weights[order], starts)
-        keys = keys[starts]
+        keys, sums = _pair_sums(items, sizes, np.flatnonzero(new))
         score = self.score
         for key, s in zip(keys.tolist(), sums.tolist()):
             row = score.setdefault(key >> 32, {})
@@ -236,3 +242,26 @@ class CipIModel:
     @property
     def params(self) -> dict:
         return {"delta": self.delta, "k": self.k}
+
+
+def _pair_sums(items: np.ndarray, sizes: np.ndarray, ends: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The forward pairs of the packs of ``sizes`` concatenated in
+    ``items`` that end at the positions ``ends`` (default: every one), as
+    their distinct keys ``i << 32 | j`` in ascending order and each key's
+    summed weight."""
+    p, q = pair_positions(sizes, None, ends)
+    h = q - p
+    weights = ONE + (2 * ONE + h) // (2 * h)      # ONE + round(ONE / h)
+    return _sum_keys((items[p] << 32) | items[q], weights)
+
+
+def _sum_keys(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in ascending order and the integer sum of
+    each one's ``weights``: exact, so any sort order will do."""
+    if not len(keys):
+        return keys, weights
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(weights[order], starts)

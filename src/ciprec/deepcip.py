@@ -14,16 +14,20 @@ negative equal to a pair's own context is masked out for that pair, and
 its other negatives weigh ``w = negatives / kept`` each, so every pair's
 negatives weigh ``negatives`` in all. The negative dot products and
 their gradients are then dense matrix products, which training runs on
-one BLAS thread.
+one BLAS thread. The loss is only reported; its softplus terms are
+vector passes (:func:`softplus`), and the row deltas are written into
+one stack that a single CSR product sums.
 
 Training takes the packs as arrays and shards them across workers,
-forked processes that share the weight matrices. For every mini-batch a
-worker draws negatives, pulls just the parameter rows the batch touches
-(a short lock), runs :func:`sgns_batch` on that snapshot, and pushes the
-row deltas back under the same lock — so workers see each other's
-progress after at most one batch, and no delta is lost. One worker runs
-in the calling process; with a fixed seed its run is bit-reproducible on
-one BLAS kernel (another may round the products differently).
+forked processes that share the weight matrices. A worker draws the
+negatives of all of a shard's mini-batches at once and finds every
+batch's rows with one sort (:func:`batch_unique`); then, batch by batch,
+it pulls just the parameter rows the batch touches (a short lock), runs
+:func:`sgns_batch` on that snapshot, and pushes the row deltas back
+under the same lock — so workers see each other's progress after at
+most one batch, and no delta is lost. One worker runs in the calling
+process; with a fixed seed its run is bit-reproducible on one BLAS
+kernel (another may round the products differently).
 """
 
 from __future__ import annotations
@@ -162,6 +166,12 @@ def draw_negatives(cum: np.ndarray, size: int, rng) -> np.ndarray:
     return np.searchsorted(cum, rng.random(size) * cum[-1])
 
 
+def softplus(x: np.ndarray) -> np.ndarray:
+    """``log(1 + exp(x))`` elementwise, by the branches of
+    ``np.logaddexp(0, x)`` run as vector passes; it never overflows."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def sgns_batch(base0: np.ndarray, base1: np.ndarray, t_c: np.ndarray, c_c: np.ndarray,
                n_c: np.ndarray, k: float, lr: float) -> tuple[float, np.ndarray, np.ndarray]:
     """One SGD step of skip-gram with negative sampling on a mini-batch
@@ -176,28 +186,27 @@ def sgns_batch(base0: np.ndarray, base1: np.ndarray, t_c: np.ndarray, c_c: np.nd
     row deltas ``(acc0, acc1)`` to add to them, which are ``-lr`` times
     the loss gradients.
     """
-    vin = base0[t_c]
+    m, s, n0 = len(t_c), len(n_c), len(base0)
+    # input row t_c[b] gains g_in[b], output row c_c[b] gains
+    # g_pos[b] * vin[b] and output row n_c[j] gains column j of
+    # g_neg.T @ vin: one CSR product over these vectors, stacked in place
+    stack = np.empty((2 * m + s, base0.shape[1]))
+    # the indices are in range; "clip" only skips the copy "raise" buffers
+    vin = np.take(base0, t_c, axis=0, out=stack[m:2 * m], mode="clip")
     pos = base1[c_c]
     nvec = base1[n_c]
     keep = n_c != c_c[:, None]
     w = keep * (k / np.maximum(keep.sum(axis=1), 1))[:, None]
     pos_dot = np.einsum("bd,bd->b", vin, pos)
     neg_dot = vin @ nvec.T
-    loss = float(np.logaddexp(0.0, -pos_dot).sum()
-                 + (w * np.logaddexp(0.0, neg_dot)).sum())
+    loss = float(softplus(-pos_dot).sum() + (w * softplus(neg_dot)).sum())
     g_pos = (1.0 - expit(pos_dot)) * lr
     g_neg = -lr * w * expit(neg_dot)
-    g_in = g_pos[:, None] * pos + g_neg @ nvec
-    # input row t_c[b] gains g_in[b], output row c_c[b] gains
-    # g_pos[b] * vin[b] and output row n_c[j] gains column j of
-    # g_neg.T @ vin: one CSR product over the input rows stacked on the
-    # output rows
-    m, n0 = len(t_c), len(base0)
-    b = np.arange(m)
-    acc = _scatter(np.concatenate([t_c, n0 + c_c, n0 + n_c]),
-                   np.concatenate([b, m + b, 2 * m + np.arange(len(n_c))]),
-                   np.concatenate([np.ones(m), g_pos, np.ones(len(n_c))]),
-                   np.concatenate([g_in, vin, g_neg.T @ vin]), n0 + len(base1))
+    g_in = np.matmul(g_neg, nvec, out=stack[:m])
+    g_in += g_pos[:, None] * pos
+    np.matmul(g_neg.T, vin, out=stack[2 * m:])
+    acc = _scatter(np.concatenate([t_c, n0 + c_c, n0 + n_c]), np.arange(2 * m + s),
+                   np.concatenate([np.ones(m), g_pos, np.ones(s)]), stack, n0 + len(base1))
     return loss, acc[:n0], acc[n0:]
 
 
@@ -294,25 +303,57 @@ def _shared_copy(a: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape)
 
 
+def batch_unique(rows: np.ndarray, batch: np.ndarray, n_batches: int, vocab: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(rows[batch == b], return_inverse=True)`` for every
+    batch ``b`` below ``n_batches`` by one sort of the keys ``batch *
+    vocab + rows`` (rows below ``vocab``): batch b's distinct rows are
+    ``uniq[at[b]:at[b + 1]]``, and ``inv[batch == b]`` indexes them.
+    Returns ``(uniq, at, inv)``."""
+    keys, inv = np.unique(batch * vocab + rows, return_inverse=True)
+    batch_of = keys // vocab
+    at = np.searchsorted(batch_of, np.arange(n_batches + 1))
+    return keys - batch_of * vocab, at, inv - at[batch]
+
+
+def _shard_batches(pairs_t: np.ndarray, pairs_c: np.ndarray, cum: np.ndarray, k: int,
+                   vocab: int, rng):
+    """The mini-batches of one shard's pairs, as ``(rows0, rows1, t_c,
+    c_c, n_c)``: the input rows and the output rows (contexts and
+    negatives) a batch touches, and its targets, contexts and negatives
+    as indices into them. Each batch draws ``NEGATIVE_SHARE * k``
+    negatives from ``cum``; the draws and the row sets of all batches are
+    made at once, for the shard."""
+    n, s = len(pairs_t), NEGATIVE_SHARE * k
+    n_batches = -(-n // BATCH_PAIRS)
+    batch = np.arange(n) // BATCH_PAIRS
+    # one draw of all the shard's negatives reads the same stream as one
+    # draw per batch
+    neg = draw_negatives(cum, n_batches * s, rng)
+    rows0, at0, inv0 = batch_unique(pairs_t, batch, n_batches, vocab)
+    rows1, at1, inv1 = batch_unique(np.concatenate([pairs_c, neg]),
+                                    np.concatenate([batch, np.arange(n_batches).repeat(s)]),
+                                    n_batches, vocab)
+    for b in range(n_batches):
+        lo, hi = b * BATCH_PAIRS, min(n, (b + 1) * BATCH_PAIRS)
+        yield (rows0[at0[b]:at0[b + 1]], rows1[at1[b]:at1[b + 1]], inv0[lo:hi],
+               inv1[lo:hi], inv1[n + b * s:n + (b + 1) * s])
+
+
 def _train_shard(shared: _Shared, pairs_t: np.ndarray, pairs_c: np.ndarray,
                  rng) -> None:
     model, k = shared.model, shared.cfg.negatives
     shard_loss = 0.0
-    for lo in range(0, len(pairs_t), BATCH_PAIRS):
-        t_rows = pairs_t[lo:lo + BATCH_PAIRS]
-        c_rows = pairs_c[lo:lo + BATCH_PAIRS]
-        m = len(t_rows)
-        neg = draw_negatives(model._cum, NEGATIVE_SHARE * k, rng)
-        rows0, t_c = np.unique(t_rows, return_inverse=True)
-        rows1, out_c = np.unique(np.concatenate([c_rows, neg]), return_inverse=True)
+    for rows0, rows1, t_c, c_c, n_c in _shard_batches(pairs_t, pairs_c, model._cum, k,
+                                                      len(model.syn0), rng):
         # pull: snapshot only the rows this mini-batch touches, so the
         # staleness other workers see is bounded by one batch
         with shared.lock:
             base0 = model.syn0[rows0]
             base1 = model.syn1[rows1]
             lr = shared.lr_now()
-            shared.done.value += m
-        loss, acc0, acc1 = sgns_batch(base0, base1, t_c, out_c[:m], out_c[m:], k, lr)
+            shared.done.value += len(t_c)
+        loss, acc0, acc1 = sgns_batch(base0, base1, t_c, c_c, n_c, k, lr)
         shard_loss += loss
         # push: add this batch's deltas onto whatever the store holds now
         with shared.lock:

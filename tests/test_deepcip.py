@@ -111,6 +111,63 @@ def test_sgns_batch_steps_decrease_pair_loss():
     assert losses[-1] < losses[0]
     # the positive dot should have turned positive
     assert float(base0[0] @ base1[0]) > 0.0
+
+
+def test_softplus_equals_logaddexp():
+    # numpy's vector exp and log1p may round a few ulp apart from the
+    # scalar libm calls np.logaddexp makes (its AVX-512 loops do); the
+    # branches are the same, so the results stay finite and agree exactly
+    # at the edges
+    edges = [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 700.0, -700.0, 800.0, -800.0]
+    x = np.concatenate([edges, np.linspace(-800.0, 800.0, 20001),
+                        np.random.default_rng(3).normal(0.0, 5.0, 20000)])
+    got, want = deepcip.softplus(x), np.logaddexp(0.0, x)
+    assert np.isfinite(got).all()
+    assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
+    assert got[:4].tolist() == [math.log(2.0)] * 4
+    assert got[8:10].tolist() == [800.0, 0.0]
+
+
+def test_batch_unique_is_np_unique_per_batch():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n_batches, vocab = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+        batch = np.sort(rng.integers(0, n_batches, int(rng.integers(0, 80))))
+        rows = rng.integers(0, vocab, len(batch))
+        uniq, at, inv = deepcip.batch_unique(rows, batch, n_batches, vocab)
+        assert len(at) == n_batches + 1
+        for b in range(n_batches):
+            want, want_inv = np.unique(rows[batch == b], return_inverse=True)
+            assert np.array_equal(uniq[at[b]:at[b + 1]], want)
+            assert np.array_equal(inv[batch == b], want_inv)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 255, 256, 257, 600])
+def test_shard_batches_match_per_batch_draws_and_row_sets(n_pairs):
+    # few rows, so every row recurs within and across batches
+    rng = np.random.default_rng(n_pairs)
+    pairs_t, pairs_c = rng.integers(0, 9, n_pairs), rng.integers(0, 9, n_pairs)
+    cum = np.cumsum(rng.random(9))
+    k = 3
+
+    def stream():
+        return np.random.default_rng(np.random.SeedSequence([4, 0, n_pairs]))
+
+    got = list(deepcip._shard_batches(pairs_t, pairs_c, cum, k, 9, stream()))
+    per_batch = stream()
+    assert len(got) == -(-n_pairs // deepcip.BATCH_PAIRS)
+    for b, (rows0, rows1, t_c, c_c, n_c) in enumerate(got):
+        lo = b * deepcip.BATCH_PAIRS
+        t_rows = pairs_t[lo:lo + deepcip.BATCH_PAIRS]
+        c_rows = pairs_c[lo:lo + deepcip.BATCH_PAIRS]
+        neg = draw_negatives(cum, deepcip.NEGATIVE_SHARE * k, per_batch)
+        want0, want_t = np.unique(t_rows, return_inverse=True)
+        want1, want_out = np.unique(np.concatenate([c_rows, neg]), return_inverse=True)
+        assert np.array_equal(rows0, want0) and np.array_equal(t_c, want_t)
+        assert np.array_equal(rows1, want1)
+        assert np.array_equal(np.concatenate([c_c, n_c]), want_out)
+
+
 def test_initialization_contract():
     cfg = TrainConfig(dim=50, seed=9)
     m = EmbeddingModel.create([3, 1, 2], cfg)
