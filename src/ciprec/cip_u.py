@@ -25,6 +25,20 @@ positions that hold such an item. Identical profiles that
 share no token (equal single-item profiles, or any two equal profiles
 when ``delta_h`` is 0) still score 1; they are found through a hash of
 each profile's item sequence, not stored as zero-count pairs.
+
+A token {i, j} of user u is made as one int64 code
+``(min(i, j) * I + max(i, j)) * U + u``, with I and U the current item
+and user counts, so sorting the codes sorts the tokens by key, then by
+user. ΔT's codes are made in chunks of whole profiles, at most
+``TOKEN_CHUNK`` end positions each plus one profile, written into one
+preallocated array and sorted in place; ΔTᵀ (keys × users) is then read
+off the sorted codes: users are ``code % U``, and a key starts where
+``code // U`` changes. The old tokens are made in the same chunks, and
+each chunk keeps only those at a new key. So the transient is the codes,
+ΔT in both orientations and one chunk, about 23 bytes a token at
+ML-100K shape. The three products are summed once, as one (row, col,
+count) array, and added into H in place: entries H holds grow where they
+are, and only new entries are merged in.
 """
 
 from __future__ import annotations
@@ -32,10 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 from ciprec.ingest import (ProfileStore, UserProfile, join_profiles, pair_positions,
                            run_offsets)
+
+TOKEN_CHUNK = 4096   # token end positions a chunk of whole runs starts within
 
 
 def hammock_distance(profile: UserProfile, i: int, j: int) -> int:
@@ -93,12 +109,15 @@ class CipUModel:
 
     ``k`` is the neighborhood size used by :meth:`recommend`. The store
     is H = T·Tᵀ, a symmetric users × users CSR of hammock-pair counts
-    with a zero diagonal that holds only non-zero counts. A token {i, j}
-    is the int64 key ``min(i, j) << 32 | max(i, j)``, so keys never
-    change when the catalog grows. T is not kept: each fold recounts
-    the tokens it needs from the profiles. Users with identical profiles
-    are grouped by the hash of their item sequence. Common items and the
-    equality flag are derived from the profiles on demand.
+    with a zero diagonal that holds only non-zero counts, its column
+    indices sorted within each row. A token {i, j} of user u is the
+    int64 code ``(min(i, j) * I + max(i, j)) * U + u`` over the item
+    count I and user count U of the fold that makes it, so I² · U must
+    be below 2**63. T is not kept: each fold recounts the tokens it
+    needs from the profiles, so a code never outlives its fold. Users
+    with identical profiles are grouped by the hash of their item
+    sequence. Common items and the equality flag are derived from the
+    profiles on demand.
     """
 
     kind = "cip-u"
@@ -133,9 +152,12 @@ class CipUModel:
     def _add(self, grown: dict[int, int]) -> None:
         """Fold in the tokens of each user's profile from position
         ``grown[u]`` on, the length before the new events."""
+        n, span = self.profiles.num_users, self.profiles.num_items
+        if span * span * n >= 2 ** 63:
+            raise ValueError(f"cip-u token codes need items² · users < 2**63, "
+                             f"got {span}² · {n}")
         for u in grown:
             self._rehash(u)
-        n = self.profiles.num_users
         if self._h.shape[0] < n:
             self._h.resize((n, n))
         # every profile, the grown ones first: ΔT lies in those runs
@@ -145,46 +167,125 @@ class CipUModel:
         owner = np.repeat(np.array(order, dtype=np.int32), lengths)
         sizes = lengths[:len(grown)]
         base = np.fromiter(grown.values(), dtype=np.int64, count=len(grown))
-        fresh = np.flatnonzero(run_offsets(sizes) >= np.repeat(base, sizes))
-        keys, users = self._tokens(items, owner, sizes, fresh)    # ΔT
-        if not len(keys):
+        back = run_offsets(sizes)
+        fresh = np.flatnonzero(back >= np.repeat(base, sizes))
+        total = int(np.minimum(back[fresh], self.delta_h).sum())
+        if not total:
             return
-        users = users[np.argsort(keys, kind="stable")]
-        keys.sort()
-        # ΔTᵀ (new keys x users): its rows are the sorted postings as they are
-        indptr = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
-        d_tt = csr_matrix((np.ones(len(keys), dtype=np.int32), users, indptr),
-                          shape=(len(indptr) - 1, n))
+        # ΔT as codes in one array, sorted in place: (key, user) order
+        codes = np.empty(total, dtype=np.int64)
+        at = 0
+        for chunk in self._codes(items, owner, lengths, fresh, span, n):
+            codes[at:at + len(chunk)] = chunk
+            at += len(chunk)
+        codes.sort()
+        # ΔTᵀ (new keys x users): its rows are the sorted codes as they are
+        users = np.empty(total, dtype=np.int32)
+        starts, prev = [], -1
+        step = TOKEN_CHUNK * max(self.delta_h, 1)
+        for lo in range(0, total, step):
+            key = codes[lo:lo + step] // n
+            users[lo:lo + len(key)] = codes[lo:lo + step] - key * n
+            starts.append(np.flatnonzero(np.diff(key, prepend=prev)) + lo)
+            prev = key[-1]
+        starts = np.concatenate(starts)
+        keys = codes[starts] // n
+        del codes
+        ones = np.ones(total, dtype=np.int32)
+        d_tt = csr_matrix((ones, users, np.append(starts, total)), shape=(len(keys), n))
+        del users, starts
         d_t = d_tt.T.tocsr()
-        delta = d_t @ d_tt                   # ΔT·ΔTᵀ
+        d_t = csr_matrix((ones, d_t.indices, d_t.indptr), shape=d_t.shape)   # one ones array
+        products = [(d_t @ d_tt).tocoo()]              # ΔT·ΔTᵀ
+        del d_tt
         # T_oldᵀ restricted to the new keys: both items of such a token
         # belong to new keys, so it ends at an old position of one of them
-        keys = keys[indptr[:-1]]
-        mine = np.zeros(int(items.max()) + 1, dtype=bool)
-        mine[keys >> 32] = mine[keys & 0xFFFFFFFF] = True
+        mine = np.zeros(span, dtype=bool)
+        mine[keys // span] = mine[keys % span] = True
         ends = mine[items]
         ends[fresh] = False
-        o_keys, o_users = self._tokens(items, owner, lengths, np.flatnonzero(ends))
-        row = np.searchsorted(keys, o_keys).clip(max=len(keys) - 1)
-        hit = keys[row] == o_keys
-        if hit.any():
-            o_tt = csr_matrix((np.ones(int(hit.sum()), dtype=np.int32),
-                               (row[hit], o_users[hit])), shape=(len(keys), n))
-            cross = d_t @ o_tt               # ΔT·T_oldᵀ
-            delta = delta + cross + cross.T
-        delta.setdiag(0)
+        rows, cols = [], []
+        for chunk in self._codes(items, owner, lengths, np.flatnonzero(ends), span, n):
+            key = chunk // n
+            row = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+            hit = keys[row] == key
+            rows.append(row[hit])
+            cols.append(chunk[hit] - key[hit] * n)
+        if sum(map(len, rows)):
+            rows = np.concatenate(rows)
+            o_tt = csr_matrix((np.ones(len(rows), dtype=np.int32), (rows, np.concatenate(cols))),
+                              shape=(len(keys), n))
+            cross = (d_t @ o_tt).tocoo()               # ΔT·T_oldᵀ
+            products += [cross, cross.T]
+            del cross
+        del d_t
+        # ΔH: the products' entries summed once as one (row, col, count)
+        # array, the diagonal (a user with itself) dropped
+        row, col, count = (np.concatenate(part) for part in
+                           zip(*[(p.row, p.col, p.data) for p in products]))
+        del products
+        count[row == col] = 0
+        delta = coo_matrix((count, (row, col)), shape=(n, n)).tocsr()
+        del row, col, count
         delta.eliminate_zeros()
-        self._h = delta if self._h.nnz == 0 else self._h + delta
+        self._merge(delta)
 
-    def _tokens(self, items: np.ndarray, owner: np.ndarray, lengths: np.ndarray,
-                ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and users of the tokens that end at the positions
+    def _codes(self, items: np.ndarray, owner: np.ndarray, lengths: np.ndarray,
+               ends: np.ndarray, span: int, n: int):
+        """Yield, chunk by chunk, the codes ``(min(i, j) * span + max(i,
+        j)) * n + user`` of the tokens that end at the sorted positions
         ``ends`` of the profiles of ``lengths`` concatenated in ``items``
         (``owner``: the user at each position): each such item paired by
-        :func:`pair_positions` with the up to ``delta_h`` items before it."""
-        p, q = pair_positions(lengths, self.delta_h, ends)
-        i, j = items[p], items[q]
-        return (np.minimum(i, j) << 32) | np.maximum(i, j), owner[q]
+        :func:`pair_positions` with the up to ``delta_h`` items before it.
+        A chunk is whole runs: those whose first end lies in one window of
+        ``TOKEN_CHUNK`` ends, so it makes fewer than (``TOKEN_CHUNK`` +
+        the longest run) * ``delta_h`` tokens."""
+        stop = np.cumsum(lengths)
+        run = np.searchsorted(stop, ends, side="right")      # the run of each end
+        lead = np.flatnonzero(np.diff(run, prepend=-1))      # each run's first end
+        cut = np.append(lead[np.diff(lead // TOKEN_CHUNK, prepend=-1) != 0], len(ends))
+        for e0, e1 in zip(cut[:-1], cut[1:]):
+            r0, r1 = run[e0], run[e1 - 1] + 1
+            base = stop[r0] - lengths[r0]
+            p, q = pair_positions(lengths[r0:r1], self.delta_h, ends[e0:e1] - base)
+            p += base
+            q += base
+            i, j = items[p], items[q]
+            code = np.minimum(i, j)
+            code *= span
+            code += np.maximum(i, j, out=i)
+            code *= n
+            code += owner[q]
+            yield code
+
+    def _merge(self, delta: csr_matrix) -> None:
+        """Add ΔH, a CSR with sorted indices, into H: in place where H
+        holds the entry, by one merge of the new entries otherwise."""
+        h = self._h
+        if not h.nnz:                # a first fold: ΔH is all of H
+            self._h = delta
+            return
+        # each entry's place in H's sorted row: one lower-bound bisection,
+        # every entry at once
+        row = np.repeat(np.arange(len(delta.indptr) - 1), np.diff(delta.indptr))
+        col = delta.indices
+        lo = h.indptr[row].astype(np.int64)
+        end = hi = h.indptr[row + 1].astype(np.int64)
+        for _ in range(int(np.diff(h.indptr).max()).bit_length()):
+            live = lo < hi
+            mid = (lo + hi) >> 1
+            right = live & (h.indices[mid.clip(max=h.nnz - 1)] < col)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(live & ~right, mid, hi)
+        found = lo < end
+        found[found] = h.indices[lo[found]] == col[found]
+        h.data[lo[found]] += delta.data[found]
+        new = ~found
+        if new.any():
+            self._h = csr_matrix((np.insert(h.data, lo[new], delta.data[new]),
+                                  np.insert(h.indices, lo[new], col[new]),
+                                  h.indptr + np.searchsorted(row[new], np.arange(len(h.indptr)))),
+                                 shape=h.shape)
 
     def _rehash(self, u: int) -> None:
         """File ``u`` under the hash of its (grown) item sequence."""

@@ -1,13 +1,16 @@
 """User-pair store: hammock pairs, similarity, incremental batches."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ciprec import cip_u
 from ciprec.cip_u import (CipUModel, UserPairState, hammock_distance,
                           hammock_pairs, pair_similarity)
-from ciprec.ingest import ProfileStore
+from ciprec.ingest import ProfileStore, run_offsets
+from ciprec.synthetic import generate_events
 
 from helpers import batches_from, chunked_batches, random_stream, store_from
 
@@ -233,3 +236,56 @@ def test_streamed_store_equals_train_after_every_batch(dh):
         want = CipUModel.train(store_from(events[:pos]), dh, 5)._h
         assert h.shape == want.shape and (h != want).nnz == 0
         assert (h.data != 0).all() and not h.diagonal().any()
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_chunk_boundaries_change_no_count(monkeypatch, chunk):
+    # the default budget holds each of these corpora in one chunk; at 1
+    # every run is its own chunk, at 3 a chunk is a few runs, and the
+    # sorted codes are read a few tokens at a time
+    monkeypatch.setattr(cip_u, "TOKEN_CHUNK", chunk)
+    made = []
+    codes = CipUModel._codes
+
+    def counted(self, *args):
+        chunks = list(codes(self, *args))
+        made.append(len(chunks))
+        return iter(chunks)
+
+    monkeypatch.setattr(CipUModel, "_codes", counted)
+    test_train_matches_brute_force()
+    for dh in (0, 1, 1000):
+        test_streamed_store_equals_train_after_every_batch(dh)
+    assert max(made) > 1
+
+
+def test_train_peak_memory_per_token(monkeypatch):
+    # tracemalloc peak of train, H included, per token at delta_h 10
+    # (36,700 tokens, 60 users): about 52 B/token when the keys, the users, a
+    # stable argsort and the pair temporaries of every token were alive
+    # at once, 24.4 B/token with one code array sorted in place. A chunk
+    # of the default budget holds this whole corpus, so the budget is
+    # lowered to measure what a corpus of many chunks costs per token.
+    monkeypatch.setattr(cip_u, "TOKEN_CHUNK", 256)
+    rows = generate_events(seed=3, n_users=60, n_items=150, n_events=4000)
+    store = ProfileStore(0, 0)
+    store.extend(batches_from((u, i, t) for u, i, _, t in rows))
+    lengths = [len(p.items) for p in store.profiles.values()]
+    tokens = int(np.minimum(run_offsets(lengths), 10).sum())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        CipUModel.train(store, 10, 5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / tokens < 40
+
+
+def test_code_bound_is_refused():
+    # a token code (min * items + max) * users + user must fit in int64
+    store = store_from([(0, 1, 10), (0, 2, 20)])
+    store.item_ids, store.user_ids = range(2 ** 20), range(2 ** 23)
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        CipUModel.train(store, 3, 5)
