@@ -56,7 +56,9 @@ def main() -> None:
           == {i: set(r) for i, r in trained.score.items()})
     print(f"    largest score difference: {worst} "
           "(0: exact integer sums, whatever the batches)")
-    print("    cardinalities equal:", streamed.card == trained.card)
+    # an item's cardinality is the number of profiles holding it
+    print("    cardinalities equal:", streamed.profiles.item_counts().tolist()
+          == trained.profiles.item_counts().tolist())
 
 
 if __name__ == "__main__":

@@ -2,8 +2,11 @@
 
 Every ordered pair (i, j) with i consumed before j inside one pack adds
 ``1 + 1/H`` to ``score(i, j)``, where H is their positional distance in
-that pack, and each pack an item appears in bumps ``card(i)`` by one.
-The pair is counted once per pack, so
+that pack, and ``card(i)`` is the number of packs that hold item i. A
+profile holds distinct items, so each item lies in one pack of every
+profile that holds it: ``card(i)`` is the store's
+:meth:`~ciprec.ingest.ProfileStore.item_counts`, which the model reads
+and never copies. The pair is counted once per pack, so
 
     sim(i, j) = score(i, j) / (2 * max(card(i), card(j)))
 
@@ -18,16 +21,16 @@ dividing by ``2 * ONE * max(card)`` gives the same float as storing
 ``score / ONE``. A profile holds distinct items, so each user adds at most
 2 to a pair's score, and int64 holds the scores of about 4 million users.
 
-Both stores come from packs given as arrays (the items concatenated,
-each pack's size and, for :meth:`CipIModel.observe`, a mask of the new
-items): :func:`~ciprec.ingest.pair_positions` lists the forward pairs of
-the packs that end at a new item (in ``train`` every item is new), one
-integer sum over their sorted keys ``i << 32 | j`` adds up each pair's
-weights, and one ``np.bincount`` counts the new items into the cards.
-:meth:`CipIModel.train` sums the pairs in runs of whole packs of at most
-``_PAIR_BUDGET`` pairs, which bounds its transient arrays, sums the
-runs' keys once more, and then builds each score row with one ``dict``
-call, its columns ascending; ``observe`` adds its sums key by key.
+The scores come from packs given as arrays by
+:func:`~ciprec.ingest.pack_arrays` (the items concatenated, each pack's
+size and a mask of the new items; in ``train`` every item is new):
+:func:`~ciprec.ingest.pair_positions` lists the forward pairs of the
+packs that end at a new item, and one integer sum over their sorted keys
+``i << 32 | j`` adds up each pair's weights. :meth:`CipIModel.train`
+sums the pairs in runs of whole packs of at most ``_PAIR_BUDGET`` pairs,
+which bounds its transient arrays, sums the runs' keys once more, and
+then builds each score row with one ``dict`` call, its columns
+ascending; ``observe`` adds its sums key by key.
 
 One kernel ranks rows: :meth:`CipIModel._top_rows` reads any number of
 score rows into flat arrays, computes their similarities and ranks them
@@ -46,12 +49,11 @@ holds all of them whatever their order.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
-from ciprec.ingest import (ProfileStore, grown_packs, pack_arrays, pair_positions,
-                           run_offsets)
+from ciprec.ingest import ProfileStore, pack_arrays, pair_positions, run_offsets
 
 ONE = 1 << 40           # fixed-point unit of a score
 _PAIR_BUDGET = 1 << 18  # most pairs one fold of train holds at once
@@ -78,7 +80,6 @@ class CipIModel:
         self.delta = delta
         self.k = k
         self.score: dict[int, dict[int, int]] = {}
-        self.card: dict[int, int] = {}
         self.profiles = ProfileStore(0, 0)
         self._top = np.full((0, k), -1, dtype=np.int64)
         self._valid = np.zeros(0, dtype=bool)
@@ -89,7 +90,7 @@ class CipIModel:
         """Score every user's packs in one fold over existing profiles."""
         model = cls(delta, k)
         model.profiles = store
-        items, _, sizes = pack_arrays(store, delta)
+        items, sizes, _ = pack_arrays(store, delta)
         # pairs[s], ends[s]: the pairs and the items of the first s packs
         pairs = np.concatenate(([0], np.cumsum(sizes * (sizes - 1) // 2)))
         ends = np.concatenate(([0], np.cumsum(sizes)))
@@ -115,9 +116,6 @@ class CipIModel:
         bounds = [*starts.tolist(), len(cols)]
         model.score = {i: dict(zip(cols[lo:hi], sums[lo:hi]))
                        for i, lo, hi in zip(rows[starts].tolist(), bounds, bounds[1:])}
-        counts = np.bincount(items)
-        held = np.flatnonzero(counts)
-        model.card = dict(zip(held.tolist(), counts[held].tolist()))
         return model
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
@@ -126,17 +124,14 @@ class CipIModel:
         members of the pack it joins. Produces the same stores as
         retraining on the final profiles."""
         before = self.profiles.extend(batches)
-        self._fold(*grown_packs(self.profiles, before, self.delta))
+        self._fold(*pack_arrays(self.profiles, self.delta, before))
 
     def _fold(self, items: np.ndarray, sizes: np.ndarray, new: np.ndarray) -> None:
         """Fold the packs of ``sizes`` concatenated in ``items``: the
         forward pairs that end at an item of the mask ``new`` into
-        ``score`` and those items into ``card``, then drop the cached
-        rows whose top-k set can change."""
-        counts = np.bincount(items[new])
-        bumped = np.flatnonzero(counts)
-        for i in bumped.tolist():
-            self.card[i] = self.card.get(i, 0) + int(counts[i])
+        ``score``, then drop the cached rows whose top-k set can change:
+        the store has already counted the new items into the cards."""
+        bumped = np.unique(items[new])
         keys, sums = _pair_sums(items, sizes, np.flatnonzero(new))
         score = self.score
         for key, s in zip(keys.tolist(), sums.tolist()):
@@ -164,18 +159,15 @@ class CipIModel:
         row in row order, the row's position in ``rows``, the entry's
         rank, its id and its similarity (bit-identical to
         :meth:`similarity`)."""
-        score, card = self.score, self.card
+        score, counts = self.score, self.profiles.item_counts()
         got = [score.get(i, {}) for i in rows]
         lengths = np.fromiter(map(len, got), dtype=np.int64, count=len(got))
         size = int(lengths.sum())
         cols = list(chain.from_iterable(got))
         s = np.fromiter(chain.from_iterable(r.values() for r in got),
                         dtype=np.int64, count=size)
-        ci = np.fromiter(map(card.get, rows, repeat(0)), dtype=np.int64,
-                         count=len(rows)).repeat(lengths)
-        cj = np.fromiter(map(card.get, cols, repeat(0)), dtype=np.int64, count=size)
-        sim = s / (2.0 * ONE * np.maximum(ci, cj))
         j = np.array(cols, dtype=np.int64)
+        sim = s / (2.0 * ONE * np.maximum(counts[np.repeat(rows, lengths)], counts[j]))
         r = np.arange(len(rows)).repeat(lengths)
         order = np.lexsort((j, -sim, r))      # r is already sorted
         rank = run_offsets(lengths)
@@ -188,7 +180,8 @@ class CipIModel:
         s = self.score.get(i, {}).get(j, 0)
         if s == 0:
             return 0.0
-        return s / (2.0 * ONE * max(self.card.get(i, 0), self.card.get(j, 0)))
+        counts = self.profiles.item_counts()
+        return s / (2.0 * ONE * max(counts.item(i), counts.item(j)))
 
     def top_k(self, i: int, k: int | None = None) -> list[tuple[int, float]]:
         """Top-k successors of item i by similarity, ties by ascending
@@ -219,12 +212,10 @@ class CipIModel:
             return self.profiles.popular(n)
         items = prof.items
         owned = np.asarray(items, dtype=np.int64)
-        self._grow(int(owned.max()) + 1)
+        self._grow(self.profiles.num_items)     # every cached id is a profile item
         missing = np.unique(owned[~self._valid[owned]])
         if len(missing):
             lengths, r, rank, j, _ = self._top_rows(missing.tolist(), self.k)
-            if len(j):                         # _drop marks every cached id
-                self._grow(int(j.max()) + 1)
             self._top[missing] = -1
             self._top[missing[r], rank] = j
             self._valid[missing] = True

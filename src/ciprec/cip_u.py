@@ -23,8 +23,10 @@ update needs T_old only at ΔT's keys, and both items of such a token
 belong to a new key, so those old tokens are recounted from the old
 positions that hold such an item. Identical profiles that
 share no token (equal single-item profiles, or any two equal profiles
-when ``delta_h`` is 0) still score 1; they are found through a hash of
-each profile's item sequence, not stored as zero-count pairs.
+when ``delta_h`` is 0) still score 1; they are found by grouping users
+under the hash of their item sequence, not stored as zero-count pairs.
+A grown profile's old group is found from the hash of its items before
+the batch, so no per-user hash is kept.
 
 A token {i, j} of user u is made as one int64 code
 ``(min(i, j) * I + max(i, j)) * U + u``, with I and U the current item
@@ -82,6 +84,13 @@ def hammock_pairs(pu: UserProfile, pv: UserProfile, delta_h: int) -> set[tuple[i
     return out
 
 
+def _check_codes(num_users: int, num_items: int) -> None:
+    """Refuse a store whose token codes would not fit an int64."""
+    if num_items * num_items * num_users >= 2 ** 63:
+        raise ValueError(f"cip-u token codes need items² · users < 2**63, "
+                         f"got {num_items}² · {num_users}")
+
+
 def pair_similarity(hp_count: int, profiles_equal: bool) -> float:
     """Similarity from a hammock-pair count and the equality flag."""
     if profiles_equal:
@@ -95,7 +104,6 @@ class UserPairState:
 
     u: int
     v: int
-    common_items: tuple[int, ...]
     hp_count: int
     profiles_equal: bool
 
@@ -113,11 +121,11 @@ class CipUModel:
     indices sorted within each row. A token {i, j} of user u is the
     int64 code ``(min(i, j) * I + max(i, j)) * U + u`` over the item
     count I and user count U of the fold that makes it, so I² · U must
-    be below 2**63. T is not kept: each fold recounts the tokens it
-    needs from the profiles, so a code never outlives its fold. Users
-    with identical profiles are grouped by the hash of their item
-    sequence. Common items and the equality flag are derived from the
-    profiles on demand.
+    be below 2**63; a batch that would break that bound is refused
+    before it changes anything. T is not kept: each fold recounts the
+    tokens it needs from the profiles, so a code never outlives its
+    fold. ``_same`` groups users by the hash of their item sequence.
+    The equality flag is derived from the profiles on demand.
     """
 
     kind = "cip-u"
@@ -131,13 +139,13 @@ class CipUModel:
         self.k = k
         self.profiles = ProfileStore(0, 0)
         self._h = csr_matrix((0, 0), dtype=np.int32)
-        self._seq_hash: dict[int, int] = {}          # user -> sequence hash
         self._same: dict[int, set[int]] = {}         # sequence hash -> users
 
     @classmethod
     def train(cls, store: ProfileStore, delta_h: int, k: int) -> "CipUModel":
         """Build the pair store from existing profiles in one batch; the
         model adopts ``store``."""
+        _check_codes(store.num_users, store.num_items)
         model = cls(delta_h, k)
         model.profiles = store
         model._add(dict.fromkeys(store.profiles, 0))
@@ -146,18 +154,21 @@ class CipUModel:
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
         """Apply one batch of new events, given as per-user time-ordered
         ``(item, ts)`` lists (see :meth:`ProfileStore.extend`). The result
-        is identical to rebuilding the store from the final profiles."""
-        self._add(self.profiles.extend(batches))
+        is identical to rebuilding the store from the final profiles.
+        Raises ValueError, before changing anything, if the batch's
+        largest ids would break the token code bound."""
+        store = self.profiles
+        top = max((i for events in batches.values() for i, _ in events), default=-1)
+        _check_codes(max(store.num_users, max(batches, default=-1) + 1),
+                     max(store.num_items, top + 1))
+        self._add(store.extend(batches))
 
     def _add(self, grown: dict[int, int]) -> None:
         """Fold in the tokens of each user's profile from position
         ``grown[u]`` on, the length before the new events."""
         n, span = self.profiles.num_users, self.profiles.num_items
-        if span * span * n >= 2 ** 63:
-            raise ValueError(f"cip-u token codes need items² · users < 2**63, "
-                             f"got {span}² · {n}")
-        for u in grown:
-            self._rehash(u)
+        for u, base in grown.items():
+            self._rehash(u, base)
         if self._h.shape[0] < n:
             self._h.resize((n, n))
         # every profile, the grown ones first: ΔT lies in those runs
@@ -287,22 +298,22 @@ class CipUModel:
                                   h.indptr + np.searchsorted(row[new], np.arange(len(h.indptr)))),
                                  shape=h.shape)
 
-    def _rehash(self, u: int) -> None:
-        """File ``u`` under the hash of its (grown) item sequence."""
-        old = self._seq_hash.get(u)
-        if old is not None:
+    def _rehash(self, u: int, base: int) -> None:
+        """Move ``u`` from the group of its first ``base`` items (0: a new
+        user, in no group) to the group of its grown item sequence."""
+        items = self.profiles.profiles[u].items
+        if base:
+            old = hash(items[:base].tobytes())
             peers = self._same[old]
             peers.discard(u)
             if not peers:
                 del self._same[old]
-        h = hash(self.profiles.profiles[u].items.tobytes())
-        self._seq_hash[u] = h
-        self._same.setdefault(h, set()).add(u)
+        self._same.setdefault(hash(items.tobytes()), set()).add(u)
 
     def _equal_users(self, u: int, items) -> list[int]:
         """Other users whose profile is exactly ``items``."""
         profs = self.profiles.profiles
-        return [v for v in self._same.get(self._seq_hash.get(u), ())
+        return [v for v in self._same.get(hash(items.tobytes()), ())
                 if v != u and profs[v].items == items]
 
     def _row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,17 +323,15 @@ class CipUModel:
         return h.indices[lo:hi], h.data[lo:hi]
 
     def pair_state(self, u: int, v: int) -> UserPairState:
-        """Current state of one pair (commons derived from profiles)."""
+        """Current state of one pair (equality derived from profiles)."""
         pu = self.profiles.get(u)
         pv = self.profiles.get(v)
         if pu is None or pv is None:
             raise ValueError(f"unknown user in pair ({u}, {v})")
-        common = tuple(sorted(set(pu.items) & set(pv.items)))
         vs, hps = self._row(u)
         hit = hps[vs == v]
         hp = int(hit[0]) if len(hit) else 0
-        return UserPairState(min(u, v), max(u, v), common, hp,
-                             pu.items == pv.items)
+        return UserPairState(min(u, v), max(u, v), hp, pu.items == pv.items)
 
     def similarity(self, u: int, v: int) -> float:
         state = self.pair_state(u, v)

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
-from ciprec.ingest import grown_packs, pair_positions
+from ciprec.ingest import pack_arrays, pair_positions
 
 
 # packs per worker fetch
@@ -474,7 +474,7 @@ class DeepCipRecommender:
         pack they touched. Negatives follow the whole corpus: packs split
         profiles of distinct items, so corpus counts are profile counts."""
         before = self.profiles.extend(batches)
-        items, sizes, _ = grown_packs(self.profiles, before, self.delta)
+        items, sizes, _ = pack_arrays(self.profiles, self.delta, before)
         if len(sizes):
             model, cfg = self.model, replace(self.model.config, epochs=1, workers=1)
             model.add_items(set(items.tolist()), cfg.seed)

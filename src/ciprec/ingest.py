@@ -41,8 +41,8 @@ order and fills each profile from its user's slice; only
 Packs come from one rule, :func:`_pack_starts`: over profiles laid end
 to end, a pack starts where a profile starts or where the next timestamp
 is more than ``delta`` seconds later. :meth:`UserProfile.partition`
-applies it to one profile, :func:`pack_arrays` and :func:`all_cips` to
-all (cip-i training, deepcip's corpus), :func:`grown_packs` to those a
+applies it to one profile, :func:`pack_arrays` to every profile (cip-i
+training, deepcip's corpus through :func:`all_cips`) or to the packs a
 batch grew (``observe``).
 
 Pairs come from one selector, :func:`pair_positions`: the position pairs
@@ -545,26 +545,21 @@ def _pack_starts(ts: np.ndarray, lengths: np.ndarray, delta: int) -> np.ndarray:
     return np.flatnonzero(cut)
 
 
-def pack_arrays(store: ProfileStore, delta: int
+def pack_arrays(store: ProfileStore, delta: int, before: dict[int, int] | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every user's packs in user order, as arrays: the profiles' items
-    and timestamps concatenated (int64), and each pack's size."""
-    items, ts, lengths = join_profiles([store.profiles[u] for u in sorted(store.profiles)])
-    starts = _pack_starts(ts, lengths, delta)
-    return items, ts, np.diff(np.append(starts, len(items)))
-
-
-def grown_packs(store: ProfileStore, before: dict[int, int], delta: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The packs that hold a new item of the profiles of ``before``, the
-    result of :meth:`ProfileStore.extend` (each grown user's profile
-    length before the batch): their items concatenated (int64), in user
-    order, each pack's size, and a mask of the new items."""
-    items, ts, lengths = join_profiles([store.profiles[u] for u in before])
-    base = np.fromiter(before.values(), dtype=np.int64, count=len(before))
-    new = run_offsets(lengths) >= np.repeat(base, lengths)
+    """The packs of the profiles of ``before``, the result of
+    :meth:`ProfileStore.extend` (each grown user's profile length before
+    the batch), that hold a new item, as arrays: their items concatenated
+    (int64), in user order, each pack's size, and a mask of the new
+    items. Without ``before``: every user's packs, every item new."""
+    users = sorted(store.profiles) if before is None else before
+    items, ts, lengths = join_profiles([store.profiles[u] for u in users])
     starts = _pack_starts(ts, lengths, delta)
     sizes = np.diff(np.append(starts, len(items)))
+    if before is None:
+        return items, sizes, np.ones(len(items), dtype=bool)
+    base = np.fromiter(before.values(), dtype=np.int64, count=len(before))
+    new = run_offsets(lengths) >= np.repeat(base, lengths)
     # a profile's new items are its tail, so a pack holds one iff it ends in one
     kept = new[starts + sizes - 1]
     held = np.repeat(kept, sizes)
@@ -574,7 +569,7 @@ def grown_packs(store: ProfileStore, before: dict[int, int], delta: int
 def all_cips(store: ProfileStore, delta: int) -> list[list[int]]:
     """Every user's packs as item lists, in user order (a training
     corpus)."""
-    items, _, sizes = pack_arrays(store, delta)
+    items, sizes, _ = pack_arrays(store, delta)
     ends = np.cumsum(sizes).tolist()
     row = items.tolist()
     return [row[b:e] for b, e in zip([0] + ends, ends)]

@@ -58,6 +58,13 @@ def store_of_packs(packs) -> ProfileStore:
     return store
 
 
+def cards(model) -> dict[int, int]:
+    """cip-i's card of every held item, the number of packs that hold
+    it: the model's store counts, read as ``{item: count}``."""
+    counts = model.profiles.item_counts()
+    return {i: int(counts[i]) for i in np.flatnonzero(counts).tolist()}
+
+
 def batches_from(events) -> dict[int, list[tuple[int, int]]]:
     out: dict[int, list[tuple[int, int]]] = {}
     for u, i, t in events:

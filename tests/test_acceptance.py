@@ -105,7 +105,7 @@ def test_acceptance_02_item_store_streaming_equals_one_shot():
         streamed = CipIModel(60, 5)
         for chunk in chunked_batches(rng, events, 6):
             streamed.observe(chunk)
-        assert streamed.card == one.card
+        assert np.array_equal(streamed.profiles.item_counts(), one.profiles.item_counts())
         assert streamed.score == one.score
         for i, row in one.score.items():
             for j in row:
@@ -202,7 +202,7 @@ def test_acceptance_04_item_similarity_boundaries_exhaustive():
         per_pack = [stats[p] for p in packs]
         items = sorted(set().union(*(m for m, _, _ in per_pack)))
         for a in items:
-            assert model.card[a] == sum(1 for m, _, _ in per_pack if a in m)
+            assert model.profiles.item_counts()[a] == sum(1 for m, _, _ in per_pack if a in m)
         for a, b in permutations(items, 2):
             brute = sum(s.get((a, b), 0.0) for _, s, _ in per_pack)
             got = model.score.get(a, {}).get(b, 0) / ONE

@@ -7,7 +7,7 @@ from ciprec import cip_i
 from ciprec.cip_i import ONE, CipIModel
 from ciprec.ingest import all_cips
 
-from helpers import chunked_batches, random_stream, store_from, store_of_packs
+from helpers import cards, chunked_batches, random_stream, store_from, store_of_packs
 
 
 def test_single_pack_scores_frozen():
@@ -18,7 +18,7 @@ def test_single_pack_scores_frozen():
     assert m.score[1][2] == 2 * ONE
     assert m.score[0][2] == 3 * ONE // 2
     assert 1 not in m.score.get(2, {}) and 0 not in m.score.get(1, {})
-    assert m.card == {0: 1, 1: 1, 2: 1}
+    assert cards(m) == {0: 1, 1: 1, 2: 1}
     assert m.similarity(0, 1) == 1.0
     assert m.similarity(0, 2) == 0.75
 
@@ -58,7 +58,7 @@ def test_streaming_equals_one_shot():
         for u, i, t in events:
             stream.observe({u: [(i, t)]})
         # integer sums: equal, whatever the order of the additions
-        assert batch.card == stream.card
+        assert cards(batch) == cards(stream)
         assert batch.score == stream.score
         for a, row in batch.score.items():
             for b in row:
@@ -76,7 +76,7 @@ def test_train_from_pack_arrays_equals_folding_all_cips_pack_by_pack():
             folded = CipIModel(delta, 3)
             for u, items in enumerate(all_cips(store, delta)):
                 folded.observe({u: [(i, 0) for i in items]})
-            assert trained.score == folded.score and trained.card == folded.card
+            assert trained.score == folded.score and cards(trained) == cards(folded)
             folded.profiles = store
             for u in store.profiles:
                 assert trained.recommend(u, 5) == folded.recommend(u, 5)
@@ -93,7 +93,7 @@ def test_train_in_runs_of_packs_equals_train_in_one_run(monkeypatch):
         monkeypatch.setattr(cip_i, "_PAIR_BUDGET", budget)
         for store, want in zip(stores, whole):
             got = CipIModel.train(store, 60, 3)
-            assert got.score == want.score and got.card == want.card
+            assert got.score == want.score
 
 
 def test_apply_events_spanning_the_gap_starts_a_new_pack():
@@ -102,7 +102,7 @@ def test_apply_events_spanning_the_gap_starts_a_new_pack():
     m.observe({0: [(3, 5000)]})        # far beyond delta: new pack
     m.observe({0: [(4, 5010)]})        # extends the second pack
     want = CipIModel.train(m.profiles, 60, 5)
-    assert m.score == want.score and m.card == want.card
+    assert m.score == want.score
 
 
 def test_late_event_rejects_the_whole_batch():
@@ -113,7 +113,7 @@ def test_late_event_rejects_the_whole_batch():
     assert list(m.profiles.get(0).items) == [1]
     m.observe({0: [(4, 5010)]})
     want = CipIModel.train(m.profiles, 60, 5)
-    assert m.score == want.score and m.card == want.card
+    assert m.score == want.score
 
 
 def test_top_k_ordering_and_ties():
@@ -210,7 +210,7 @@ def test_recommend_equals_a_dict_tally_of_top_k():
 def _cold(m):
     """A copy of m sharing its stores but with an empty cache."""
     cold = CipIModel(m.delta, m.k)
-    cold.score, cold.card, cold.profiles = m.score, m.card, m.profiles
+    cold.score, cold.profiles = m.score, m.profiles
     return cold
 
 

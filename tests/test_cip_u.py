@@ -135,7 +135,6 @@ def test_pair_state_and_equality_flag():
     m = CipUModel.train(store, 1, 5)
     st = m.pair_state(0, 1)
     assert isinstance(st, UserPairState)
-    assert st.common_items == (7, 8)
     assert st.profiles_equal and st.similarity == 1.0
     with pytest.raises(ValueError):
         m.pair_state(0, 99)
@@ -289,3 +288,56 @@ def test_code_bound_is_refused():
     store.item_ids, store.user_ids = range(2 ** 20), range(2 ** 23)
     with pytest.raises(ValueError, match=r"2\*\*63"):
         CipUModel.train(store, 3, 5)
+
+
+def test_refused_batch_leaves_the_model_unchanged():
+    # the batch's new user makes items² · users = 2**60 · 8 = 2**63
+    m = CipUModel(3, 5)
+    m.profiles.item_ids, m.profiles.user_ids = range(2 ** 30), list(range(7))
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        m.observe({7: [(1, 10)]})
+    assert m.profiles.profiles == {} and m.profiles.user_ids == list(range(7))
+    assert m._h.shape == (0, 0) and m._same == {}
+    # a trained model, refused for the batch's largest item id
+    m = CipUModel.train(store_from([(0, 1, 10), (0, 2, 20), (1, 1, 15)]), 1, 5)
+    m.profiles.user_ids = range(2 ** 23)
+    h, same = m._h.copy(), {key: set(users) for key, users in m._same.items()}
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        m.observe({1: [(2 ** 20, 30)]})
+    assert {u: list(p.items) for u, p in m.profiles.profiles.items()} == {0: [1, 2], 1: [1]}
+    assert m.profiles.item_ids == [0, 1, 2] and m._same == same
+    assert m._h.shape == h.shape and (m._h != h).nnz == 0
+
+
+def _equal_profile_groups(m):
+    """The users of each group of equal profiles, brute force, and as
+    the model groups them."""
+    want = {}
+    for u, prof in m.profiles.profiles.items():
+        want.setdefault(tuple(prof.items), set()).add(u)
+    return sorted(map(sorted, want.values())), sorted(map(sorted, m._same.values()))
+
+
+def test_equal_profile_groups_match_brute_force_after_every_batch():
+    # three items, so equal profiles form, split and re-form as they grow
+    rng = np.random.default_rng(61)
+    joined = 0
+    for _ in range(30):
+        events = [(int(rng.integers(0, 6)), int(rng.integers(0, 3)), 10 * k)
+                  for k in range(30)]
+        cut = int(rng.integers(0, len(events)))
+        trained = CipUModel.train(store_from(events[:cut]), 1, 5)
+        for m, rest in ((trained, events[cut:]), (CipUModel(1, 5), events)):
+            want, got = _equal_profile_groups(m)
+            assert got == want
+            profs = m.profiles.profiles
+            for batch in chunked_batches(rng, rest, 4):
+                old = {u: len(p) for u, p in profs.items()}
+                m.observe(batch)
+                want, got = _equal_profile_groups(m)
+                assert got == want
+                grown = {u for u, p in profs.items() if len(p) != old.get(u, 0)}
+                # an old profile that grew into one no grown user holds
+                joined += any(profs[u].items == profs[v].items
+                              for u in grown if old.get(u) for v in profs if v not in grown)
+    assert joined

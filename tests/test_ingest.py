@@ -9,7 +9,7 @@ import pytest
 from ciprec import ingest
 from ciprec.ingest import (EVENTS_HEADER, EventLog, ParseError,
                            ProfileStore, UserProfile, all_cips, build_profiles,
-                           grown_packs, pack_arrays, pair_positions, parse_events,
+                           pack_arrays, pair_positions, parse_events,
                            run_offsets, temporal_split)
 from ciprec.persistence import FormatError, dump_events, load_events
 
@@ -499,7 +499,7 @@ def test_profiles_keep_their_contract_after_build_and_extend():
         for u, i, t in zip(log.users[cut:].tolist(), log.items[cut:].tolist(),
                            log.ts[cut:].tolist()):
             batches.setdefault(u, []).append((i, t))
-        held.append(grown_packs(store, store.extend(batches), 60))
+        held.append(pack_arrays(store, 60, store.extend(batches)))
         _check_profiles(store)
         assert ({u: (p.items, p.ts) for u, p in store.profiles.items()}
                 == {u: (p.items, p.ts) for u, p in build_profiles(log).profiles.items()})
@@ -541,11 +541,10 @@ def test_pack_arrays_match_partition():
         for delta in (0, 60, 10**12):
             packs = [c for u in sorted(store.profiles)
                      for c in store.profiles[u].partition(delta)]
-            items, ts, sizes = pack_arrays(store, delta)
+            items, sizes, new = pack_arrays(store, delta)
             assert items.tolist() == [i for c in packs for i in c]
             assert sizes.tolist() == [len(c) for c in packs]
-            assert ts.tolist() == [t for u in sorted(store.profiles)
-                                   for t in store.profiles[u].ts]
+            assert new.all() and len(new) == len(items)
             assert all_cips(store, delta) == packs
     empty = pack_arrays(ProfileStore(0, 0), 60)
     assert [a.tolist() for a in empty] == [[], [], []]
@@ -575,7 +574,7 @@ def test_grown_packs_match_a_walk_over_partition():
                     want[1].append(len(pack))
                     want[2].extend(b + k >= base for k in range(len(pack)))
                 b += len(pack)
-        assert tuple(a.tolist() for a in grown_packs(store, before, delta)) == want
+        assert tuple(a.tolist() for a in pack_arrays(store, delta, before)) == want
 
 
 def test_popular_ranking_orders_and_excludes_unseen():

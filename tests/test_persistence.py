@@ -15,7 +15,7 @@ from ciprec.persistence import (FormatError, dump_events, load_events,
                                 load_model, peek_kind, save_model)
 from ciprec.popularity import PopularityModel
 
-from helpers import batches_from, parse_lines, random_stream
+from helpers import batches_from, cards, parse_lines, random_stream
 
 
 def _gappy_log(rng, n_users=25, n_items=50, n_events=350):
@@ -118,8 +118,8 @@ def test_cip_i_round_trip(corpus):
                 for b, s in row.items()}
 
     assert raw_scores(loaded) == raw_scores(model)
-    assert {store.item_ids[i]: c for i, c in model.card.items()} == \
-        {loaded.profiles.item_ids[i]: c for i, c in loaded.card.items()}
+    assert {store.item_ids[i]: c for i, c in cards(model).items()} == \
+        {loaded.profiles.item_ids[i]: c for i, c in cards(loaded).items()}
 
 
 def test_deepcip_round_trip_bit_exact(corpus):
