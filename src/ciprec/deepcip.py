@@ -12,11 +12,12 @@ pairs of a mini-batch share one draw of ``NEGATIVE_SHARE * negatives``
 negatives (the HogBatch scheme of Ji et al., arXiv:1604.04661): a shared
 negative equal to a pair's own context is masked out for that pair, and
 its other negatives weigh ``w = negatives / kept`` each, so every pair's
-negatives weigh ``negatives`` in all. The negative dot products and
-their gradients are then dense matrix products, which training runs on
-one BLAS thread. The loss is only reported; its softplus terms are
-vector passes (:func:`softplus`), and the row deltas are written into
-one stack that a single CSR product sums.
+negatives weigh ``negatives`` in all. A batch then works on its
+distinct rows alone: one product gives every dot product it needs, one
+``np.bincount`` sums the gradient coefficients of each (input row,
+output row) into a dense matrix, and two products with it give the row
+deltas; training runs them on one BLAS thread. The loss is only
+reported; its softplus terms are vector passes (:func:`softplus`).
 
 Training takes the packs as arrays and shards them across workers,
 forked processes that share the weight matrices. A worker draws the
@@ -45,7 +46,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 from ciprec.ingest import pack_arrays, pair_positions
@@ -158,7 +158,12 @@ def gen_pairs(items, sizes, window: int) -> np.ndarray:
 
 
 def pair_count(length: int, window: int) -> int:
-    return sum(min(t, window) + min(length - 1 - t, window) for t in range(length))
+    """The number of pairs :func:`gen_pairs` makes of one pack of
+    ``length`` items: each position pairs with up to ``window`` others on
+    each side."""
+    if length <= window + 1:
+        return length * (length - 1)
+    return window * (2 * length - window - 1)
 
 
 def draw_negatives(cum: np.ndarray, size: int, rng) -> np.ndarray:
@@ -186,40 +191,24 @@ def sgns_batch(base0: np.ndarray, base1: np.ndarray, t_c: np.ndarray, c_c: np.nd
     row deltas ``(acc0, acc1)`` to add to them, which are ``-lr`` times
     the loss gradients.
     """
-    m, s, n0 = len(t_c), len(n_c), len(base0)
-    # input row t_c[b] gains g_in[b], output row c_c[b] gains
-    # g_pos[b] * vin[b] and output row n_c[j] gains column j of
-    # g_neg.T @ vin: one CSR product over these vectors, stacked in place
-    stack = np.empty((2 * m + s, base0.shape[1]))
-    # the indices are in range; "clip" only skips the copy "raise" buffers
-    vin = np.take(base0, t_c, axis=0, out=stack[m:2 * m], mode="clip")
-    pos = base1[c_c]
-    nvec = base1[n_c]
+    n0, n1 = len(base0), len(base1)
+    # every dot product the batch needs is an entry of one matrix over its
+    # distinct rows
+    sims = base0 @ base1.T
+    pos_dot = sims[t_c, c_c]
+    neg_dot = sims[t_c[:, None], n_c]
     keep = n_c != c_c[:, None]
     w = keep * (k / np.maximum(keep.sum(axis=1), 1))[:, None]
-    pos_dot = np.einsum("bd,bd->b", vin, pos)
-    neg_dot = vin @ nvec.T
     loss = float(softplus(-pos_dot).sum() + (w * softplus(neg_dot)).sum())
     g_pos = (1.0 - expit(pos_dot)) * lr
     g_neg = -lr * w * expit(neg_dot)
-    g_in = np.matmul(g_neg, nvec, out=stack[:m])
-    g_in += g_pos[:, None] * pos
-    np.matmul(g_neg.T, vin, out=stack[2 * m:])
-    acc = _scatter(np.concatenate([t_c, n0 + c_c, n0 + n_c]), np.arange(2 * m + s),
-                   np.concatenate([np.ones(m), g_pos, np.ones(s)]), stack, n0 + len(base1))
-    return loss, acc[:n0], acc[n0:]
-
-
-def _scatter(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
-             vecs: np.ndarray, n: int) -> np.ndarray:
-    """``out[r]`` is the sum of ``weights[j] * vecs[cols[j]]`` over the
-    ``j`` with ``rows[j] == r``: each product rounded, then added in ``j``
-    order as ``np.add.at`` into zeros would. One CSR product."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    order = np.argsort(rows, kind="stable")
-    return csr_matrix((weights[order], cols[order], indptr),
-                      shape=(n, len(vecs))) @ vecs
+    # coef[i, o] sums the gradient coefficients of every (input i, output o)
+    # term, so input row i gains row i of coef @ base1 and output row o
+    # gains row o of coef.T @ base0
+    coef = np.bincount(np.concatenate([t_c * n1 + c_c, (t_c[:, None] * n1 + n_c).ravel()]),
+                       np.concatenate([g_pos, g_neg.ravel()]),
+                       minlength=n0 * n1).reshape(n0, n1)
+    return loss, coef @ base1, coef.T @ base0
 
 
 @cache

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from ciprec import deepcip
 from ciprec.deepcip import (DeepCipRecommender, EmbeddingModel, TrainConfig,
-                            _fit, _scatter, cip_vector, draw_negatives, gen_pairs,
+                            _fit, cip_vector, draw_negatives, gen_pairs,
                             most_similar, pair_count, sgns_batch, train)
 from ciprec.ingest import ProfileStore, all_cips
 
@@ -85,16 +85,41 @@ def test_gradients_match_central_differences():
     assert sgns_gradient_error(np.random.default_rng(42), 20) < 1e-4
 
 
-def test_scatter_adds_in_order_like_add_at():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        n, length = int(rng.integers(1, 9)), int(rng.integers(0, 40))
-        rows, cols = rng.integers(0, n, length), rng.integers(0, 6, length)
-        weights = rng.normal(0.0, 1.0, length) * 10.0 ** rng.integers(-8, 8, length)
-        vecs = rng.normal(0.0, 1.0, (6, 3))
-        expect = np.zeros((n, 3))
-        np.add.at(expect, rows, weights[:, None] * vecs[cols])
-        assert np.array_equal(_scatter(rows, cols, weights, vecs, n), expect)
+def _loop_sgns(base0, base1, t_c, c_c, n_c, k, lr):
+    """Reference: :func:`sgns_batch` pair by pair and output by output,
+    its deltas added into zeros by ``np.add.at``."""
+    loss, acc0, acc1 = 0.0, np.zeros_like(base0), np.zeros_like(base1)
+    for t, c in zip(t_c, c_c):
+        kept = [o for o in n_c if o != c]
+        for o, label, weight in [(c, 1.0, 1.0), *((o, 0.0, k / len(kept)) for o in kept)]:
+            dot = float(base0[t] @ base1[o])
+            loss += weight * np.logaddexp(0.0, dot if label == 0.0 else -dot)
+            g = weight * lr * (label - 1.0 / (1.0 + math.exp(-dot)))
+            np.add.at(acc0, t, g * base1[o])
+            np.add.at(acc1, o, g * base0[t])
+    return loss, acc0, acc1
+
+
+@pytest.mark.parametrize("case", ["repeats", "context-negative", "keeps-none", "distinct"])
+def test_sgns_batch_equals_the_per_pair_loop(case):
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        m, d = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+        n0, n1 = (m, int(rng.integers(1, 40))) if case == "distinct" else rng.integers(1, 8, 2)
+        t_c = rng.permutation(m) if case == "distinct" else rng.integers(0, n0, m)
+        c_c = rng.integers(0, n1, m)
+        n_c = rng.integers(0, n1, int(rng.integers(1, 9)))
+        if case == "context-negative":
+            n_c[int(rng.integers(len(n_c)))] = c_c[int(rng.integers(m))]
+        elif case == "keeps-none":
+            n_c[:] = c_c[0]
+        base0, base1 = rng.normal(0.0, 0.8, (n0, d)), rng.normal(0.0, 0.8, (n1, d))
+        k, lr = float(rng.integers(1, 6)), float(rng.uniform(0.01, 1.0))
+        got, want = sgns_batch(base0, base1, t_c, c_c, n_c, k, lr), \
+            _loop_sgns(base0, base1, t_c, c_c, n_c, k, lr)
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        for g, w in zip(got[1:], want[1:]):
+            assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
 
 def test_sgns_batch_steps_decrease_pair_loss():
