@@ -12,23 +12,22 @@ pairs of a mini-batch share one draw of ``NEGATIVE_SHARE * negatives``
 negatives (the HogBatch scheme of Ji et al., arXiv:1604.04661): a shared
 negative equal to a pair's own context is masked out for that pair, and
 its other negatives weigh ``w = negatives / kept`` each, so every pair's
-negatives weigh ``negatives`` in all. A batch then works on its
-distinct rows alone: one product gives every dot product it needs, one
-``np.bincount`` sums the gradient coefficients of each (input row,
-output row) into a dense matrix, and two products with it give the row
-deltas; training runs them on one BLAS thread. The loss is only
-reported; its softplus terms are vector passes (:func:`softplus`).
+negatives weigh ``negatives`` in all. :func:`sgns_batch` sums those
+weights per (input row, distinct negative), takes every dot product of
+the batch's distinct rows from one product, and both the softplus of
+the loss (which is only reported) and the sigmoid of the gradient from
+one exponential per dot product; two products with one dense matrix of
+gradient coefficients give the row deltas, on one BLAS thread.
 
 Training takes the packs as arrays and shards them across workers,
 forked processes that share the weight matrices. A worker draws the
 negatives of all of a shard's mini-batches at once and finds every
-batch's rows with one sort (:func:`batch_unique`); then, batch by batch,
-it pulls just the parameter rows the batch touches (a short lock), runs
-:func:`sgns_batch` on that snapshot, and pushes the row deltas back
-under the same lock — so workers see each other's progress after at
-most one batch, and no delta is lost. One worker runs in the calling
-process; with a fixed seed its run is bit-reproducible on one BLAS
-kernel (another may round the products differently).
+batch's rows with one sort (:func:`batch_unique`); then, per batch, it
+pulls the rows the batch touches with no lock, runs :func:`sgns_batch`
+and pushes the row deltas back under one lock. A pull may see a
+concurrent push in part, but each push adds onto what the store holds
+then: no delta is lost, and staleness stays at most one batch. A run of
+one worker is bit-reproducible for a fixed seed on one BLAS kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import expit
 
 from ciprec.ingest import pack_arrays, pair_positions
 
@@ -153,7 +151,8 @@ def gen_pairs(items, sizes, window: int) -> np.ndarray:
     items = np.asarray(items, dtype=np.int64)
     p, q = pair_positions(sizes, window)
     target, context = np.concatenate((q, p)), np.concatenate((p, q))
-    order = np.lexsort((context - target, target))
+    # a distinct key per pair; a stable sort runs fast over its sorted half
+    order = np.argsort(target * (2 * window + 1) + context - target, kind="stable")
     return np.stack((items[target[order]], items[context[order]]), axis=1)
 
 
@@ -171,12 +170,6 @@ def draw_negatives(cum: np.ndarray, size: int, rng) -> np.ndarray:
     return np.searchsorted(cum, rng.random(size) * cum[-1])
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    """``log(1 + exp(x))`` elementwise, by the branches of
-    ``np.logaddexp(0, x)`` run as vector passes; it never overflows."""
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
 def sgns_batch(base0: np.ndarray, base1: np.ndarray, t_c: np.ndarray, c_c: np.ndarray,
                n_c: np.ndarray, k: float, lr: float) -> tuple[float, np.ndarray, np.ndarray]:
     """One SGD step of skip-gram with negative sampling on a mini-batch
@@ -190,24 +183,31 @@ def sgns_batch(base0: np.ndarray, base1: np.ndarray, t_c: np.ndarray, c_c: np.nd
     repeat. Returns the batch loss at ``base0`` / ``base1`` and the summed
     row deltas ``(acc0, acc1)`` to add to them, which are ``-lr`` times
     the loss gradients.
+
+    Negative ``o`` weighs ``cnt[o] * (W[t] - M[t, o])`` on input row ``t``:
+    ``n_c`` holds it ``cnt[o]`` times, and ``W[t]`` and ``M[t, o]`` sum the
+    weights of the pairs on row ``t`` and of those whose context is ``o``.
+    One ``exp(-|x|)`` per dot product ``x`` gives its softplus and sigmoid.
     """
-    n0, n1 = len(base0), len(base1)
-    # every dot product the batch needs is an entry of one matrix over its
-    # distinct rows
+    n0, n1, m = len(base0), len(base1), len(t_c)
+    cnt = np.bincount(n_c, minlength=n1)
+    cols = np.flatnonzero(cnt)
+    kept = len(n_c) - cnt[c_c]
+    w = np.divide(k, kept, out=np.zeros(m), where=kept > 0)
+    # every dot product is an entry of one matrix; positives enter negated
     sims = base0 @ base1.T
-    pos_dot = sims[t_c, c_c]
-    neg_dot = sims[t_c[:, None], n_c]
-    keep = n_c != c_c[:, None]
-    w = keep * (k / np.maximum(keep.sum(axis=1), 1))[:, None]
-    loss = float(softplus(-pos_dot).sum() + (w * softplus(neg_dot)).sum())
-    g_pos = (1.0 - expit(pos_dot)) * lr
-    g_neg = -lr * w * expit(neg_dot)
-    # coef[i, o] sums the gradient coefficients of every (input i, output o)
-    # term, so input row i gains row i of coef @ base1 and output row o
-    # gains row o of coef.T @ base0
-    coef = np.bincount(np.concatenate([t_c * n1 + c_c, (t_c[:, None] * n1 + n_c).ravel()]),
-                       np.concatenate([g_pos, g_neg.ravel()]),
-                       minlength=n0 * n1).reshape(n0, n1)
+    key = t_c * n1 + c_c
+    x = np.concatenate([-sims.ravel()[key], sims[:, cols].ravel()])
+    del sims    # the bincounts reuse its memory: fresh pages cost more
+    neg_w = cnt[cols] * (np.bincount(t_c, w, minlength=n0)[:, None]
+                         - np.bincount(key, w, minlength=n0 * n1).reshape(n0, n1)[:, cols])
+    e = np.exp(-np.abs(x))
+    softplus = np.maximum(x, 0.0) + np.log1p(e)
+    loss = float(softplus[:m].sum() + neg_w.ravel() @ softplus[m:])
+    sig = np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+    # coef[i, o] sums the gradient coefficients of (input i, output o)
+    coef = np.bincount(key, lr * sig[:m], minlength=n0 * n1).reshape(n0, n1)
+    coef[:, cols] -= lr * neg_w * sig[m:].reshape(neg_w.shape)
     return loss, coef @ base1, coef.T @ base0
 
 
@@ -335,19 +335,15 @@ def _train_shard(shared: _Shared, pairs_t: np.ndarray, pairs_c: np.ndarray,
     shard_loss = 0.0
     for rows0, rows1, t_c, c_c, n_c in _shard_batches(pairs_t, pairs_c, model._cum, k,
                                                       len(model.syn0), rng):
-        # pull: snapshot only the rows this mini-batch touches, so the
-        # staleness other workers see is bounded by one batch
-        with shared.lock:
-            base0 = model.syn0[rows0]
-            base1 = model.syn1[rows1]
-            lr = shared.lr_now()
-            shared.done.value += len(t_c)
-        loss, acc0, acc1 = sgns_batch(base0, base1, t_c, c_c, n_c, k, lr)
+        # pull, with no lock: snapshot only the rows this mini-batch touches
+        loss, acc0, acc1 = sgns_batch(model.syn0[rows0], model.syn1[rows1], t_c, c_c, n_c,
+                                      k, shared.lr_now())
         shard_loss += loss
         # push: add this batch's deltas onto whatever the store holds now
         with shared.lock:
             model.syn0[rows0] += acc0
             model.syn1[rows1] += acc1
+            shared.done.value += len(t_c)
     with shared.lock:
         shared.loss_sum.value += shard_loss
         shared.loss_pairs.value += len(pairs_t)
@@ -385,10 +381,14 @@ def _fit(model: EmbeddingModel, rows: np.ndarray, sizes: np.ndarray, cfg: TrainC
     rows, sizes = rows[np.repeat(multi, sizes)], sizes[multi]
     cut = [*range(0, len(sizes), SHARD_SIZE), len(sizes)]   # shard s: packs cut[s]:cut[s + 1]
     at = np.append(0, np.cumsum(sizes))[cut]
-    shards = [gen_pairs(rows[a:b], sizes[lo:hi], cfg.window)
-              for lo, hi, a, b in zip(cut, cut[1:], at, at[1:])]
+    # a shard's pairs: one worker makes them all first, back to back (between
+    # batches they cost about twice as much); forked workers make their own
+    make = lambda s: gen_pairs(rows[at[s]:at[s + 1]], sizes[cut[s]:cut[s + 1]], cfg.window)
+    shard = make if cfg.workers > 1 else [make(s) for s in range(len(cut) - 1)].__getitem__
+    lengths, counts = np.unique(sizes, return_counts=True)
+    total = sum(pair_count(int(n), cfg.window) * int(c) for n, c in zip(lengths, counts))
     ctx = mp.get_context("fork") if cfg.workers > 1 else None
-    shared = _Shared(model, cfg.epochs * sum(len(s) for s in shards), cfg, ctx)
+    shared = _Shared(model, cfg.epochs * total, cfg, ctx)
     if cfg.workers > 1:
         if threading.active_count() > 1:    # a child gets only this thread's locks
             raise RuntimeError("workers > 1 forks: call train with no other threads")
@@ -399,10 +399,10 @@ def _fit(model: EmbeddingModel, rows: np.ndarray, sizes: np.ndarray, cfg: TrainC
             shared.loss_sum.value = shared.loss_pairs.value = shared.next_shard.value = 0
 
             def work():
-                while (s_idx := shared.take()) < len(shards):
+                while (s_idx := shared.take()) < len(cut) - 1:
                     rng = np.random.default_rng(
                         np.random.SeedSequence([cfg.seed, epoch, s_idx]))
-                    _train_shard(shared, shards[s_idx][:, 0], shards[s_idx][:, 1], rng)
+                    _train_shard(shared, *shard(s_idx).T, rng)
 
             if cfg.workers == 1:
                 work()              # shards in order in this process: reproducible

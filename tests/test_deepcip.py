@@ -2,6 +2,7 @@
 
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -138,19 +139,47 @@ def test_sgns_batch_steps_decrease_pair_loss():
     assert float(base0[0] @ base1[0]) > 0.0
 
 
-def test_softplus_equals_logaddexp():
-    # numpy's vector exp and log1p may round a few ulp apart from the
-    # scalar libm calls np.logaddexp makes (its AVX-512 loops do); the
-    # branches are the same, so the results stay finite and agree exactly
-    # at the edges
+def test_sgns_batch_loss_is_exact_and_finite_at_extreme_dots():
+    # one dimension and a unit input vector make each dot exactly its output
+    # row's value; a positive at +800 adds exactly 0, so a negative's term
+    # stands alone. numpy's vector exp and log1p may round a few ulp apart
+    # from the scalar libm calls np.logaddexp makes (its AVX-512 loops do)
     edges = [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 700.0, -700.0, 800.0, -800.0]
-    x = np.concatenate([edges, np.linspace(-800.0, 800.0, 20001),
-                        np.random.default_rng(3).normal(0.0, 5.0, 20000)])
-    got, want = deepcip.softplus(x), np.logaddexp(0.0, x)
-    assert np.isfinite(got).all()
-    assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
-    assert got[:4].tolist() == [math.log(2.0)] * 4
-    assert got[8:10].tolist() == [800.0, 0.0]
+    base0 = np.ones((1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in edges:
+            for base1, n_c, k, want in [
+                    (np.array([[v]]), np.zeros(0, dtype=np.int64), 0.0, np.logaddexp(0.0, -v)),
+                    (np.array([[800.0], [v]]), np.array([1]), 1.0, np.logaddexp(0.0, v))]:
+                loss, acc0, acc1 = sgns_batch(base0, base1, np.array([0]), np.array([0]),
+                                              n_c, k, 0.025)
+                assert np.isfinite(loss) and abs(loss - want) <= 4 * np.spacing(want)
+                assert np.isfinite(acc0).all() and np.isfinite(acc1).all()
+
+
+@pytest.mark.parametrize("n0, n1", [(40, 70), (256, 281)])
+def test_sgns_batch_equals_the_per_pair_loop_at_batch_shapes(n0, n1):
+    # a training batch: 256 pairs, 25 shared negatives, 100 dimensions; at
+    # (40, 70) rows repeat, as at the bench's corpora, and at (256, 281)
+    # every pair has its own input row
+    rng = np.random.default_rng(31)
+    m, s, d = 256, 25, 100
+    t_c = rng.permutation(m) if n0 == m else rng.integers(0, n0, m)
+    c_c = rng.integers(0, n1, m)
+    n_c = rng.integers(0, n1, s)
+    n_c[1] = n_c[0]                     # a repeated negative
+    if n0 < m:
+        # negatives that are the contexts of several pairs on input row 3
+        t_c[:6], c_c[:4], c_c[4:6] = 3, n_c[0], n_c[2]
+    else:
+        c_c[:3] = n_c[:3]               # negatives that are contexts
+    base0, base1 = rng.normal(0.0, 0.3, (n0, d)), rng.normal(0.0, 0.3, (n1, d))
+    got = sgns_batch(base0, base1, t_c, c_c, n_c, 5.0, 0.025)
+    want = _loop_sgns(base0, base1, t_c, c_c, n_c, 5.0, 0.025)
+    assert got[0] == pytest.approx(want[0], rel=1e-12)
+    for g, w in zip(got[1:], want[1:]):
+        assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
 
 def test_batch_unique_is_np_unique_per_batch():

@@ -23,7 +23,10 @@ within ``FINGERPRINT_TOL``. On those kernels the fingerprints spread by
 less than 1e-13, and their lists digests agree. When the SGNS kernel
 came to take its dot products and deltas from products over each
 mini-batch's distinct rows, its rounding moved the fingerprints by about
-3e-14 and left the lists digests as they were.
+3e-14 and left the lists digests as they were. When it came to sum the
+shared negatives' weights per (input row, distinct negative) and to take
+one exponential per dot product, the fingerprints moved by at most
+2.3e-14 (4.7e-14 from the recorded values) and the lists digests held.
 """
 
 import hashlib
