@@ -19,15 +19,16 @@ the loss (which is only reported) and the sigmoid of the gradient from
 one exponential per dot product; two products with one dense matrix of
 gradient coefficients give the row deltas, on one BLAS thread.
 
-Training takes the packs as arrays and shards them across workers,
-forked processes that share the weight matrices. A worker draws the
-negatives of all of a shard's mini-batches at once and finds every
-batch's rows with one sort (:func:`batch_unique`); then, per batch, it
-pulls the rows the batch touches with no lock, runs :func:`sgns_batch`
-and pushes the row deltas back under one lock. A pull may see a
-concurrent push in part, but each push adds onto what the store holds
-then: no delta is lost, and staleness stays at most one batch. A run of
-one worker is bit-reproducible for a fixed seed on one BLAS kernel.
+Training takes the packs as arrays and shards them across workers, the
+calling process and ``workers - 1`` forked ones sharing the weights. A
+worker makes the pairs of each shard it takes, draws the negatives of
+all its mini-batches at once and finds every batch's rows with one sort
+(:func:`batch_unique`); then, per batch, it pulls the rows the batch
+touches with no lock, runs :func:`sgns_batch` and pushes the row deltas
+back under one lock. A pull may see a concurrent push in part, but each
+push adds onto what the store holds then: no delta is lost, and
+staleness stays at most one batch. A run of one worker is
+bit-reproducible for a fixed seed on one BLAS kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ciprec.ingest import pack_arrays, pair_positions
+from ciprec.ingest import pack_arrays, run_offsets
 
 
 # packs per worker fetch
@@ -148,21 +149,22 @@ def gen_pairs(items, sizes, window: int) -> np.ndarray:
     ascending (-window .. -1, 1 .. window)."""
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
-    items = np.asarray(items, dtype=np.int64)
-    p, q = pair_positions(sizes, window)
-    target, context = np.concatenate((q, p)), np.concatenate((p, q))
-    # a distinct key per pair; a stable sort runs fast over its sorted half
-    order = np.argsort(target * (2 * window + 1) + context - target, kind="stable")
-    return np.stack((items[target[order]], items[context[order]]), axis=1)
+    items, sizes = np.asarray(items, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+    # position t pairs with the lo[t] positions before it and the hi[t] after
+    back = run_offsets(sizes)
+    lo, hi = np.minimum(back, window), np.minimum(np.repeat(sizes, sizes) - 1 - back, window)
+    target = np.repeat(np.arange(len(back)), lo + hi)
+    offset = np.arange(len(target)) - np.repeat(np.cumsum(lo + hi) - hi, lo + hi)
+    offset += offset >= 0
+    return np.stack((items[target], items[target + offset]), axis=1)
 
 
 def pair_count(length: int, window: int) -> int:
     """The number of pairs :func:`gen_pairs` makes of one pack of
     ``length`` items: each position pairs with up to ``window`` others on
     each side."""
-    if length <= window + 1:
-        return length * (length - 1)
-    return window * (2 * length - window - 1)
+    reach = min(length - 1, window)
+    return reach * (2 * length - reach - 1)
 
 
 def draw_negatives(cum: np.ndarray, size: int, rng) -> np.ndarray:
@@ -316,8 +318,7 @@ def _shard_batches(pairs_t: np.ndarray, pairs_c: np.ndarray, cum: np.ndarray, k:
     n, s = len(pairs_t), NEGATIVE_SHARE * k
     n_batches = -(-n // BATCH_PAIRS)
     batch = np.arange(n) // BATCH_PAIRS
-    # one draw of all the shard's negatives reads the same stream as one
-    # draw per batch
+    # one draw for the whole shard reads the same stream as one per batch
     neg = draw_negatives(cum, n_batches * s, rng)
     rows0, at0, inv0 = batch_unique(pairs_t, batch, n_batches, vocab)
     rows1, at1, inv1 = batch_unique(np.concatenate([pairs_c, neg]),
@@ -329,9 +330,9 @@ def _shard_batches(pairs_t: np.ndarray, pairs_c: np.ndarray, cum: np.ndarray, k:
                inv1[lo:hi], inv1[n + b * s:n + (b + 1) * s])
 
 
-def _train_shard(shared: _Shared, pairs_t: np.ndarray, pairs_c: np.ndarray,
-                 rng) -> None:
+def _train_shard(shared: _Shared, rows: np.ndarray, sizes: np.ndarray, rng) -> None:
     model, k = shared.model, shared.cfg.negatives
+    pairs_t, pairs_c = gen_pairs(rows, sizes, shared.cfg.window).T
     shard_loss = 0.0
     for rows0, rows1, t_c, c_c, n_c in _shard_batches(pairs_t, pairs_c, model._cum, k,
                                                       len(model.syn0), rng):
@@ -381,10 +382,6 @@ def _fit(model: EmbeddingModel, rows: np.ndarray, sizes: np.ndarray, cfg: TrainC
     rows, sizes = rows[np.repeat(multi, sizes)], sizes[multi]
     cut = [*range(0, len(sizes), SHARD_SIZE), len(sizes)]   # shard s: packs cut[s]:cut[s + 1]
     at = np.append(0, np.cumsum(sizes))[cut]
-    # a shard's pairs: one worker makes them all first, back to back (between
-    # batches they cost about twice as much); forked workers make their own
-    make = lambda s: gen_pairs(rows[at[s]:at[s + 1]], sizes[cut[s]:cut[s + 1]], cfg.window)
-    shard = make if cfg.workers > 1 else [make(s) for s in range(len(cut) - 1)].__getitem__
     lengths, counts = np.unique(sizes, return_counts=True)
     total = sum(pair_count(int(n), cfg.window) * int(c) for n, c in zip(lengths, counts))
     ctx = mp.get_context("fork") if cfg.workers > 1 else None
@@ -399,21 +396,24 @@ def _fit(model: EmbeddingModel, rows: np.ndarray, sizes: np.ndarray, cfg: TrainC
             shared.loss_sum.value = shared.loss_pairs.value = shared.next_shard.value = 0
 
             def work():
-                while (s_idx := shared.take()) < len(cut) - 1:
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence([cfg.seed, epoch, s_idx]))
-                    _train_shard(shared, *shard(s_idx).T, rng)
+                while (s := shared.take()) < len(cut) - 1:
+                    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, s]))
+                    _train_shard(shared, rows[at[s]:at[s + 1]], sizes[cut[s]:cut[s + 1]], rng)
 
-            if cfg.workers == 1:
-                work()              # shards in order in this process: reproducible
-            else:
-                procs = [ctx.Process(target=work) for _ in range(cfg.workers)]
-                for pr in procs:
-                    pr.start()
+            procs = [ctx.Process(target=work) for _ in range(cfg.workers - 1)]
+            for pr in procs:
+                pr.start()
+            try:
+                work()              # this process too; alone, it takes shards in order
+            except Exception as err:
+                if procs:
+                    raise RuntimeError("a deepcip training worker failed") from err
+                raise
+            finally:
                 for pr in procs:
                     pr.join()
-                if any(pr.exitcode for pr in procs):
-                    raise RuntimeError("a deepcip training worker failed")
+            if any(pr.exitcode for pr in procs):
+                raise RuntimeError("a deepcip training worker failed")
             if shared.loss_pairs.value:
                 model.epoch_losses.append(shared.loss_sum.value / shared.loss_pairs.value)
 
