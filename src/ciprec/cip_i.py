@@ -32,19 +32,24 @@ which bounds its transient arrays, sums the runs' keys once more, and
 then builds each score row with one ``dict`` call, its columns
 ascending; ``observe`` adds its sums key by key.
 
-One kernel ranks rows: :meth:`CipIModel._top_rows` reads any number of
-score rows into flat arrays, computes their similarities and ranks them
-all with one ``np.lexsort`` by (row, -sim, id). :meth:`CipIModel.top_k`
-and the cache both call it.
+One kernel ranks rows: :meth:`CipIModel._rank` takes score entries laid
+out row by row in flat arrays, computes their similarities and ranks
+them all with one ``np.lexsort`` by (row, -sim, id).
+:meth:`CipIModel._gather` reads any number of score rows into that
+layout for :meth:`CipIModel.top_k` and for ``recommend``; ``train``
+passes its own sorted keys and sums, which are already in it.
 
 ``recommend`` tallies the ids of each profile item's top-k successors
 with one ``np.bincount``. Those ids are cached in one ``(items, k)``
-array and a fold (:meth:`CipIModel.observe`) drops only the rows whose
-top-k *set* can change. The tally reads a row as a set, and a card bump
-only lowers similarities, so a row is dropped when one of its scores
-changed, or when it has more than k entries and its own card or the
-card of an item in its cached set changed. A row of at most k entries
-holds all of them whatever their order.
+array. ``train`` ranks every row into it once, so a trained model serves
+its first request as fast as any later one. A fold
+(:meth:`CipIModel.observe`) drops only the rows whose top-k *set* can
+change, and ``recommend`` ranks again only the dropped rows a profile
+holds. The tally reads a row as a set, and a card bump only lowers
+similarities, so a row is dropped when one of its scores changed, or
+when it has more than k entries and its own card or the card of an item
+in its cached set changed. A row of at most k entries holds all of them
+whatever their order.
 """
 
 from __future__ import annotations
@@ -68,6 +73,9 @@ class CipIModel:
     successors, padded with -1, and is read only where ``_valid[i]``;
     ``_long[i]`` marks a cached row of more than k entries, the only
     rows a card bump alone can change (see the module docstring).
+    :meth:`train` fills the cache for every item, an item with no
+    scores holding an empty row; :meth:`recommend` refills only the rows
+    that :meth:`observe` dropped.
     """
 
     kind = "cip-i"
@@ -87,7 +95,8 @@ class CipIModel:
 
     @classmethod
     def train(cls, store: ProfileStore, delta: int, k: int) -> "CipIModel":
-        """Score every user's packs in one fold over existing profiles."""
+        """Score every user's packs in one fold over existing profiles,
+        then rank every item's row into the cache."""
         model = cls(delta, k)
         model.profiles = store
         items, sizes, _ = pack_arrays(store, delta)
@@ -107,15 +116,18 @@ class CipIModel:
         # the keys of one run are distinct already
         keys, sums = ((keys[-1], sums[-1]) if len(keys) <= 2
                       else _sum_keys(np.concatenate(keys), np.concatenate(sums)))
+        # rank every row below num_items from the sorted keys, where an
+        # item's row position is its id; a row with no scores is empty
+        rows, cols = keys >> 32, keys & 0xFFFFFFFF
+        every = np.arange(store.num_items)
+        lengths = np.bincount(rows, minlength=len(every))
+        model._grow(len(every))
+        model._fill(every, lengths, *model._rank(every, rows, cols, sums, lengths, k)[:3])
         # one dict per score row, from that row's slice of the sorted keys
-        rows = keys >> 32
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        starts = np.flatnonzero(first)
-        cols, sums = (keys & 0xFFFFFFFF).tolist(), sums.tolist()
-        bounds = [*starts.tolist(), len(cols)]
+        bounds = [0, *lengths.cumsum().tolist()]
+        cols, sums = cols.tolist(), sums.tolist()
         model.score = {i: dict(zip(cols[lo:hi], sums[lo:hi]))
-                       for i, lo, hi in zip(rows[starts].tolist(), bounds, bounds[1:])}
+                       for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi}
         return model
 
     def observe(self, batches: dict[int, list[tuple[int, int]]]) -> None:
@@ -152,28 +164,52 @@ class CipIModel:
         self._valid[live[mark[live] | mark[self._top[live]].any(axis=1)]] = False
         self._valid[rescored[rescored < n]] = False
 
-    def _top_rows(self, rows: list[int], k: int
+    def _top_rows(self, rows: np.ndarray, k: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Rank the score rows of ``rows`` at once by (-similarity, id).
-        Returns each row's length and, for the first k entries of every
-        row in row order, the row's position in ``rows``, the entry's
-        rank, its id and its similarity (bit-identical to
-        :meth:`similarity`)."""
-        score, counts = self.score, self.profiles.item_counts()
-        got = [score.get(i, {}) for i in rows]
+        """Rank the score rows of the items ``rows`` at once: each row's
+        length, then what :meth:`_rank` returns."""
+        r, j, s, lengths = self._gather(rows)
+        return (lengths, *self._rank(rows, r, j, s, lengths, k))
+
+    def _gather(self, rows: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read the score rows of the items ``rows`` into flat arrays: for
+        every entry, row by row, its row's position in ``rows``, its
+        column and its fixed-point sum; then each row's length."""
+        score = self.score
+        got = [score.get(i, {}) for i in rows.tolist()]
         lengths = np.fromiter(map(len, got), dtype=np.int64, count=len(got))
         size = int(lengths.sum())
-        cols = list(chain.from_iterable(got))
+        j = np.fromiter(chain.from_iterable(got), dtype=np.int64, count=size)
         s = np.fromiter(chain.from_iterable(r.values() for r in got),
                         dtype=np.int64, count=size)
-        j = np.array(cols, dtype=np.int64)
-        sim = s / (2.0 * ONE * np.maximum(counts[np.repeat(rows, lengths)], counts[j]))
-        r = np.arange(len(rows)).repeat(lengths)
+        return np.arange(len(got)).repeat(lengths), j, s, lengths
+
+    def _rank(self, rows: np.ndarray, r: np.ndarray, j: np.ndarray, s: np.ndarray,
+              lengths: np.ndarray, k: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The one ranking kernel. Given score entries as :meth:`_gather`
+        lays them out (the rows in order, ``lengths`` entries each), rank
+        every row by (-similarity, id) with one ``np.lexsort``. Returns,
+        for the first k entries of every row in row order, the row's
+        position in ``rows``, the entry's rank, its id and its similarity
+        (bit-identical to :meth:`similarity`)."""
+        counts = self.profiles.item_counts()
+        sim = s / (2.0 * ONE * np.maximum(counts[rows[r]], counts[j]))
         order = np.lexsort((j, -sim, r))      # r is already sorted
         rank = run_offsets(lengths)
         kept = rank < k
         order = order[kept]
-        return lengths, r[kept], rank[kept], j[order], sim[order]
+        return r[kept], rank[kept], j[order], sim[order]
+
+    def _fill(self, rows: np.ndarray, lengths: np.ndarray, r: np.ndarray,
+              rank: np.ndarray, j: np.ndarray) -> None:
+        """Cache the ranked top-k ids of the items ``rows``, as
+        :meth:`_rank` returns them, and mark those rows valid."""
+        self._top[rows] = -1
+        self._top[rows[r], rank] = j
+        self._valid[rows] = True
+        self._long[rows] = lengths > self.k
 
     def similarity(self, i: int, j: int) -> float:
         """Directed similarity of j following i; 0 without co-consumption."""
@@ -186,7 +222,7 @@ class CipIModel:
     def top_k(self, i: int, k: int | None = None) -> list[tuple[int, float]]:
         """Top-k successors of item i by similarity, ties by ascending
         item id; items never scored give []. A fresh list each call."""
-        _, _, _, j, sim = self._top_rows([i], self.k if k is None else k)
+        _, _, _, j, sim = self._top_rows(np.array([i]), self.k if k is None else k)
         return list(zip(j.tolist(), sim.tolist()))
 
     def _grow(self, n: int) -> None:
@@ -196,10 +232,9 @@ class CipIModel:
             return
         n = max(n, 2 * have)
         top = np.full((n, self.k), -1, dtype=np.int64)
-        top[:have] = self._top
-        self._top = top
-        self._valid = np.concatenate((self._valid, np.zeros(n - have, dtype=bool)))
-        self._long = np.concatenate((self._long, np.zeros(n - have, dtype=bool)))
+        valid, long = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        top[:have], valid[:have], long[:have] = self._top, self._valid, self._long
+        self._top, self._valid, self._long = top, valid, long
 
     def recommend(self, u: int, n: int) -> list[int]:
         """Top-n items tallied over each of u's items' neighbor lists,
@@ -215,11 +250,7 @@ class CipIModel:
         self._grow(self.profiles.num_items)     # every cached id is a profile item
         missing = np.unique(owned[~self._valid[owned]])
         if len(missing):
-            lengths, r, rank, j, _ = self._top_rows(missing.tolist(), self.k)
-            self._top[missing] = -1
-            self._top[missing[r], rank] = j
-            self._valid[missing] = True
-            self._long[missing] = lengths > self.k
+            self._fill(missing, *self._top_rows(missing, self.k)[:4])
         # shift by one so the -1 padding lands in the dropped slot 0
         counts = np.bincount(self._top[owned].ravel() + 1,
                              minlength=int(owned.max()) + 2)[1:]

@@ -540,7 +540,7 @@ def _pack_starts(ts: np.ndarray, lengths: np.ndarray, delta: int) -> np.ndarray:
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     cut = np.ones(len(ts), dtype=bool)
-    cut[1:] = np.diff(ts) > delta
+    cut[1:] = ts[1:] - ts[:-1] > delta
     cut[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
     return np.flatnonzero(cut)
 
@@ -555,7 +555,7 @@ def pack_arrays(store: ProfileStore, delta: int, before: dict[int, int] | None =
     users = sorted(store.profiles) if before is None else before
     items, ts, lengths = join_profiles([store.profiles[u] for u in users])
     starts = _pack_starts(ts, lengths, delta)
-    sizes = np.diff(np.append(starts, len(items)))
+    sizes = np.append(starts[1:], len(items)) - starts
     if before is None:
         return items, sizes, np.ones(len(items), dtype=bool)
     base = np.fromiter(before.values(), dtype=np.int64, count=len(before))
@@ -579,7 +579,7 @@ def run_offsets(sizes) -> np.ndarray:
     """Each position's offset in its run, over runs of ``sizes`` laid end
     to end."""
     sizes = np.asarray(sizes, dtype=np.int64)
-    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    starts = (sizes.cumsum() - sizes).repeat(sizes)
     return np.arange(len(starts)) - starts
 
 

@@ -234,6 +234,64 @@ def test_cached_lists_equal_a_cold_cache_after_every_step():
                 assert m.recommend(u, 4) == cold.recommend(u, 4)
 
 
+def test_cached_lists_equal_a_cold_cache_after_every_step_from_a_trained_model():
+    # as above, but from a full cache: train on the first part of the
+    # stream, so every fold drops rows out of a cache where all are valid
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        n_users, n_items = int(rng.integers(2, 7)), int(rng.integers(4, 14))
+        events = random_stream(rng, n_users, n_items, int(rng.integers(10, 60)),
+                               max_gap=60, unique_per_user=True)
+        cut = int(rng.integers(1, len(events)))
+        m = CipIModel.train(store_from(events[:cut]), 40, int(rng.integers(1, 4)))
+        assert len(m._valid) == m.profiles.num_items and m._valid.all()
+        pack_user = n_users
+        for batch in chunked_batches(rng, events[cut:], 5):
+            if rng.random() < 0.3:
+                size = int(rng.integers(1, 5))
+                pack = rng.choice(n_items, size, replace=False).tolist()
+                m.observe({pack_user: [(i, 0) for i in pack]})
+                pack_user += 1
+            m.observe(batch)
+            cold = _cold(m)
+            for u in sorted(m.profiles.profiles):
+                assert m.recommend(u, 4) == cold.recommend(u, 4)
+
+
+def test_trained_model_ranks_every_row(monkeypatch):
+    from ciprec.analysis import precision_at_n
+    from ciprec.ingest import EventLog
+    from ciprec.synthetic import generate_events
+
+    rows = generate_events(seed=7, n_users=50, n_items=120, n_events=3000,
+                           n_genres=6)
+    # single-item packs leave rows 0, 1, 3 and 4 with no scores
+    stores = [store_from((u, i, t) for u, i, _, t in rows),
+              store_of_packs([[0], [1], [2, 3], [4], [0]])]
+    for store in stores:
+        m = CipIModel.train(store, 60, 10)
+        assert len(m._valid) == store.num_items and m._valid.all()
+        for i in range(store.num_items):
+            cached = m._top[i][m._top[i] >= 0].tolist()
+            assert len(cached) == len(set(cached))
+            assert set(cached) == {j for j, _ in m.top_k(i)}
+        users = sorted(store.profiles)
+        # each user's next event is one of the catalog's items
+        test = EventLog(users, [u % store.num_items for u in users],
+                        np.arange(len(users)) + 10**9,
+                        store.user_ids, store.item_ids)
+        calls = []
+        ranked = CipIModel._top_rows
+        monkeypatch.setattr(CipIModel, "_top_rows",
+                            lambda self, *a: calls.append(a) or ranked(self, *a))
+        precision_at_n(m, test, 10)
+        assert calls == []
+        monkeypatch.undo()
+        cold = _cold(m)
+        assert ([m.recommend(u, 10) for u in users]
+                == [cold.recommend(u, 10) for u in users])
+
+
 def test_short_row_keeps_its_cached_set_across_a_member_bump():
     # user 3's profile is [0]; row 0 holds 1 and 2, fewer than k = 5, so
     # a card bump of 1 cannot change which ids it holds
